@@ -7,15 +7,9 @@ projection that re-estimates the per-line shifts, either directly (ER) or
 through relaxed averaged alternating reflections (SRAAR).
 """
 
-from .core import (
-    FrequencyGrid,
-    MotionBounds,
-    MotionTrajectory,
-    ReconConfig,
-    new_complex_image,
-)
+from .core import FrequencyGrid, MotionBounds, MotionTrajectory, ReconConfig
 from .fileio import export_pgm, load_array, load_trajectory, save_array, save_trajectory
-from .metrics import EvalReport, image_metrics, sparsity_comparison, trajectory_error
+from .metrics import EvalReport, image_metrics, trajectory_error
 from .motion import (
     apply_translation,
     fold_trajectory,
@@ -74,7 +68,6 @@ __all__ = [
     "load_ground_truth",
     "load_trajectory",
     "naive_reconstruct",
-    "new_complex_image",
     "project_fourier",
     "project_sparse",
     "render_ellipses",
@@ -83,7 +76,6 @@ __all__ = [
     "shepp_logan",
     "solve_er",
     "solve_sraar",
-    "sparsity_comparison",
     "trajectory_error",
     "tune_sparsity_budget",
 ]

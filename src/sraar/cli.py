@@ -24,7 +24,7 @@ from .fileio import (
 from .metrics import EvalReport, image_metrics, trajectory_error
 from .motion import gauge_aligned, naive_reconstruct
 from .simulate import TrajectoryGenConfig, corrupt, generate_trajectory, load_ground_truth, shepp_logan
-from .solvers import solve_er, solve_sraar, tune_sparsity_budget
+from .solvers import _SOLVER_FUNCS, tune_sparsity_budget
 from .transforms import dft2, haar_forward, l1_norm
 
 DEFAULT_C_GRID = (0.3, 0.5, 0.7)
@@ -151,8 +151,7 @@ def cmd_reconstruct(args):
         chosen_c, image, estimate, trace = tune_sparsity_budget(observed, cfg)
     else:
         chosen_c = cfg.c
-        solver = solve_er if cfg.solver == "er" else solve_sraar
-        image, estimate, trace = solver(observed, cfg)
+        image, estimate, trace = _SOLVER_FUNCS[cfg.solver](observed, cfg)
     elapsed = time.perf_counter() - start
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -19,7 +19,6 @@ __all__ = [
     "MotionTrajectory",
     "ReconConfig",
     "is_power_of_two",
-    "new_complex_image",
     "require_grid_size",
     "require_square_image",
 ]
@@ -51,12 +50,6 @@ def require_square_image(arr, name="array"):
         raise ValueError(f"{name} must be square 2-D, got shape {a.shape}")
     require_grid_size(a.shape[0])
     return a
-
-
-def new_complex_image(n, fill=0j):
-    """Allocate an n-by-n complex128 image filled with ``fill``."""
-    n = require_grid_size(n)
-    return np.full((n, n), complex(fill), dtype=np.complex128)
 
 
 def normalized_line_weights(weights, n_lines):

@@ -51,7 +51,7 @@ def save_array(path, arr):
 
 
 def load_array(path):
-    """Read a raw array file; returns float64 or complex128."""
+    """Read a raw array file; returns float64 or complex128, rejecting NaN/Inf."""
     blob = Path(path).read_bytes()
     if len(blob) < 13 or blob[:4] != MAGIC:
         raise ValueError(f"{path}: not a raw array file (bad magic)")
@@ -63,6 +63,8 @@ def load_array(path):
     if len(blob) - 13 != expected:
         raise ValueError(f"{path}: payload has {len(blob) - 13} bytes, expected {expected}")
     data = np.frombuffer(blob[13:], dtype=dtype).reshape(rows, cols)
+    if not np.all(np.isfinite(data)):
+        raise ValueError(f"{path}: payload contains non-finite values (NaN or Inf)")
     return data.astype(np.float64 if code == _DTYPE_REAL else np.complex128)
 
 

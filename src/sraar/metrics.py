@@ -7,9 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import normalized_line_weights
-from .transforms import haar_forward, l1_norm
 
-__all__ = ["EvalReport", "image_metrics", "sparsity_comparison", "trajectory_error"]
+__all__ = ["EvalReport", "image_metrics", "trajectory_error"]
 
 
 def image_metrics(x, gt):
@@ -52,11 +51,6 @@ def trajectory_error(est, true_traj, weights=None):
     d = d - w @ d
     rms = np.sqrt(w @ d**2)
     return float(rms[0]), float(rms[1])
-
-
-def sparsity_comparison(gt, corrupted, recon, levels=None):
-    """Wavelet l1 norms of (ground truth, corrupted image, reconstruction)."""
-    return tuple(l1_norm(haar_forward(img, levels)) for img in (gt, corrupted, recon))
 
 
 @dataclass(frozen=True)

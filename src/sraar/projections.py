@@ -36,12 +36,14 @@ __all__ = [
 def _l1_ball_threshold(moduli, c):
     """Shrink threshold tau with sum(max(moduli - tau, 0)) == c.
 
-    Sort-and-scan construction; assumes 0 < c < moduli.sum().
+    Sort-and-scan construction; assumes 0 < c < moduli.sum().  A c lost to
+    rounding against the largest modulus passes no index; rho = 0 is the limit.
     """
     s = np.sort(moduli)[::-1]
     cumulative = np.cumsum(s)
     k = np.arange(1, s.size + 1)
-    rho = np.nonzero(s > (cumulative - c) / k)[0][-1]
+    passing = np.nonzero(s > (cumulative - c) / k)[0]
+    rho = passing[-1] if passing.size else 0
     return (cumulative[rho] - c) / (rho + 1.0)
 
 

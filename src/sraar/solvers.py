@@ -1,14 +1,16 @@
 """Joint image and motion estimation by alternating projections.
 
-Both solvers start from the naive reconstruction of the observed k-space.
-``solve_er`` alternates the two projections directly.  ``solve_sraar``
-iterates the relaxed averaged alternating reflections update
+Both solvers start from the naive reconstruction of the observed k-space and
+run one iteration driver with their own step rule.  ``solve_er`` alternates
+the two projections directly.  ``solve_sraar`` iterates the relaxed averaged
+alternating reflections update
 
     m <- (theta/2) * (R1 R2 + I) m + (1 - theta) * P2 m
 
 with reflectors R = 2P - I; the Fourier projection P2 m is evaluated once
 per iteration and shared between both terms, and a terminal P2 pass makes
-the returned image data-consistent.
+the returned image data-consistent.  The DFT and the translations are
+unitary, so the data misfit equals ||P2 output - P1 output|| in image space.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import SOLVER_ER, SOLVER_SRAAR
-from .motion import apply_translation, naive_reconstruct
+from .motion import naive_reconstruct
 from .projections import project_fourier, project_sparse
-from .transforms import dft2, haar_forward, l1_norm
+from .transforms import haar_forward, l1_norm
 
 __all__ = ["SolverTrace", "solve_er", "solve_sraar", "tune_sparsity_budget"]
 
@@ -32,8 +34,9 @@ class SolverTrace:
 
     ``misfit[j]`` is the Frobenius distance between the observation and the
     translated spectrum of iteration j's sparsity-projected image under
-    iteration j's motion estimate.  ``trajectories`` holds per-iteration
-    motion snapshots when requested.
+    iteration j's motion estimate.  By unitarity it is computed as the
+    image-space distance between iteration j's P2 and P1 outputs.
+    ``trajectories`` holds per-iteration motion snapshots when requested.
     """
 
     misfit: list[float] = field(default_factory=list)
@@ -52,10 +55,6 @@ class SolverTrace:
         return len(self.misfit)
 
 
-def _data_misfit(observed, sparse_image, estimate, grid=None):
-    return float(np.linalg.norm(observed - apply_translation(dft2(sparse_image), estimate.traj, grid)))
-
-
 def _require_fixed_budget(cfg, expected_solver):
     if cfg.solver != expected_solver:
         raise ValueError(f"config selects solver {cfg.solver!r}, expected {expected_solver!r}")
@@ -64,50 +63,61 @@ def _require_fixed_budget(cfg, expected_solver):
     return cfg.c
 
 
+def _require_finite(observed):
+    if not np.all(np.isfinite(observed)):
+        raise ValueError("observed k-space contains non-finite values (NaN or Inf)")
+
+
+def _er_step(m, observed, cfg, c, grid):
+    sparse = project_sparse(m, c, cfg.haar_levels)
+    p2, estimate = project_fourier(sparse, observed, cfg, grid)
+    return p2, p2, sparse, estimate
+
+
+def _sraar_step(m, observed, cfg, c, grid):
+    p2, estimate = project_fourier(m, observed, cfg, grid)
+    r2 = 2.0 * p2 - m
+    sparse = project_sparse(r2, c, cfg.haar_levels)
+    r1r2 = 2.0 * sparse - r2
+    return 0.5 * cfg.theta * (r1r2 + m) + (1.0 - cfg.theta) * p2, p2, sparse, estimate
+
+
+def _iterate(observed, cfg, grid, keep_trajectories, solver, step):
+    """Run ``step`` cfg.iterations times from the naive reconstruction.
+
+    ``step`` returns (next iterate, P2 output, P1 output, motion estimate);
+    a last iterate that is not a P2 output gets a terminal P2 pass.
+    """
+    c = _require_fixed_budget(cfg, solver)
+    _require_finite(observed)
+    trace = SolverTrace(trajectories=[] if keep_trajectories else None)
+    m = naive_reconstruct(observed)
+    for _ in range(cfg.iterations):
+        start = time.perf_counter()
+        m, p2, sparse, estimate = step(m, observed, cfg, c, grid)
+        trace.append(
+            np.linalg.norm(p2 - sparse),
+            l1_norm(haar_forward(m, cfg.haar_levels)),
+            time.perf_counter() - start,
+            estimate.traj,
+        )
+    if m is not p2:
+        m, estimate = project_fourier(m, observed, cfg, grid)
+    return m, estimate, trace
+
+
 def solve_er(observed, cfg, grid=None, keep_trajectories=False):
     """Alternate m <- P2(P1(m)) for cfg.iterations steps.
 
     Returns (image, motion estimate, trace); the image is the output of the
     final Fourier projection and therefore data-consistent.
     """
-    c = _require_fixed_budget(cfg, SOLVER_ER)
-    trace = SolverTrace(trajectories=[] if keep_trajectories else None)
-    m = naive_reconstruct(observed)
-    estimate = None
-    for _ in range(cfg.iterations):
-        start = time.perf_counter()
-        sparse = project_sparse(m, c, cfg.haar_levels)
-        m, estimate = project_fourier(sparse, observed, cfg, grid)
-        trace.append(
-            _data_misfit(observed, sparse, estimate, grid),
-            l1_norm(haar_forward(m, cfg.haar_levels)),
-            time.perf_counter() - start,
-            estimate.traj,
-        )
-    return m, estimate, trace
+    return _iterate(observed, cfg, grid, keep_trajectories, SOLVER_ER, _er_step)
 
 
 def solve_sraar(observed, cfg, grid=None, keep_trajectories=False):
     """Run the relaxed reflection iteration followed by a terminal P2 pass."""
-    c = _require_fixed_budget(cfg, SOLVER_SRAAR)
-    theta = cfg.theta
-    trace = SolverTrace(trajectories=[] if keep_trajectories else None)
-    m = naive_reconstruct(observed)
-    for _ in range(cfg.iterations):
-        start = time.perf_counter()
-        p2, estimate = project_fourier(m, observed, cfg, grid)
-        r2 = 2.0 * p2 - m
-        sparse = project_sparse(r2, c, cfg.haar_levels)
-        r1r2 = 2.0 * sparse - r2
-        m = 0.5 * theta * (r1r2 + m) + (1.0 - theta) * p2
-        trace.append(
-            _data_misfit(observed, sparse, estimate, grid),
-            l1_norm(haar_forward(m, cfg.haar_levels)),
-            time.perf_counter() - start,
-            estimate.traj,
-        )
-    m, estimate = project_fourier(m, observed, cfg, grid)
-    return m, estimate, trace
+    return _iterate(observed, cfg, grid, keep_trajectories, SOLVER_SRAAR, _sraar_step)
 
 
 _SOLVER_FUNCS = {SOLVER_ER: solve_er, SOLVER_SRAAR: solve_sraar}
@@ -122,6 +132,7 @@ def tune_sparsity_budget(observed, cfg, grid=None):
     """
     if cfg.c_grid is None:
         raise ValueError("tune_sparsity_budget requires c_grid")
+    _require_finite(observed)
     base = l1_norm(haar_forward(naive_reconstruct(observed), cfg.haar_levels))
     solver = _SOLVER_FUNCS[cfg.solver]
     best = None

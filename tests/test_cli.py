@@ -148,6 +148,19 @@ class TestReconstruct:
                    "--c-grid", "0.3,x", "--out-dir", str(tmp_path)] + RECON_ARGS)
         assert rc == 2
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("budget", [["--c", "5"], []])
+    def test_non_finite_kspace_exits_2(self, tmp_path, capsys, bad, budget):
+        observed = np.ones((32, 32), dtype=np.complex128)
+        observed[3, 7] = bad
+        save_array(tmp_path / "k.srr", observed)
+        rc = main(["reconstruct", "--kspace", str(tmp_path / "k.srr"),
+                   "--out-dir", str(tmp_path / "out")] + budget + RECON_ARGS)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sraar reconstruct:") and "non-finite" in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_kspace_exits_1(self, tmp_path, capsys):
         rc = main(["reconstruct", "--kspace", str(tmp_path / "nope.srr"),
                    "--c", "300", "--out-dir", str(tmp_path)] + RECON_ARGS)

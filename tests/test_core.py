@@ -1,27 +1,7 @@
 import numpy as np
 import pytest
 
-from sraar import FrequencyGrid, MotionBounds, MotionTrajectory, ReconConfig, new_complex_image
-
-
-class TestNewComplexImage:
-    def test_fill_and_dtype(self):
-        img = new_complex_image(8, 1 - 2j)
-        assert img.shape == (8, 8)
-        assert img.dtype == np.complex128
-        assert np.all(img == 1 - 2j)
-
-    def test_default_fill_is_zero(self):
-        assert np.all(new_complex_image(4) == 0)
-
-    @pytest.mark.parametrize("n", [0, 3, 5, 2, 12, 100, -8])
-    def test_bad_sizes_rejected(self, n):
-        with pytest.raises(ValueError):
-            new_complex_image(n)
-
-    def test_non_integer_rejected(self):
-        with pytest.raises(ValueError):
-            new_complex_image(8.0)
+from sraar import FrequencyGrid, MotionBounds, MotionTrajectory, ReconConfig
 
 
 class TestFrequencyGrid:
@@ -48,6 +28,15 @@ class TestFrequencyGrid:
     def test_bad_size(self):
         with pytest.raises(ValueError):
             FrequencyGrid(12)
+
+    @pytest.mark.parametrize("n", [0, 3, 5, 2, 12, 100, -8])
+    def test_bad_sizes_rejected(self, n):
+        with pytest.raises(ValueError):
+            FrequencyGrid(n)
+
+    def test_non_integer_rejected(self):
+        with pytest.raises(ValueError):
+            FrequencyGrid(8.0)
 
     def test_coords_read_only(self):
         with pytest.raises(ValueError):

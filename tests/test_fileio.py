@@ -88,6 +88,14 @@ class TestRawArrays:
         with pytest.raises(ValueError):
             save_array(tmp_path / "x.srr", np.zeros(5))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_non_finite_payload_rejected(self, tmp_path, bad):
+        arr = np.ones((4, 4), dtype=np.complex128)
+        arr[1, 2] = bad
+        save_array(tmp_path / "n.srr", arr)
+        with pytest.raises(ValueError, match="non-finite"):
+            load_array(tmp_path / "n.srr")
+
 
 class TestTrajectoryFiles:
     def test_round_trip(self, tmp_path, rng):

@@ -1,15 +1,7 @@
 import numpy as np
 import pytest
 
-from sraar import (
-    EvalReport,
-    MotionTrajectory,
-    haar_forward,
-    image_metrics,
-    l1_norm,
-    sparsity_comparison,
-    trajectory_error,
-)
+from sraar import EvalReport, MotionTrajectory, image_metrics, trajectory_error
 from conftest import random_complex
 from reference_impls import loop_rmse_metrics
 
@@ -88,15 +80,6 @@ class TestTrajectoryError:
             trajectory_error(a, a, np.zeros(8))
         with pytest.raises(ValueError):
             trajectory_error(a, a, -np.ones(8))
-
-
-class TestSparsityComparison:
-    def test_triple_matches_direct_norms(self, rng, phantom64):
-        corrupted = random_complex(rng, (64, 64))
-        recon = random_complex(rng, (64, 64))
-        triple = sparsity_comparison(phantom64, corrupted, recon)
-        expected = tuple(l1_norm(haar_forward(img)) for img in (phantom64, corrupted, recon))
-        assert triple == expected
 
 
 class TestEvalReport:

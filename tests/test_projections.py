@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sraar import (
     FrequencyGrid,
@@ -13,6 +15,7 @@ from sraar import (
     l1_norm,
     project_fourier,
     project_sparse,
+    shepp_logan,
     trajectory_error,
 )
 from conftest import random_complex
@@ -78,6 +81,33 @@ class TestProjectSparse:
         shallow = project_sparse(m, c, levels=1)
         assert not np.allclose(deep, shallow)
         assert l1_norm(haar_forward(shallow, 1)) <= c * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("scale, c", [(1.0, 1e-300), (1e8, 1e-9)])
+    def test_budget_lost_to_rounding_gives_zero_image(self, scale, c):
+        # c vanishes against the largest modulus, so no threshold index passes
+        out = project_sparse(scale * shepp_logan(64), c)
+        assert np.all(np.isfinite(out))
+        assert l1_norm(haar_forward(out)) <= c
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    size=st.sampled_from([4, 8, 16]),
+    seed=st.integers(0, 2**32 - 1),
+    log10_scale=st.floats(-8.0, 8.0),
+    budget=st.floats(0.0, 1.0),
+)
+def test_project_sparse_properties(size, seed, log10_scale, budget):
+    """P1 never raises, stays finite and feasible, and is idempotent for any
+    budget between 1e-300 and the input's full wavelet l1 norm."""
+    m = 10.0**log10_scale * random_complex(np.random.default_rng(seed), (size, size))
+    full = l1_norm(haar_forward(m))
+    c = min(full, np.exp((1.0 - budget) * np.log(1e-300) + budget * np.log(full)))
+    once = project_sparse(m, c)
+    assert np.all(np.isfinite(once))
+    assert l1_norm(haar_forward(once)) <= c + 1e-9 * full
+    twice = project_sparse(once, c)
+    assert np.abs(twice - once).max() <= 1e-9 * np.abs(m).max()
 
 
 class TestEstimateLineShift:

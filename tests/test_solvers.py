@@ -4,6 +4,7 @@ import pytest
 from sraar import (
     MotionBounds,
     ReconConfig,
+    apply_translation,
     dft2,
     haar_forward,
     l1_norm,
@@ -126,6 +127,69 @@ class TestSolverBehaviour:
         b, est_b, _ = solve_sraar(scenario.observed, cfg, scenario.grid)
         assert np.array_equal(a, b)
         assert np.array_equal(est_a.traj.shifts, est_b.traj.shifts)
+
+
+def old_misfit(observed, sparse, estimate, grid):
+    """The trace misfit as first defined: distance in k-space to the data."""
+    return np.linalg.norm(observed - apply_translation(dft2(sparse), estimate.traj, grid))
+
+
+class TestSharedDriver:
+    """Both solvers run one driver; replay each with a hand-written loop."""
+
+    @pytest.fixture(scope="class")
+    def scenario(self):
+        return make_scenario(32, 4, 1.5, solver_bound=2.0)
+
+    def config(self, scenario, solver):
+        return ReconConfig(solver=solver, bounds=MotionBounds(2.0, 2.0), theta=0.9,
+                           c=0.5 * budget_of(naive_reconstruct(scenario.observed)),
+                           iterations=4, threads=1)
+
+    def check(self, result, expected, estimate, misfit, l1):
+        image, got_estimate, trace = result
+        assert np.array_equal(image, expected)
+        assert np.array_equal(got_estimate.traj.shifts, estimate.traj.shifts)
+        assert trace.l1 == l1
+        np.testing.assert_allclose(trace.misfit, misfit, rtol=1e-12, atol=0.0)
+
+    def test_er_matches_hand_loop(self, scenario):
+        cfg = self.config(scenario, "er")
+        observed, grid = scenario.observed, scenario.grid
+        m = naive_reconstruct(observed)
+        misfit, l1 = [], []
+        for _ in range(cfg.iterations):
+            sparse = project_sparse(m, cfg.c)
+            m, estimate = project_fourier(sparse, observed, cfg, grid)
+            misfit.append(old_misfit(observed, sparse, estimate, grid))
+            l1.append(budget_of(m))
+        self.check(solve_er(observed, cfg, grid), m, estimate, misfit, l1)
+
+    def test_sraar_matches_hand_loop(self, scenario):
+        cfg = self.config(scenario, "sraar")
+        observed, grid = scenario.observed, scenario.grid
+        m = naive_reconstruct(observed)
+        misfit, l1 = [], []
+        for _ in range(cfg.iterations):
+            p2, estimate = project_fourier(m, observed, cfg, grid)
+            r2 = 2.0 * p2 - m
+            sparse = project_sparse(r2, cfg.c)
+            r1r2 = 2.0 * sparse - r2
+            m = 0.5 * cfg.theta * (r1r2 + m) + (1.0 - cfg.theta) * p2
+            misfit.append(old_misfit(observed, sparse, estimate, grid))
+            l1.append(budget_of(m))
+        expected, estimate = project_fourier(m, observed, cfg, grid)
+        self.check(solve_sraar(observed, cfg, grid), expected, estimate, misfit, l1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_kspace_rejected(self, scenario, bad):
+        observed = scenario.observed.copy()
+        observed[5, 9] = bad
+        for solver, run in (("er", solve_er), ("sraar", solve_sraar)):
+            with pytest.raises(ValueError, match="non-finite"):
+                run(observed, self.config(scenario, solver))
+        with pytest.raises(ValueError, match="non-finite"):
+            tune_sparsity_budget(observed, ReconConfig(c_grid=(0.5,), iterations=2))
 
 
 class TestTuneSparsityBudget:
