@@ -23,7 +23,7 @@ for row in (8, 40, 63, 100):
     by = float(rng.uniform(-0.9, 0.9)) * window
     ref = spectrum[row]
     line = ref * np.exp(-2j * np.pi * (grid.coords * bx + k_y * by))
-    est = estimate_line_shift(line, ref, k_y, grid, bounds)
+    est = estimate_line_shift(line, ref, k_y, bounds)
     print(f"{row:>4} {k_y:>8.4f} {bx:>8.3f} {by:>8.3f} {est.beta_x:>8.3f} {est.beta_y:>8.3f} {est.score:>7.4f}")
 
 # The DC line carries no beta_y information at all: k_y = 0 makes the
@@ -31,7 +31,7 @@ for row in (8, 40, 63, 100):
 row = n // 2
 ref = spectrum[row]
 line = ref * np.exp(-2j * np.pi * grid.coords * 2.5)
-est = estimate_line_shift(line, ref, 0.0, grid, bounds)
+est = estimate_line_shift(line, ref, 0.0, bounds)
 print(f"DC row: true bx=2.500, est bx={est.beta_x:.3f}, est by={est.beta_y:.3f} (pinned)")
 
 # beta_y is only identifiable modulo 1/|k_y|; outside the principal window
@@ -40,6 +40,6 @@ row, by = 90, 3.5
 k_y = grid.coords[row]
 ref = spectrum[row]
 line = ref * np.exp(-2j * np.pi * k_y * by)
-est = estimate_line_shift(line, ref, k_y, grid, bounds)
+est = estimate_line_shift(line, ref, k_y, bounds)
 print(f"alias: row {row} k_y={k_y:.4f}, true by={by:.3f} folds to {est.beta_y:.3f} "
       f"(period {1 / abs(k_y):.3f} px), score {est.score:.4f}")

@@ -183,9 +183,8 @@ class ReconConfig:
     of the starting image's wavelet l1 norm, each in (0, 1), for budget
     tuning) may be set.  ``theta`` is the relaxation parameter of the
     reflection solver; ``theta == 1`` gives plain averaged alternating
-    reflections.  ``haar_levels=None`` uses the full decomposition depth.
-    ``threads == 0`` picks a worker count automatically; threading changes
-    wall time only, never results.
+    reflections.  ``threads == 0`` picks a worker count automatically;
+    threading changes wall time only, never results.
     """
 
     bounds: MotionBounds = MotionBounds(5.0, 5.0)
@@ -196,7 +195,6 @@ class ReconConfig:
     c_grid: tuple[float, ...] | None = None
     amplitude_replacement: bool = True
     grid_step: float = 0.25
-    haar_levels: int | None = None
     threads: int = 0
 
     def __post_init__(self):
@@ -227,10 +225,6 @@ class ReconConfig:
         if not np.isfinite(step) or step <= 0:
             raise ValueError(f"grid_step must be positive, got {step}")
         object.__setattr__(self, "grid_step", step)
-        if self.haar_levels is not None:
-            if not isinstance(self.haar_levels, (int, np.integer)) or self.haar_levels < 1:
-                raise ValueError(f"haar_levels must be a positive integer, got {self.haar_levels!r}")
-            object.__setattr__(self, "haar_levels", int(self.haar_levels))
         if not isinstance(self.threads, (int, np.integer)) or self.threads < 0:
             raise ValueError(f"threads must be a non-negative integer, got {self.threads!r}")
         object.__setattr__(self, "threads", int(self.threads))

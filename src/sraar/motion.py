@@ -22,29 +22,26 @@ __all__ = [
     "gauge_aligned",
 ]
 
-
-def _grid_for(ksp, grid):
-    if grid is None:
-        return FrequencyGrid(ksp.shape[0])
-    if grid.size != ksp.shape[0]:
-        raise ValueError(f"grid size {grid.size} does not match array side {ksp.shape[0]}")
-    return grid
+_GAUGE_ROUNDS = 16
+_GAUGE_TOL = 1e-9
 
 
-def apply_translation(ksp, traj, grid=None):
-    """Apply per-line phase ramps encoding the trajectory's translations."""
+def apply_translation(ksp, traj):
+    """Apply per-line phase ramps encoding the trajectory's translations.
+
+    The frequency grid is the centered grid of the k-space's side.
+    """
     ksp = require_square_image(ksp, "k-space").astype(np.complex128, copy=False)
-    grid = _grid_for(ksp, grid)
     if len(traj) != ksp.shape[0]:
         raise ValueError(f"trajectory has {len(traj)} lines, k-space has {ksp.shape[0]} rows")
-    k = grid.coords
+    k = FrequencyGrid(ksp.shape[0]).coords
     ramp = traj.dx[:, None] * k[None, :] + (traj.dy * k)[:, None]
     return ksp * np.exp(-2j * np.pi * ramp)
 
 
-def invert_translation(ksp, traj, grid=None):
+def invert_translation(ksp, traj):
     """Undo :func:`apply_translation`; identical to applying -traj."""
-    return apply_translation(ksp, -traj, grid)
+    return apply_translation(ksp, -traj)
 
 
 def naive_reconstruct(ksp):
@@ -71,7 +68,7 @@ def fold_trajectory(traj, grid):
     return MotionTrajectory.from_components(traj.dx, dy)
 
 
-def gauge_aligned(traj, grid, weights=None, max_rounds=16, tol=1e-9):
+def gauge_aligned(traj, grid, weights=None):
     """Return the canonical data-equivalent form of a trajectory.
 
     Removes the weighted mean displacement (a global image shift, which the
@@ -81,13 +78,13 @@ def gauge_aligned(traj, grid, weights=None, max_rounds=16, tol=1e-9):
     trajectories are comparable line by line.
     """
     w = normalized_line_weights(weights, len(traj))
-    dx = traj.dx - w @ traj.dx
-    dy = traj.dy.copy()
-    k = grid.coords
-    for _ in range(max_rounds):
-        folded = fold_trajectory(MotionTrajectory.from_components(dx, dy), grid)
-        mean = w @ folded.dy
-        dy = folded.dy - mean
-        if abs(mean) < tol:
+    aligned = fold_trajectory(MotionTrajectory.from_components(traj.dx - w @ traj.dx, traj.dy), grid)
+    # folding pins the DC line's beta_y to 0, so only the other lines' weight
+    # can absorb a shift of the mean
+    free = w[grid.coords != 0.0].sum()
+    for _ in range(_GAUGE_ROUNDS):
+        mean = w @ aligned.dy / free if free > 0 else 0.0
+        aligned = fold_trajectory(MotionTrajectory.from_components(aligned.dx, aligned.dy - mean), grid)
+        if abs(mean) < _GAUGE_TOL:
             break
-    return fold_trajectory(MotionTrajectory.from_components(dx, dy), grid)
+    return aligned

@@ -47,15 +47,15 @@ def _l1_ball_threshold(moduli, c):
     return (cumulative[rho] - c) / (rho + 1.0)
 
 
-def project_sparse(m, c, levels=None):
-    """Project an image onto {m : ||haar(m)||_1 <= c}, preserving phases."""
+def project_sparse(m, c):
+    """Project an image onto {m : ||haar(m)||_1 <= c} (full-depth Haar), preserving phases."""
     m = require_square_image(m, "image").astype(np.complex128, copy=False)
     c = float(c)
     if not np.isfinite(c) or c < 0:
         raise ValueError(f"sparsity budget c must be finite and >= 0, got {c}")
     if c == 0.0:
         return np.zeros_like(m)
-    coeffs = haar_forward(m, levels)
+    coeffs = haar_forward(m)
     mod = np.abs(coeffs.data)
     if mod.sum() <= c:
         return m.copy()
@@ -141,22 +141,25 @@ def _estimate_core(q, coords, k_y, bounds, step, x_pts, x_inner, basis):
     return bx, by, float(np.clip(score, 0.0, 1.0))
 
 
-def estimate_line_shift(observed_line, reference_line, k_y, grid, bounds, grid_step=0.25):
+def estimate_line_shift(observed_line, reference_line, k_y, bounds, grid_step=0.25):
     """Estimate the (beta_x, beta_y) translation relating one readout line
     to its reference, with a normalized correlation score in [0, 1].
 
-    Zero-energy lines return (0, 0) with score 0.
+    The two lines must have equal length n; the readout frequencies are
+    those of ``FrequencyGrid(n)``.  Zero-energy lines return (0, 0) with
+    score 0.
     """
     obs = np.asarray(observed_line, dtype=np.complex128).ravel()
     ref = np.asarray(reference_line, dtype=np.complex128).ravel()
-    if obs.shape != (grid.size,) or ref.shape != (grid.size,):
-        raise ValueError(f"lines must have {grid.size} samples")
+    if obs.shape != ref.shape:
+        raise ValueError(f"lines differ in length: {obs.size} vs {ref.size} samples")
+    coords = FrequencyGrid(obs.size).coords
     if grid_step <= 0:
         raise ValueError("grid_step must be positive")
     x_pts, x_inner = _axis_points(bounds.max_abs_x, grid_step)
-    basis = np.exp(2j * np.pi * np.outer(grid.coords, x_pts))
+    basis = np.exp(2j * np.pi * np.outer(coords, x_pts))
     bx, by, score = _estimate_core(
-        obs * np.conj(ref), grid.coords, float(k_y), bounds, grid_step, x_pts, x_inner, basis
+        obs * np.conj(ref), coords, float(k_y), bounds, grid_step, x_pts, x_inner, basis
     )
     return LineShiftEstimate(bx, by, score)
 
@@ -185,7 +188,7 @@ def _worker_count(threads, n_rows):
     return max(1, min(limit, n_rows))
 
 
-def project_fourier(m, observed, cfg, grid=None):
+def project_fourier(m, observed, cfg):
     """Project onto the set of images explaining the observed k-space.
 
     Builds a reference spectrum from the current image (amplitude-replaced
@@ -193,7 +196,8 @@ def project_fourier(m, observed, cfg, grid=None):
     by the matched filter, removes the energy-weighted mean displacement
     (the unidentifiable global-shift gauge), clamps into bounds, and
     returns the observation with the estimated motion undone, back in image
-    space, together with the motion estimate.
+    space, together with the motion estimate.  Frequencies come from the
+    centered grid of the data's side.
 
     Lines are independent, so the estimation loop may run on a thread pool;
     results do not depend on the schedule.
@@ -203,10 +207,7 @@ def project_fourier(m, observed, cfg, grid=None):
     if m.shape != observed.shape:
         raise ValueError(f"image shape {m.shape} does not match observation {observed.shape}")
     n = observed.shape[0]
-    if grid is None:
-        grid = FrequencyGrid(n)
-    elif grid.size != n:
-        raise ValueError(f"grid size {grid.size} does not match data side {n}")
+    coords = FrequencyGrid(n).coords
     model = dft2(m)
     if cfg.amplitude_replacement:
         mod = np.abs(model)
@@ -216,14 +217,14 @@ def project_fourier(m, observed, cfg, grid=None):
         reference = model
     q = observed * np.conj(reference)
     x_pts, x_inner = _axis_points(cfg.bounds.max_abs_x, cfg.grid_step)
-    basis = np.exp(2j * np.pi * np.outer(grid.coords, x_pts))
+    basis = np.exp(2j * np.pi * np.outer(coords, x_pts))
     shifts = np.empty((n, 2))
     scores = np.empty(n)
 
     def run_rows(rows):
         for r in rows:
             bx, by, sc = _estimate_core(
-                q[r], grid.coords, grid.coords[r], cfg.bounds, cfg.grid_step, x_pts, x_inner, basis
+                q[r], coords, coords[r], cfg.bounds, cfg.grid_step, x_pts, x_inner, basis
             )
             shifts[r, 0] = bx
             shifts[r, 1] = by
@@ -241,5 +242,5 @@ def project_fourier(m, observed, cfg, grid=None):
     if total > 0:
         shifts -= (energy @ shifts) / total
     traj = MotionTrajectory(cfg.bounds.clamp(shifts))
-    corrected = idft2(invert_translation(observed, traj, grid))
+    corrected = idft2(invert_translation(observed, traj))
     return corrected, MotionEstimate(traj, scores)

@@ -11,13 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    FrequencyGrid,
-    MotionBounds,
-    MotionTrajectory,
-    normalized_line_weights,
-    require_square_image,
-)
+from .core import MotionBounds, MotionTrajectory, normalized_line_weights, require_square_image
 from .motion import apply_translation
 from .transforms import dft2
 
@@ -139,13 +133,19 @@ def corrupt(gt, traj, noise_snr_db=None, seed=None):
 
     Returns apply_translation(dft2(gt), traj), optionally plus complex white
     Gaussian noise whose expected power matches the requested SNR in dB.
+    An SNR of +inf adds no noise; one whose noise level is not finite
+    (NaN, -inf, or so low that the power overflows) raises ValueError.
     """
     gt = require_square_image(gt, "ground truth")
-    ksp = apply_translation(dft2(gt), traj, FrequencyGrid(gt.shape[0]))
+    ksp = apply_translation(dft2(gt), traj)
     if noise_snr_db is not None:
         signal_power = float(np.sum(np.abs(ksp) ** 2))
-        noise_power = signal_power * 10.0 ** (-float(noise_snr_db) / 10.0)
-        sigma = np.sqrt(noise_power / (2.0 * ksp.size))
+        try:
+            sigma = np.sqrt(signal_power * 10.0 ** (-float(noise_snr_db) / 10.0) / (2.0 * ksp.size))
+        except OverflowError:
+            sigma = np.inf
+        if not np.isfinite(sigma):
+            raise ValueError(f"SNR of {noise_snr_db} dB gives a non-finite noise level")
         rng = np.random.default_rng(seed)
         ksp = ksp + sigma * (rng.standard_normal(ksp.shape) + 1j * rng.standard_normal(ksp.shape))
     return ksp

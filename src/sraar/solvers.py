@@ -36,20 +36,16 @@ class SolverTrace:
     translated spectrum of iteration j's sparsity-projected image under
     iteration j's motion estimate.  By unitarity it is computed as the
     image-space distance between iteration j's P2 and P1 outputs.
-    ``trajectories`` holds per-iteration motion snapshots when requested.
     """
 
     misfit: list[float] = field(default_factory=list)
     l1: list[float] = field(default_factory=list)
     seconds: list[float] = field(default_factory=list)
-    trajectories: list | None = None
 
-    def append(self, misfit, l1, seconds, traj=None):
+    def append(self, misfit, l1, seconds):
         self.misfit.append(float(misfit))
         self.l1.append(float(l1))
         self.seconds.append(float(seconds))
-        if self.trajectories is not None:
-            self.trajectories.append(traj)
 
     def __len__(self):
         return len(self.misfit)
@@ -68,21 +64,21 @@ def _require_finite(observed):
         raise ValueError("observed k-space contains non-finite values (NaN or Inf)")
 
 
-def _er_step(m, observed, cfg, c, grid):
-    sparse = project_sparse(m, c, cfg.haar_levels)
-    p2, estimate = project_fourier(sparse, observed, cfg, grid)
+def _er_step(m, observed, cfg, c):
+    sparse = project_sparse(m, c)
+    p2, estimate = project_fourier(sparse, observed, cfg)
     return p2, p2, sparse, estimate
 
 
-def _sraar_step(m, observed, cfg, c, grid):
-    p2, estimate = project_fourier(m, observed, cfg, grid)
+def _sraar_step(m, observed, cfg, c):
+    p2, estimate = project_fourier(m, observed, cfg)
     r2 = 2.0 * p2 - m
-    sparse = project_sparse(r2, c, cfg.haar_levels)
+    sparse = project_sparse(r2, c)
     r1r2 = 2.0 * sparse - r2
     return 0.5 * cfg.theta * (r1r2 + m) + (1.0 - cfg.theta) * p2, p2, sparse, estimate
 
 
-def _iterate(observed, cfg, grid, keep_trajectories, solver, step):
+def _iterate(observed, cfg, solver, step):
     """Run ``step`` cfg.iterations times from the naive reconstruction.
 
     ``step`` returns (next iterate, P2 output, P1 output, motion estimate);
@@ -90,40 +86,35 @@ def _iterate(observed, cfg, grid, keep_trajectories, solver, step):
     """
     c = _require_fixed_budget(cfg, solver)
     _require_finite(observed)
-    trace = SolverTrace(trajectories=[] if keep_trajectories else None)
+    trace = SolverTrace()
     m = naive_reconstruct(observed)
     for _ in range(cfg.iterations):
         start = time.perf_counter()
-        m, p2, sparse, estimate = step(m, observed, cfg, c, grid)
-        trace.append(
-            np.linalg.norm(p2 - sparse),
-            l1_norm(haar_forward(m, cfg.haar_levels)),
-            time.perf_counter() - start,
-            estimate.traj,
-        )
+        m, p2, sparse, estimate = step(m, observed, cfg, c)
+        trace.append(np.linalg.norm(p2 - sparse), l1_norm(haar_forward(m)), time.perf_counter() - start)
     if m is not p2:
-        m, estimate = project_fourier(m, observed, cfg, grid)
+        m, estimate = project_fourier(m, observed, cfg)
     return m, estimate, trace
 
 
-def solve_er(observed, cfg, grid=None, keep_trajectories=False):
+def solve_er(observed, cfg):
     """Alternate m <- P2(P1(m)) for cfg.iterations steps.
 
     Returns (image, motion estimate, trace); the image is the output of the
     final Fourier projection and therefore data-consistent.
     """
-    return _iterate(observed, cfg, grid, keep_trajectories, SOLVER_ER, _er_step)
+    return _iterate(observed, cfg, SOLVER_ER, _er_step)
 
 
-def solve_sraar(observed, cfg, grid=None, keep_trajectories=False):
+def solve_sraar(observed, cfg):
     """Run the relaxed reflection iteration followed by a terminal P2 pass."""
-    return _iterate(observed, cfg, grid, keep_trajectories, SOLVER_SRAAR, _sraar_step)
+    return _iterate(observed, cfg, SOLVER_SRAAR, _sraar_step)
 
 
 _SOLVER_FUNCS = {SOLVER_ER: solve_er, SOLVER_SRAAR: solve_sraar}
 
 
-def tune_sparsity_budget(observed, cfg, grid=None):
+def tune_sparsity_budget(observed, cfg):
     """Pick the budget from cfg.c_grid whose run ends with the smallest
     wavelet l1 norm, ties going to the smaller budget.
 
@@ -133,14 +124,14 @@ def tune_sparsity_budget(observed, cfg, grid=None):
     if cfg.c_grid is None:
         raise ValueError("tune_sparsity_budget requires c_grid")
     _require_finite(observed)
-    base = l1_norm(haar_forward(naive_reconstruct(observed), cfg.haar_levels))
+    base = l1_norm(haar_forward(naive_reconstruct(observed)))
     solver = _SOLVER_FUNCS[cfg.solver]
     best = None
     for fraction in sorted(cfg.c_grid):
         candidate = fraction * base
         run_cfg = replace(cfg, c=candidate, c_grid=None)
-        image, estimate, trace = solver(observed, run_cfg, grid)
-        final_l1 = l1_norm(haar_forward(image, cfg.haar_levels))
+        image, estimate, trace = solver(observed, run_cfg)
+        final_l1 = l1_norm(haar_forward(image))
         if best is None or final_l1 < best[0]:
             best = (final_l1, candidate, image, estimate, trace)
     _, c, image, estimate, trace = best

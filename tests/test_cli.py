@@ -82,6 +82,21 @@ class TestSimulate:
         assert rc == 2
         assert "sraar simulate:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("snr", ["nan", "-inf", "-4000"])
+    def test_non_finite_noise_level_exits_2(self, tmp_path, capsys, snr):
+        rc = main(["simulate", "--phantom", "shepp-logan", "--size", "32",
+                   f"--snr-db={snr}", "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert "non-finite noise level" in capsys.readouterr().err
+        assert not (tmp_path / "kspace.srr").exists()
+
+    def test_infinite_snr_adds_no_noise(self, tmp_path):
+        base = ["simulate", "--phantom", "shepp-logan", "--size", "32", "--seed", "1"]
+        assert main(base + ["--out-dir", str(tmp_path / "clean")]) == 0
+        assert main(base + ["--snr-db=inf", "--out-dir", str(tmp_path / "inf")]) == 0
+        assert (tmp_path / "clean" / "kspace.srr").read_bytes() == (
+            tmp_path / "inf" / "kspace.srr").read_bytes()
+
     def test_phantom_and_input_mutually_exclusive(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--phantom", "shepp-logan", "--input", "x.srr",

@@ -143,7 +143,3 @@ class TestReconConfig:
     def test_bad_threads(self):
         with pytest.raises(ValueError):
             ReconConfig(threads=-1)
-
-    def test_bad_haar_levels(self):
-        with pytest.raises(ValueError):
-            ReconConfig(haar_levels=0)

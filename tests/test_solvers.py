@@ -80,15 +80,15 @@ class TestThetaOneReduction:
         cfg = ReconConfig(solver="sraar", bounds=MotionBounds(2.0, 2.0), theta=1.0,
                           c=0.5 * budget_of(naive_reconstruct(scenario.observed)),
                           iterations=3, threads=1)
-        image, _, _ = solve_sraar(scenario.observed, cfg, scenario.grid)
+        image, _, _ = solve_sraar(scenario.observed, cfg)
 
         m = naive_reconstruct(scenario.observed)
         for _ in range(cfg.iterations):
-            p2, _ = project_fourier(m, scenario.observed, cfg, scenario.grid)
+            p2, _ = project_fourier(m, scenario.observed, cfg)
             r2 = 2.0 * p2 - m
             r1r2 = 2.0 * project_sparse(r2, cfg.c) - r2
             m = 0.5 * (r1r2 + m)
-        expected, _ = project_fourier(m, scenario.observed, cfg, scenario.grid)
+        expected, _ = project_fourier(m, scenario.observed, cfg)
         assert np.abs(image - expected).max() <= 1e-10
 
 
@@ -97,7 +97,7 @@ class TestSolverBehaviour:
         scenario = make_scenario(64, 0, 1.5, solver_bound=2.0)
         cfg = ReconConfig(solver="er", bounds=MotionBounds(2.0, 2.0),
                           c=budget_of(scenario.gt), iterations=50, threads=1)
-        image, _, trace = solve_er(scenario.observed, cfg, scenario.grid)
+        image, _, trace = solve_er(scenario.observed, cfg)
         gt_mod = np.abs(scenario.gt)
         err = np.linalg.norm(np.abs(image) - gt_mod) / np.linalg.norm(gt_mod)
         naive = naive_reconstruct(scenario.observed)
@@ -105,33 +105,28 @@ class TestSolverBehaviour:
         assert err < err_naive
         assert trace.misfit[-1] < trace.misfit[0]
 
-    def test_trace_length_and_snapshots(self, phantom64):
+    def test_trace_length(self, phantom64):
         scenario = make_scenario(64, 1, 1.5, solver_bound=2.0)
         cfg = ReconConfig(solver="sraar", bounds=MotionBounds(2.0, 2.0),
                           c=budget_of(scenario.gt), iterations=7, threads=1)
-        _, _, plain = solve_sraar(scenario.observed, cfg, scenario.grid)
-        assert len(plain) == 7
-        assert plain.trajectories is None
-        assert len(plain.misfit) == len(plain.l1) == len(plain.seconds) == 7
-        assert all(s >= 0 for s in plain.seconds)
-
-        _, _, kept = solve_sraar(scenario.observed, cfg, scenario.grid, keep_trajectories=True)
-        assert len(kept.trajectories) == 7
-        assert all(len(t) == 64 for t in kept.trajectories)
+        _, _, trace = solve_sraar(scenario.observed, cfg)
+        assert len(trace) == 7
+        assert len(trace.misfit) == len(trace.l1) == len(trace.seconds) == 7
+        assert all(s >= 0 for s in trace.seconds)
 
     def test_deterministic_rerun(self):
         scenario = make_scenario(64, 2, 1.5, solver_bound=2.0)
         cfg = ReconConfig(solver="sraar", bounds=MotionBounds(2.0, 2.0),
                           c=budget_of(scenario.gt), iterations=5, threads=1)
-        a, est_a, _ = solve_sraar(scenario.observed, cfg, scenario.grid)
-        b, est_b, _ = solve_sraar(scenario.observed, cfg, scenario.grid)
+        a, est_a, _ = solve_sraar(scenario.observed, cfg)
+        b, est_b, _ = solve_sraar(scenario.observed, cfg)
         assert np.array_equal(a, b)
         assert np.array_equal(est_a.traj.shifts, est_b.traj.shifts)
 
 
-def old_misfit(observed, sparse, estimate, grid):
+def old_misfit(observed, sparse, estimate):
     """The trace misfit as first defined: distance in k-space to the data."""
-    return np.linalg.norm(observed - apply_translation(dft2(sparse), estimate.traj, grid))
+    return np.linalg.norm(observed - apply_translation(dft2(sparse), estimate.traj))
 
 
 class TestSharedDriver:
@@ -155,31 +150,31 @@ class TestSharedDriver:
 
     def test_er_matches_hand_loop(self, scenario):
         cfg = self.config(scenario, "er")
-        observed, grid = scenario.observed, scenario.grid
+        observed = scenario.observed
         m = naive_reconstruct(observed)
         misfit, l1 = [], []
         for _ in range(cfg.iterations):
             sparse = project_sparse(m, cfg.c)
-            m, estimate = project_fourier(sparse, observed, cfg, grid)
-            misfit.append(old_misfit(observed, sparse, estimate, grid))
+            m, estimate = project_fourier(sparse, observed, cfg)
+            misfit.append(old_misfit(observed, sparse, estimate))
             l1.append(budget_of(m))
-        self.check(solve_er(observed, cfg, grid), m, estimate, misfit, l1)
+        self.check(solve_er(observed, cfg), m, estimate, misfit, l1)
 
     def test_sraar_matches_hand_loop(self, scenario):
         cfg = self.config(scenario, "sraar")
-        observed, grid = scenario.observed, scenario.grid
+        observed = scenario.observed
         m = naive_reconstruct(observed)
         misfit, l1 = [], []
         for _ in range(cfg.iterations):
-            p2, estimate = project_fourier(m, observed, cfg, grid)
+            p2, estimate = project_fourier(m, observed, cfg)
             r2 = 2.0 * p2 - m
             sparse = project_sparse(r2, cfg.c)
             r1r2 = 2.0 * sparse - r2
             m = 0.5 * cfg.theta * (r1r2 + m) + (1.0 - cfg.theta) * p2
-            misfit.append(old_misfit(observed, sparse, estimate, grid))
+            misfit.append(old_misfit(observed, sparse, estimate))
             l1.append(budget_of(m))
-        expected, estimate = project_fourier(m, observed, cfg, grid)
-        self.check(solve_sraar(observed, cfg, grid), expected, estimate, misfit, l1)
+        expected, estimate = project_fourier(m, observed, cfg)
+        self.check(solve_sraar(observed, cfg), expected, estimate, misfit, l1)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_kspace_rejected(self, scenario, bad):
@@ -197,14 +192,14 @@ class TestTuneSparsityBudget:
         scenario = make_scenario(64, 3, 1.5, solver_bound=2.0)
         cfg = ReconConfig(solver="sraar", bounds=MotionBounds(2.0, 2.0),
                           c_grid=(0.2, 0.5, 0.8), iterations=8, threads=1)
-        chosen_c, image, estimate, trace = tune_sparsity_budget(scenario.observed, cfg, scenario.grid)
+        chosen_c, image, estimate, trace = tune_sparsity_budget(scenario.observed, cfg)
 
         base = budget_of(naive_reconstruct(scenario.observed))
         finals = {}
         from dataclasses import replace
         for fraction in cfg.c_grid:
             run_cfg = replace(cfg, c=fraction * base, c_grid=None)
-            img, _, _ = solve_sraar(scenario.observed, run_cfg, scenario.grid)
+            img, _, _ = solve_sraar(scenario.observed, run_cfg)
             finals[fraction * base] = budget_of(img)
         best_c = min(sorted(finals), key=lambda c: (finals[c], c))
         assert chosen_c == pytest.approx(best_c, rel=1e-12)
