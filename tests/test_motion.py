@@ -57,6 +57,11 @@ class TestTranslationOperator:
         traj = random_traj(rng, 16)
         assert np.array_equal(invert_translation(ksp, traj), apply_translation(ksp, -traj))
 
+    def test_norm_preserved(self, rng):
+        ksp = random_complex(rng, (16, 16))
+        out = apply_translation(ksp, random_traj(rng, 16))
+        assert abs(np.linalg.norm(out) - np.linalg.norm(ksp)) <= 1e-12 * np.linalg.norm(ksp)
+
     def test_group_law(self, rng):
         ksp = random_complex(rng, (16, 16))
         a, b = random_traj(rng, 16), random_traj(rng, 16)
