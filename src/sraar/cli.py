@@ -66,7 +66,7 @@ def build_parser():
     rec.add_argument("--grid-step", type=float, default=0.25, help="coarse search step in pixels")
     rec.add_argument("--no-amplitude-replacement", action="store_true",
                      help="use the raw model spectrum as matched-filter reference")
-    rec.add_argument("--threads", type=int, default=0, help="worker threads, 0 = auto")
+    rec.add_argument("--threads", type=int, default=0, help="accepted for compatibility; has no effect")
     rec.add_argument("--out-dir", required=True, help="output directory")
     rec.set_defaults(func=cmd_reconstruct)
 

@@ -183,8 +183,8 @@ class ReconConfig:
     of the starting image's wavelet l1 norm, each in (0, 1), for budget
     tuning) may be set.  ``theta`` is the relaxation parameter of the
     reflection solver; ``theta == 1`` gives plain averaged alternating
-    reflections.  ``threads == 0`` picks a worker count automatically;
-    threading changes wall time only, never results.
+    reflections.  ``threads`` has no effect: P2 estimates every line in one
+    batched pass.  It is still accepted and validated.
     """
 
     bounds: MotionBounds = MotionBounds(5.0, 5.0)

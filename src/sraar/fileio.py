@@ -38,14 +38,20 @@ TRAJECTORY_HEADER = "# sraar-trajectory v1"
 
 
 def save_array(path, arr):
-    """Write a 2-D array; complex data as complex64, real data as float32."""
+    """Write a 2-D array; complex data as complex64, real data as float32.
+
+    Finite values beyond the single-precision range are rejected rather
+    than written as Inf.
+    """
     arr = np.asarray(arr)
     if arr.ndim != 2:
         raise ValueError(f"only 2-D arrays are stored, got shape {arr.shape}")
-    if np.iscomplexobj(arr):
-        code, payload = _DTYPE_COMPLEX, arr.astype("<c8")
-    else:
-        code, payload = _DTYPE_REAL, arr.astype("<f4")
+    code, dtype = (_DTYPE_COMPLEX, "<c8") if np.iscomplexobj(arr) else (_DTYPE_REAL, "<f4")
+    with np.errstate(over="ignore"):
+        payload = arr.astype(dtype)
+    cast_bad = ~np.isfinite(payload)
+    if cast_bad.any() and np.isfinite(arr[cast_bad]).any():
+        raise ValueError(f"{path}: values exceed the single-precision range of the file format")
     header = MAGIC + struct.pack("<BII", code, arr.shape[0], arr.shape[1])
     Path(path).write_bytes(header + payload.tobytes())
 

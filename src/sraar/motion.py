@@ -22,7 +22,6 @@ __all__ = [
     "gauge_aligned",
 ]
 
-_GAUGE_ROUNDS = 16
 _GAUGE_TOL = 1e-9
 
 
@@ -77,12 +76,18 @@ def gauge_aligned(traj, grid, weights=None):
     fixed point.  The result is the representative against which estimated
     trajectories are comparable line by line.
     """
+    # Each round moves the removed global shift monotonically towards the
+    # nearest zero of the folded weighted mean, and a round that falls short
+    # of it crosses at least one fold boundary.  That zero lies within n
+    # pixels (every k_y is a multiple of 1/n), where line r has n|k_y(r)|
+    # boundaries.
+    max_rounds = int(grid.size * np.abs(grid.coords).sum()) + 2
     w = normalized_line_weights(weights, len(traj))
     aligned = fold_trajectory(MotionTrajectory.from_components(traj.dx - w @ traj.dx, traj.dy), grid)
     # folding pins the DC line's beta_y to 0, so only the other lines' weight
     # can absorb a shift of the mean
     free = w[grid.coords != 0.0].sum()
-    for _ in range(_GAUGE_ROUNDS):
+    for _ in range(max_rounds):
         mean = w @ aligned.dy / free if free > 0 else 0.0
         aligned = fold_trajectory(MotionTrajectory.from_components(aligned.dx, aligned.dy - mean), grid)
         if abs(mean) < _GAUGE_TOL:

@@ -13,8 +13,6 @@ clamped, and the observation is un-translated accordingly.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -84,19 +82,30 @@ def _axis_points(bound, step):
     return pts, inner
 
 
-def _parabola(x0, h, f_minus, f_zero, f_plus):
-    """Vertex of the parabola through three equispaced samples around a max."""
+def _vertex(x0, h, f_minus, f_zero, f_plus):
+    """Vertices of the parabolas through three equispaced samples around maxima.
+
+    Elementwise over arrays; where the samples do not curve downwards the
+    centre sample x0 is kept.
+    """
     denom = f_minus - 2.0 * f_zero + f_plus
-    if not denom < 0.0:
-        return x0
-    delta = 0.5 * h * (f_minus - f_plus) / denom
-    return x0 + float(np.clip(delta, -h, h))
+    curved = denom < 0.0
+    delta = 0.5 * h * (f_minus - f_plus) / np.where(curved, denom, -1.0)
+    return np.where(curved, x0 + np.clip(delta, -h, h), x0)
 
 
-def _estimate_core(q, coords, k_y, bounds, step, x_pts, x_inner, basis):
-    """Shift estimate for one line from q = observed * conj(reference).
+def _peak(f, inner, pts, step):
+    """Parabola-refined position of each row's maximum of f over its inner points."""
+    i = np.argmax(np.where(inner, f, -np.inf), axis=1)
+    r = np.arange(f.shape[0])
+    return _vertex(pts[i], step, f[r, i - 1], f[r, i], f[r, i + 1])
 
-    The objective is the matched-filter correlation
+
+def _estimate_lines(q, k_y, bounds, step):
+    """Shift estimates for every row of q = observed * conj(reference).
+
+    Row r is a readout line at phase-encode frequency k_y[r].  The
+    objective is the matched-filter correlation
     J(b) = Re sum_c q(c) exp(+2i*pi*(coords(c)*b_x + k_y*b_y)),
     maximal when the candidate translation re-aligns the observation with
     the reference.  b_y only enters through a line-constant phase, so it is
@@ -107,38 +116,62 @@ def _estimate_core(q, coords, k_y, bounds, step, x_pts, x_inner, basis):
     estimate and refine by quadratic interpolation; re-running the argmax
     matters for small |k_y|, where a subpixel b_x misalignment tilts the
     b_y profile by whole grid cells, and the second round removes most of
-    the residual cross-axis bias.
+    the residual cross-axis bias.  Zero-energy lines give (0, 0) with
+    score 0.
+
+    All lines share the widest y-grid; a line's alias window masks it, so
+    each line sees the same grid points and pads as a grid of its own.  The
+    products are stacked per line, so numpy makes one BLAS vector call per
+    line with the summation order of a single-line product; a matrix-matrix
+    product would round differently and could flip a near-tied argmax.
+    Returns the (rows, 2) shifts and the rows' scores.
     """
-    denom = float(np.abs(q).sum())
-    if denom == 0.0:
-        return 0.0, 0.0, 0.0
-    s_grid = q @ basis
-    if k_y == 0.0:
-        mag = np.abs(s_grid)
-        i = int(np.argmax(np.where(x_inner, mag, -np.inf)))
-        bx = _parabola(x_pts[i], step, mag[i - 1], mag[i], mag[i + 1])
-        bx = float(np.clip(bx, -bounds.max_abs_x, bounds.max_abs_x))
-        s_exact = q @ np.exp(2j * np.pi * coords * bx)
-        return bx, 0.0, float(np.clip(np.abs(s_exact) / denom, 0.0, 1.0))
-    window = min(bounds.max_abs_y, 0.5 / abs(k_y))
-    y_pts, y_inner = _axis_points(window, step)
-    j_grid = (s_grid[:, None] * np.exp(2j * np.pi * k_y * y_pts)[None, :]).real
-    masked = np.where(x_inner[:, None] & y_inner[None, :], j_grid, -np.inf)
-    i, j = np.unravel_index(int(np.argmax(masked)), j_grid.shape)
-    by = _parabola(y_pts[j], step, j_grid[i, j - 1], j_grid[i, j], j_grid[i, j + 1])
-    by = float(np.clip(by, -window, window))
+    rows, n = q.shape
+    coords = FrequencyGrid(n).coords
+    x_pts, x_inner = _axis_points(bounds.max_abs_x, step)
+    y_pts, _ = _axis_points(bounds.max_abs_y, step)
+    with np.errstate(divide="ignore"):
+        window = np.minimum(bounds.max_abs_y, 0.5 / np.abs(k_y))
+    y_inner = np.abs(y_pts) <= window[:, None] + 1e-12
+    y_phase = np.exp(2j * np.pi * k_y[:, None] * y_pts)
+    s_grid = (q[:, None, :] @ np.exp(2j * np.pi * np.outer(coords, x_pts)))[:, 0, :]
+
+    # the (line, x, y) grid is built a block of lines at a time, so it never
+    # holds more elements than one n x n array
+    block = max(1, n * n // (x_pts.size * y_pts.size))
+    by = np.empty(rows)
+    for lo in range(0, rows, block):
+        b = slice(lo, lo + block)
+        j_grid = (s_grid[b, :, None] * y_phase[b, None, :]).real
+        masked = np.where(x_inner[:, None] & y_inner[b, None, :], j_grid, -np.inf)
+        i, j = np.unravel_index(np.argmax(masked.reshape(len(j_grid), -1), axis=1), j_grid.shape[1:])
+        r = np.arange(len(j_grid))
+        by[b] = _vertex(y_pts[j], step, j_grid[r, i, j - 1], j_grid[r, i, j], j_grid[r, i, j + 1])
+    by = np.clip(by, -window, window)
+
+    def exact(rows_q, bx):
+        ramp = np.exp(2j * np.pi * coords * bx[:, None])
+        return (rows_q[:, None, :] @ ramp[:, :, None])[:, 0, 0]
+
     for _ in range(2):
-        f_x = (s_grid * np.exp(2j * np.pi * k_y * by)).real
-        i = int(np.argmax(np.where(x_inner, f_x, -np.inf)))
-        bx = _parabola(x_pts[i], step, f_x[i - 1], f_x[i], f_x[i + 1])
-        bx = float(np.clip(bx, -bounds.max_abs_x, bounds.max_abs_x))
-        s_exact = q @ np.exp(2j * np.pi * coords * bx)
-        f_y = (s_exact * np.exp(2j * np.pi * k_y * y_pts)).real
-        j = int(np.argmax(np.where(y_inner, f_y, -np.inf)))
-        by = _parabola(y_pts[j], step, f_y[j - 1], f_y[j], f_y[j + 1])
-        by = float(np.clip(by, -window, window))
-    score = (s_exact * np.exp(2j * np.pi * k_y * by)).real / denom
-    return bx, by, float(np.clip(score, 0.0, 1.0))
+        f_x = (s_grid * np.exp(2j * np.pi * k_y * by)[:, None]).real
+        bx = np.clip(_peak(f_x, x_inner, x_pts, step), -bounds.max_abs_x, bounds.max_abs_x)
+        s_exact = exact(q, bx)
+        f_y = (s_exact[:, None] * y_phase).real
+        by = np.clip(_peak(f_y, y_inner, y_pts, step), -window, window)
+    corr = (s_exact * np.exp(2j * np.pi * k_y * by)).real
+
+    dc = np.flatnonzero(k_y == 0.0)
+    if dc.size:
+        mag = np.abs(s_grid[dc])
+        bx[dc] = np.clip(_peak(mag, x_inner, x_pts, step), -bounds.max_abs_x, bounds.max_abs_x)
+        by[dc] = 0.0
+        corr[dc] = np.abs(exact(q[dc], bx[dc]))
+
+    denom = np.abs(q).sum(axis=1)
+    live = denom > 0.0
+    scores = np.clip(np.divide(corr, denom, out=np.zeros(rows), where=live), 0.0, 1.0)
+    return np.where(live[:, None], np.stack([bx, by], axis=1), 0.0), scores
 
 
 def estimate_line_shift(observed_line, reference_line, k_y, bounds, grid_step=0.25):
@@ -153,15 +186,14 @@ def estimate_line_shift(observed_line, reference_line, k_y, bounds, grid_step=0.
     ref = np.asarray(reference_line, dtype=np.complex128).ravel()
     if obs.shape != ref.shape:
         raise ValueError(f"lines differ in length: {obs.size} vs {ref.size} samples")
-    coords = FrequencyGrid(obs.size).coords
-    if grid_step <= 0:
-        raise ValueError("grid_step must be positive")
-    x_pts, x_inner = _axis_points(bounds.max_abs_x, grid_step)
-    basis = np.exp(2j * np.pi * np.outer(coords, x_pts))
-    bx, by, score = _estimate_core(
-        obs * np.conj(ref), coords, float(k_y), bounds, grid_step, x_pts, x_inner, basis
-    )
-    return LineShiftEstimate(bx, by, score)
+    k_y = float(k_y)
+    if not np.isfinite(k_y):
+        raise ValueError(f"k_y must be finite, got {k_y}")
+    grid_step = float(grid_step)
+    if not np.isfinite(grid_step) or grid_step <= 0:
+        raise ValueError(f"grid_step must be finite and positive, got {grid_step}")
+    shifts, scores = _estimate_lines((obs * np.conj(ref))[None, :], np.array([k_y]), bounds, grid_step)
+    return LineShiftEstimate(float(shifts[0, 0]), float(shifts[0, 1]), float(scores[0]))
 
 
 @dataclass(frozen=True)
@@ -181,13 +213,6 @@ class MotionEstimate:
         object.__setattr__(self, "scores", scores)
 
 
-def _worker_count(threads, n_rows):
-    if threads == 1:
-        return 1
-    limit = threads if threads > 0 else min(os.cpu_count() or 1, 8)
-    return max(1, min(limit, n_rows))
-
-
 def project_fourier(m, observed, cfg):
     """Project onto the set of images explaining the observed k-space.
 
@@ -199,8 +224,8 @@ def project_fourier(m, observed, cfg):
     space, together with the motion estimate.  Frequencies come from the
     centered grid of the data's side.
 
-    Lines are independent, so the estimation loop may run on a thread pool;
-    results do not depend on the schedule.
+    All lines are estimated in one batched pass; ``cfg.threads`` has no
+    effect.
     """
     m = require_square_image(m, "image")
     observed = require_square_image(observed, "observed k-space").astype(np.complex128, copy=False)
@@ -216,27 +241,7 @@ def project_fourier(m, observed, cfg):
     else:
         reference = model
     q = observed * np.conj(reference)
-    x_pts, x_inner = _axis_points(cfg.bounds.max_abs_x, cfg.grid_step)
-    basis = np.exp(2j * np.pi * np.outer(coords, x_pts))
-    shifts = np.empty((n, 2))
-    scores = np.empty(n)
-
-    def run_rows(rows):
-        for r in rows:
-            bx, by, sc = _estimate_core(
-                q[r], coords, coords[r], cfg.bounds, cfg.grid_step, x_pts, x_inner, basis
-            )
-            shifts[r, 0] = bx
-            shifts[r, 1] = by
-            scores[r] = sc
-
-    workers = _worker_count(cfg.threads, n)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_rows, np.array_split(np.arange(n), workers)))
-    else:
-        run_rows(range(n))
-
+    shifts, scores = _estimate_lines(q, coords, cfg.bounds, cfg.grid_step)
     energy = np.sum(np.abs(observed) ** 2, axis=1)
     total = energy.sum()
     if total > 0:

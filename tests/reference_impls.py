@@ -2,10 +2,16 @@
 
 Everything here is written the slow, obvious way (direct summation,
 explicit loops, threshold scanning) so it shares no code path or algebraic
-shortcut with the library.
+shortcut with the library.  The per-line shift estimator is the one the
+package used before it estimated all lines in one batched pass.
 """
 
 import numpy as np
+
+import sraar as S
+# the search grid defines the estimator rather than implementing it, so the
+# reference walks the same grid points
+from sraar.projections import _axis_points
 
 
 def direct_centered_dft2(img):
@@ -99,3 +105,73 @@ def point_in_ellipse(x, y, a, b, x0, y0, phi_deg):
     u = (x - x0) * np.cos(phi) + (y - y0) * np.sin(phi)
     v = (y - y0) * np.cos(phi) - (x - x0) * np.sin(phi)
     return (u / a) ** 2 + (v / b) ** 2 <= 1.0
+
+
+def _parabola(x0, h, f_minus, f_zero, f_plus):
+    """Vertex of the parabola through three equispaced samples around a max."""
+    denom = f_minus - 2.0 * f_zero + f_plus
+    if not denom < 0.0:
+        return x0
+    delta = 0.5 * h * (f_minus - f_plus) / denom
+    return x0 + float(np.clip(delta, -h, h))
+
+
+def _estimate_core(q, coords, k_y, bounds, step, x_pts, x_inner, basis):
+    """Shift estimate for one line from q = observed * conj(reference).
+
+    The objective is the matched-filter correlation
+    J(b) = Re sum_c q(c) exp(+2i*pi*(coords(c)*b_x + k_y*b_y)),
+    maximal when the candidate translation re-aligns the observation with
+    the reference.  b_y only enters through a line-constant phase, so it is
+    searched within the principal alias window min(bound, 1/(2|k_y|)); on
+    the DC line it is unidentifiable and fixed to 0 while b_x maximizes
+    |J|.  After the joint coarse search two rounds of coordinate ascent
+    re-maximize each axis on its full grid at the other axis's current
+    estimate and refine by quadratic interpolation; re-running the argmax
+    matters for small |k_y|, where a subpixel b_x misalignment tilts the
+    b_y profile by whole grid cells, and the second round removes most of
+    the residual cross-axis bias.
+    """
+    denom = float(np.abs(q).sum())
+    if denom == 0.0:
+        return 0.0, 0.0, 0.0
+    s_grid = q @ basis
+    if k_y == 0.0:
+        mag = np.abs(s_grid)
+        i = int(np.argmax(np.where(x_inner, mag, -np.inf)))
+        bx = _parabola(x_pts[i], step, mag[i - 1], mag[i], mag[i + 1])
+        bx = float(np.clip(bx, -bounds.max_abs_x, bounds.max_abs_x))
+        s_exact = q @ np.exp(2j * np.pi * coords * bx)
+        return bx, 0.0, float(np.clip(np.abs(s_exact) / denom, 0.0, 1.0))
+    window = min(bounds.max_abs_y, 0.5 / abs(k_y))
+    y_pts, y_inner = _axis_points(window, step)
+    j_grid = (s_grid[:, None] * np.exp(2j * np.pi * k_y * y_pts)[None, :]).real
+    masked = np.where(x_inner[:, None] & y_inner[None, :], j_grid, -np.inf)
+    i, j = np.unravel_index(int(np.argmax(masked)), j_grid.shape)
+    by = _parabola(y_pts[j], step, j_grid[i, j - 1], j_grid[i, j], j_grid[i, j + 1])
+    by = float(np.clip(by, -window, window))
+    for _ in range(2):
+        f_x = (s_grid * np.exp(2j * np.pi * k_y * by)).real
+        i = int(np.argmax(np.where(x_inner, f_x, -np.inf)))
+        bx = _parabola(x_pts[i], step, f_x[i - 1], f_x[i], f_x[i + 1])
+        bx = float(np.clip(bx, -bounds.max_abs_x, bounds.max_abs_x))
+        s_exact = q @ np.exp(2j * np.pi * coords * bx)
+        f_y = (s_exact * np.exp(2j * np.pi * k_y * y_pts)).real
+        j = int(np.argmax(np.where(y_inner, f_y, -np.inf)))
+        by = _parabola(y_pts[j], step, f_y[j - 1], f_y[j], f_y[j + 1])
+        by = float(np.clip(by, -window, window))
+    score = (s_exact * np.exp(2j * np.pi * k_y * by)).real / denom
+    return bx, by, float(np.clip(score, 0.0, 1.0))
+
+
+def loop_estimate_lines(q, k_y, bounds, step):
+    """Matched-filter shift estimates, one line at a time through
+    :func:`_estimate_core`; returns (rows, 2) shifts and the rows' scores."""
+    q = np.asarray(q, dtype=complex)
+    coords = S.FrequencyGrid(q.shape[1]).coords
+    x_pts, x_inner = _axis_points(bounds.max_abs_x, step)
+    basis = np.exp(2j * np.pi * np.outer(coords, x_pts))
+    out = [_estimate_core(q[r], coords, float(k_y[r]), bounds, step, x_pts, x_inner, basis)
+           for r in range(q.shape[0])]
+    est = np.array(out, dtype=float).reshape(-1, 3)
+    return est[:, :2], est[:, 2]

@@ -90,6 +90,14 @@ class TestSimulate:
         assert "non-finite noise level" in capsys.readouterr().err
         assert not (tmp_path / "kspace.srr").exists()
 
+    def test_noise_beyond_single_precision_exits_2(self, tmp_path, capsys):
+        # finite in double precision, but Inf once stored as complex64
+        rc = main(["simulate", "--phantom", "shepp-logan", "--size", "16",
+                   "--snr-db=-3000", "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert "single-precision range" in capsys.readouterr().err
+        assert not (tmp_path / "kspace.srr").exists()
+
     def test_infinite_snr_adds_no_noise(self, tmp_path):
         base = ["simulate", "--phantom", "shepp-logan", "--size", "32", "--seed", "1"]
         assert main(base + ["--out-dir", str(tmp_path / "clean")]) == 0

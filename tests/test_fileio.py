@@ -96,6 +96,14 @@ class TestRawArrays:
         with pytest.raises(ValueError, match="non-finite"):
             load_array(tmp_path / "n.srr")
 
+    @pytest.mark.parametrize("big", [1e39, complex(1.0, -1e39)])
+    def test_single_precision_overflow_rejected(self, tmp_path, big):
+        arr = np.ones((4, 4), dtype=type(big))
+        arr[2, 1] = big
+        with pytest.raises(ValueError, match="single-precision range"):
+            save_array(tmp_path / "big.srr", arr)
+        assert not (tmp_path / "big.srr").exists()
+
 
 class TestTrajectoryFiles:
     def test_round_trip(self, tmp_path, rng):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sraar import (
@@ -177,3 +177,43 @@ class TestGaugeAligned:
         grid = FrequencyGrid(16)
         with pytest.raises(ValueError):
             gauge_aligned(random_traj(rng, 16, 1.0), grid, np.zeros(16))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    size=st.sampled_from([4, 8, 16, 32, 64]),
+    seed=st.integers(0, 2**32 - 1),
+    max_shift=st.floats(0.0, 20.0),
+    zero_fraction=st.floats(0.0, 0.9),
+)
+# needs 18 rounds of folding and de-meaning to converge
+@example(size=32, seed=1034, max_shift=18.5, zero_fraction=0.0)
+def test_gauge_aligned_is_canonical(size, seed, max_shift, zero_fraction):
+    """For any trajectory and non-negative weights, gauge alignment is
+    idempotent, leaves zero weighted mean readout and non-DC phase-encode
+    shift, and changes the data only by one global image shift."""
+    rng = np.random.default_rng(seed)
+    grid = FrequencyGrid(size)
+    traj = random_traj(rng, size, max_shift)
+    weights = rng.uniform(0.0, 10.0, size) * (rng.uniform(size=size) >= zero_fraction)
+    weights[rng.integers(size)] += 1.0
+    aligned = gauge_aligned(traj, grid, weights)
+
+    again = gauge_aligned(aligned, grid, weights)
+    np.testing.assert_allclose(again.shifts, aligned.shifts, rtol=0.0, atol=1e-12)
+
+    w = weights / weights.sum()
+    assert abs(w @ aligned.dx) < 1e-12
+    free = grid.coords != 0.0
+    if w[free].sum() > 0:
+        assert abs(w[free] @ aligned.dy[free]) / w[free].sum() < 1e-12
+
+    # every k_y is a multiple of 1/n, so the global phase-encode shift is
+    # fixed modulo n by the lowest non-DC line alone
+    global_x = traj.dx[0] - aligned.dx[0]
+    global_y = traj.dy[grid.dc_index + 1] - aligned.dy[grid.dc_index + 1]
+    ksp = random_complex(rng, (size, size))
+    shifted = traj + MotionTrajectory(np.tile([-global_x, -global_y], (size, 1)))
+    np.testing.assert_allclose(
+        apply_translation(ksp, aligned), apply_translation(ksp, shifted), rtol=0.0, atol=1e-12
+    )

@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sraar import (
@@ -18,8 +20,9 @@ from sraar import (
     shepp_logan,
     trajectory_error,
 )
+from sraar.projections import _estimate_lines
 from conftest import random_complex
-from reference_impls import loop_haar_forward, scan_l1_projection
+from reference_impls import loop_estimate_lines, loop_haar_forward, scan_l1_projection
 from scenarios import make_scenario
 
 
@@ -159,8 +162,49 @@ class TestEstimateLineShift:
             estimate_line_shift(line[:32], line, 0.1, bounds)
         with pytest.raises(ValueError, match="power of two"):
             estimate_line_shift(line[:30], line[:30], 0.1, bounds)
-        with pytest.raises(ValueError):
-            estimate_line_shift(line, line, 0.1, bounds, grid_step=0.0)
+        for step in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="grid_step"):
+                estimate_line_shift(line, line, 0.1, bounds, grid_step=step)
+        for k_y in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="k_y"):
+                estimate_line_shift(line, line, k_y, bounds)
+
+
+bound_values = st.one_of(st.just(0.0), st.floats(0.0, 6.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    size=st.sampled_from([4, 8, 16, 32, 64]),
+    seed=st.integers(0, 2**32 - 1),
+    bound_x=bound_values,
+    bound_y=bound_values,
+    step=st.floats(0.1, 1.0),
+    zero_fraction=st.floats(0.0, 0.5),
+    noise=st.floats(0.0, 1.0),
+)
+# 3 * 0.1 > 0.3 in floating point: the edge point is inner only by the slack
+@example(size=16, seed=0, bound_x=1.0, bound_y=0.3, step=0.1, zero_fraction=0.0, noise=0.0)
+def test_batched_estimator_matches_per_line_reference(
+    size, seed, bound_x, bound_y, step, zero_fraction, noise
+):
+    """All lines estimated at once agree with the per-line estimator: every
+    phase-encode frequency (the DC line included), zero-energy lines, bounds
+    of 0 or off the step grid, and y-bounds both inside and beyond a line's
+    alias window 1/(2|k_y|) (which is 1 px at the highest frequency)."""
+    rng = np.random.default_rng(seed)
+    k = FrequencyGrid(size).coords
+    ref = random_complex(rng, (size, size))
+    shifts = rng.uniform(-4.0, 4.0, (size, 2))
+    obs = ref * np.exp(-2j * np.pi * (k[None, :] * shifts[:, :1] + (k * shifts[:, 1])[:, None]))
+    obs += noise * random_complex(rng, (size, size))
+    q = obs * np.conj(ref)
+    q[rng.uniform(size=size) < zero_fraction] = 0.0
+    bounds = MotionBounds(bound_x, bound_y)
+    got, got_scores = _estimate_lines(q, k, bounds, step)
+    want, want_scores = loop_estimate_lines(q, k, bounds, step)
+    assert np.abs(got - want).max() <= 1e-9
+    assert np.abs(got_scores - want_scores).max() <= 1e-12
 
 
 class TestMotionEstimate:
@@ -222,6 +266,21 @@ class TestProjectFourier:
         _, est = project_fourier(phantom64, scenario.observed, cfg)
         assert bounds.contains(est.traj)
         assert np.all(est.scores >= 0) and np.all(est.scores <= 1)
+
+    def test_peak_memory_of_one_call(self):
+        # the (line, x, y) search grid is built in blocks of lines; built in
+        # one piece it alone would take about 10 n x n arrays at this size
+        n = 256
+        scenario = make_scenario(n, 4, 5.0)
+        cfg = ReconConfig(bounds=MotionBounds(5.0, 5.0))
+        project_fourier(scenario.gt, scenario.observed, cfg)
+        tracemalloc.start()
+        try:
+            project_fourier(scenario.gt, scenario.observed, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * n * n * 16
 
     def test_shape_mismatch_rejected(self, rng, phantom64):
         cfg = ReconConfig(bounds=MotionBounds(5.0, 5.0))
