@@ -2,7 +2,8 @@
 
 Each observed line relates to its reference by out(c) = ref(c) *
 exp(-i 2 pi (k_x(c) beta_x + k_y beta_y)).  The estimator inverts this by
-matched filtering over a shift grid plus quadratic refinement.
+matched filtering: it searches a readout-shift grid with quadratic
+refinement, and solves beta_y in closed form within its alias window.
 """
 
 import numpy as np

@@ -108,9 +108,10 @@ def cmd_simulate(args):
     observed = corrupt(gt, traj, noise_snr_db=args.snr_db, seed=args.seed) if args.snr_db is not None else clean
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    # save_array may refuse the k-space; written first, a refusal writes nothing
+    save_array(out / "kspace.srr", observed)
     save_array(out / "ground_truth.srr", gt.real)
     save_trajectory(out / "trajectory.txt", traj)
-    save_array(out / "kspace.srr", observed)
     l1_gt = l1_norm(haar_forward(gt))
     l1_corrupted = l1_norm(haar_forward(naive_reconstruct(observed)))
     l1_motion_only = l1_norm(haar_forward(naive_reconstruct(clean)))

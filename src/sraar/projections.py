@@ -82,91 +82,54 @@ def _axis_points(bound, step):
     return pts, inner
 
 
-def _vertex(x0, h, f_minus, f_zero, f_plus):
-    """Vertices of the parabolas through three equispaced samples around maxima.
-
-    Elementwise over arrays; where the samples do not curve downwards the
-    centre sample x0 is kept.
-    """
-    denom = f_minus - 2.0 * f_zero + f_plus
-    curved = denom < 0.0
-    delta = 0.5 * h * (f_minus - f_plus) / np.where(curved, denom, -1.0)
-    return np.where(curved, x0 + np.clip(delta, -h, h), x0)
-
-
 def _peak(f, inner, pts, step):
-    """Parabola-refined position of each row's maximum of f over its inner points."""
+    """Parabola-refined position of each row's maximum of f over its inner points.
+
+    Samples that do not curve downwards (only at the edge of the inner
+    points) move to the larger neighbour: a convex piece peaks at an end.
+    """
     i = np.argmax(np.where(inner, f, -np.inf), axis=1)
     r = np.arange(f.shape[0])
-    return _vertex(pts[i], step, f[r, i - 1], f[r, i], f[r, i + 1])
+    f_minus, f_zero, f_plus = f[r, i - 1], f[r, i], f[r, i + 1]
+    denom = f_minus - 2.0 * f_zero + f_plus
+    curved = denom < 0.0
+    vertex = 0.5 * step * (f_minus - f_plus) / np.where(curved, denom, -1.0)
+    delta = np.where(curved, vertex, step * np.sign(f_plus - f_minus))
+    return pts[i] + np.clip(delta, -step, step)
+
+
+def _best_phase(s, reach):
+    """Maximum of Re(s * exp(i*phi)) over |phi| <= reach, and the phi attaining it."""
+    a = -np.angle(s)
+    phi = np.clip(a, -reach, reach)
+    return np.abs(s) * np.cos(a - phi), phi
 
 
 def _estimate_lines(q, k_y, bounds, step):
     """Shift estimates for every row of q = observed * conj(reference).
 
     Row r is a readout line at phase-encode frequency k_y[r].  The
-    objective is the matched-filter correlation
-    J(b) = Re sum_c q(c) exp(+2i*pi*(coords(c)*b_x + k_y*b_y)),
-    maximal when the candidate translation re-aligns the observation with
-    the reference.  b_y only enters through a line-constant phase, so it is
-    searched within the principal alias window min(bound, 1/(2|k_y|)); on
-    the DC line it is unidentifiable and fixed to 0 while b_x maximizes
-    |J|.  After the joint coarse search two rounds of coordinate ascent
-    re-maximize each axis on its full grid at the other axis's current
-    estimate and refine by quadratic interpolation; re-running the argmax
-    matters for small |k_y|, where a subpixel b_x misalignment tilts the
-    b_y profile by whole grid cells, and the second round removes most of
-    the residual cross-axis bias.  Zero-energy lines give (0, 0) with
-    score 0.
-
-    All lines share the widest y-grid; a line's alias window masks it, so
-    each line sees the same grid points and pads as a grid of its own.  The
-    products are stacked per line, so numpy makes one BLAS vector call per
-    line with the summation order of a single-line product; a matrix-matrix
-    product would round differently and could flip a near-tied argmax.
-    Returns the (rows, 2) shifts and the rows' scores.
+    matched-filter correlation J(b) = Re s(b_x) exp(2i*pi*k_y*b_y), with
+    s(b_x) = sum_c q(c) exp(2i*pi*coords(c)*b_x), is maximal when the
+    candidate translation re-aligns the observation with the reference.
+    b_y enters only through that line-constant phase, so its best value in
+    the principal alias window min(bound, 1/(2|k_y|)) is closed-form, and
+    b_x is searched on the readout-shift grid with quadratic refinement.
+    On the DC line b_y is unidentifiable: the window spans the whole circle,
+    so b_x maximizes |s|, and b_y is 0.  Zero-energy lines give (0, 0) with
+    score 0.  Returns the (rows, 2) shifts and the rows' scores.
     """
     rows, n = q.shape
     coords = FrequencyGrid(n).coords
     x_pts, x_inner = _axis_points(bounds.max_abs_x, step)
-    y_pts, _ = _axis_points(bounds.max_abs_y, step)
-    with np.errstate(divide="ignore"):
-        window = np.minimum(bounds.max_abs_y, 0.5 / np.abs(k_y))
-    y_inner = np.abs(y_pts) <= window[:, None] + 1e-12
-    y_phase = np.exp(2j * np.pi * k_y[:, None] * y_pts)
-    s_grid = (q[:, None, :] @ np.exp(2j * np.pi * np.outer(coords, x_pts)))[:, 0, :]
-
-    # the (line, x, y) grid is built a block of lines at a time, so it never
-    # holds more elements than one n x n array
-    block = max(1, n * n // (x_pts.size * y_pts.size))
-    by = np.empty(rows)
-    for lo in range(0, rows, block):
-        b = slice(lo, lo + block)
-        j_grid = (s_grid[b, :, None] * y_phase[b, None, :]).real
-        masked = np.where(x_inner[:, None] & y_inner[b, None, :], j_grid, -np.inf)
-        i, j = np.unravel_index(np.argmax(masked.reshape(len(j_grid), -1), axis=1), j_grid.shape[1:])
-        r = np.arange(len(j_grid))
-        by[b] = _vertex(y_pts[j], step, j_grid[r, i, j - 1], j_grid[r, i, j], j_grid[r, i, j + 1])
-    by = np.clip(by, -window, window)
-
-    def exact(rows_q, bx):
-        ramp = np.exp(2j * np.pi * coords * bx[:, None])
-        return (rows_q[:, None, :] @ ramp[:, :, None])[:, 0, 0]
-
-    for _ in range(2):
-        f_x = (s_grid * np.exp(2j * np.pi * k_y * by)[:, None]).real
-        bx = np.clip(_peak(f_x, x_inner, x_pts, step), -bounds.max_abs_x, bounds.max_abs_x)
-        s_exact = exact(q, bx)
-        f_y = (s_exact[:, None] * y_phase).real
-        by = np.clip(_peak(f_y, y_inner, y_pts, step), -window, window)
-    corr = (s_exact * np.exp(2j * np.pi * k_y * by)).real
-
-    dc = np.flatnonzero(k_y == 0.0)
-    if dc.size:
-        mag = np.abs(s_grid[dc])
-        bx[dc] = np.clip(_peak(mag, x_inner, x_pts, step), -bounds.max_abs_x, bounds.max_abs_x)
-        by[dc] = 0.0
-        corr[dc] = np.abs(exact(q[dc], bx[dc]))
+    turn = 2.0 * np.pi * k_y
+    reach = np.where(k_y == 0.0, np.pi, np.minimum(np.abs(turn) * bounds.max_abs_y, np.pi))
+    profile, _ = _best_phase(q @ np.exp(2j * np.pi * np.outer(coords, x_pts)), reach[:, None])
+    bx = np.clip(_peak(profile, x_inner, x_pts, step), -bounds.max_abs_x, bounds.max_abs_x)
+    ramp = np.exp(2j * np.pi * coords * bx[:, None])
+    corr, phi = _best_phase((q[:, None, :] @ ramp[:, :, None])[:, 0, 0], reach)
+    by = np.divide(phi, turn, out=np.zeros(rows), where=k_y != 0.0)
+    by = np.clip(by, -bounds.max_abs_y, bounds.max_abs_y)  # phi / turn can round past the bound
 
     denom = np.abs(q).sum(axis=1)
     live = denom > 0.0

@@ -2,8 +2,9 @@
 
 Everything here is written the slow, obvious way (direct summation,
 explicit loops, threshold scanning) so it shares no code path or algebraic
-shortcut with the library.  The per-line shift estimator is the one the
-package used before it estimated all lines in one batched pass.
+shortcut with the library.  The per-line shift estimator is the joint
+(b_x, b_y) grid search with coordinate ascent that the package used before
+it solved b_y in closed form.
 """
 
 import numpy as np

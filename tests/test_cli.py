@@ -1,5 +1,10 @@
+import contextlib
+import io
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sraar import ReconConfig, MotionBounds, load_array, save_array, shepp_logan, solve_sraar
 from sraar.cli import main
@@ -88,7 +93,7 @@ class TestSimulate:
                    f"--snr-db={snr}", "--out-dir", str(tmp_path)])
         assert rc == 2
         assert "non-finite noise level" in capsys.readouterr().err
-        assert not (tmp_path / "kspace.srr").exists()
+        assert list(tmp_path.iterdir()) == []
 
     def test_noise_beyond_single_precision_exits_2(self, tmp_path, capsys):
         # finite in double precision, but Inf once stored as complex64
@@ -96,7 +101,7 @@ class TestSimulate:
                    "--snr-db=-3000", "--out-dir", str(tmp_path)])
         assert rc == 2
         assert "single-precision range" in capsys.readouterr().err
-        assert not (tmp_path / "kspace.srr").exists()
+        assert list(tmp_path.iterdir()) == []
 
     def test_infinite_snr_adds_no_noise(self, tmp_path):
         base = ["simulate", "--phantom", "shepp-logan", "--size", "32", "--seed", "1"]
@@ -183,6 +188,26 @@ class TestReconstruct:
         err = capsys.readouterr().err
         assert err.startswith("sraar reconstruct:") and "non-finite" in err
         assert not (tmp_path / "out").exists()
+
+    @settings(max_examples=60, deadline=None)
+    @given(cut=st.integers(0, 12), header=st.binary(min_size=13, max_size=13), garble=st.booleans())
+    def test_malformed_header_exits_2(self, tmp_path_factory, cut, header, garble):
+        """A header cut short, or any other 13 header bytes in front of a
+        valid payload, is refused with exit 2 and no traceback."""
+        path = tmp_path_factory.mktemp("hdr") / "k.srr"
+        save_array(path, np.ones((16, 16), dtype=np.complex128))
+        blob = path.read_bytes()
+        if garble:
+            assume(header != blob[:13])
+            path.write_bytes(header + blob[13:])
+        else:
+            path.write_bytes(blob[:cut])
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(["reconstruct", "--kspace", str(path), "--c", "5", "--iters", "1",
+                       "--out-dir", str(path.parent / "out")])
+        assert rc == 2
+        assert err.getvalue().startswith("sraar reconstruct:")
 
     def test_missing_kspace_exits_1(self, tmp_path, capsys):
         rc = main(["reconstruct", "--kspace", str(tmp_path / "nope.srr"),

@@ -2,6 +2,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sraar import (
     EvalReport,
@@ -103,6 +106,41 @@ class TestRawArrays:
         with pytest.raises(ValueError, match="single-precision range"):
             save_array(tmp_path / "big.srr", arr)
         assert not (tmp_path / "big.srr").exists()
+
+
+single_precision_arrays = st.tuples(st.integers(1, 16), st.integers(1, 16)).flatmap(
+    lambda shape: st.one_of(
+        arrays(np.float32, shape, elements=st.floats(width=32, allow_nan=False, allow_infinity=False)),
+        arrays(np.complex64, shape,
+               elements=st.complex_numbers(width=64, allow_nan=False, allow_infinity=False)),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(stored=single_precision_arrays)
+def test_raw_array_round_trip_is_exact(tmp_path_factory, stored):
+    """Any finite single-precision-representable array, square or not, real
+    or complex, reads back exactly in double precision."""
+    arr = stored.astype(np.complex128 if np.iscomplexobj(stored) else np.float64)
+    path = tmp_path_factory.mktemp("srr") / "a.srr"
+    save_array(path, arr)
+    back = load_array(path)
+    assert back.dtype == arr.dtype
+    assert np.array_equal(back, arr)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shifts=arrays(np.float64, st.tuples(st.integers(1, 64), st.just(2)),
+                     elements=st.floats(-100.0, 100.0)))
+def test_trajectory_round_trip_within_format_precision(tmp_path_factory, shifts):
+    """The format writes nine decimals: half a unit in the last one, plus the
+    rounding of the decimal back to double precision."""
+    path = tmp_path_factory.mktemp("traj") / "t.txt"
+    save_trajectory(path, MotionTrajectory(shifts))
+    back = load_trajectory(path).shifts
+    assert back.shape == shifts.shape
+    assert np.all(np.abs(back - shifts) <= 5e-10 + np.spacing(np.abs(shifts)))
 
 
 class TestTrajectoryFiles:
