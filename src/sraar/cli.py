@@ -211,7 +211,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"sraar {args.command}: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

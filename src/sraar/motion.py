@@ -4,7 +4,8 @@ A translation of readout line r by (beta_x, beta_y) pixels multiplies the
 line by the phase ramp exp(-2i*pi*(k_x*beta_x + k_y*beta_y)) with k_x the
 readout coordinate varying along the line and k_y = coord(r) fixed on it.
 A trajectory that is constant across lines is an ordinary image-domain
-circular shift.
+circular shift.  Each line's ramp is built as the outer product of two
+tables of about sqrt(N) complex exponentials each, not N of them.
 """
 
 from __future__ import annotations
@@ -25,6 +26,22 @@ __all__ = [
 _GAUGE_TOL = 1e-9
 
 
+def _line_ramps(a, b, n):
+    """Row r of the result is exp(2i*pi*(a[r]*k + b[r])) on the centered grid
+    k = (c - n/2)/n, c = 0..n-1; b may be a scalar.
+
+    With c = L*h + l (L a power of two near sqrt(n)), each row is the outer
+    product of an n/L-point lead table exp(2i*pi*(b - a/2 + a*L*h/n)) and an
+    L-point tail table exp(2i*pi*a*l/n).
+    """
+    a = np.asarray(a, dtype=np.float64).reshape(-1, 1)
+    b = np.asarray(b, dtype=np.float64).reshape(-1, 1)
+    tail_len = 1 << (n.bit_length() // 2)
+    lead = np.exp(2j * np.pi * (b - a / 2 + a * (np.arange(0, n, tail_len) / n)))
+    tail = np.exp(2j * np.pi * a * (np.arange(tail_len) / n))
+    return (lead[:, :, None] * tail[:, None, :]).reshape(-1, n)
+
+
 def apply_translation(ksp, traj):
     """Apply per-line phase ramps encoding the trajectory's translations.
 
@@ -33,9 +50,8 @@ def apply_translation(ksp, traj):
     ksp = require_square_image(ksp, "k-space").astype(np.complex128, copy=False)
     if len(traj) != ksp.shape[0]:
         raise ValueError(f"trajectory has {len(traj)} lines, k-space has {ksp.shape[0]} rows")
-    k = FrequencyGrid(ksp.shape[0]).coords
-    ramp = traj.dx[:, None] * k[None, :] + (traj.dy * k)[:, None]
-    return ksp * np.exp(-2j * np.pi * ramp)
+    n = ksp.shape[0]
+    return ksp * _line_ramps(-traj.dx, -traj.dy * FrequencyGrid(n).coords, n)
 
 
 def invert_translation(ksp, traj):

@@ -18,8 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import FrequencyGrid, MotionTrajectory, require_square_image
-from .motion import invert_translation
+from .core import FrequencyGrid, MotionTrajectory, require_grid_size, require_square_image
+from .motion import _line_ramps, invert_translation
 from .transforms import WaveletCoeffs, dft2, haar_forward, haar_inverse, idft2
 
 __all__ = [
@@ -120,13 +120,12 @@ def _estimate_lines(q, k_y, bounds, step):
     score 0.  Returns the (rows, 2) shifts and the rows' scores.
     """
     rows, n = q.shape
-    coords = FrequencyGrid(n).coords
     x_pts, x_inner = _axis_points(bounds.max_abs_x, step)
     turn = 2.0 * np.pi * k_y
     reach = np.where(k_y == 0.0, np.pi, np.minimum(np.abs(turn) * bounds.max_abs_y, np.pi))
-    profile, _ = _best_phase(q @ np.exp(2j * np.pi * np.outer(coords, x_pts)), reach[:, None])
+    profile, _ = _best_phase(q @ _line_ramps(x_pts, 0.0, n).T, reach[:, None])
     bx = np.clip(_peak(profile, x_inner, x_pts, step), -bounds.max_abs_x, bounds.max_abs_x)
-    ramp = np.exp(2j * np.pi * coords * bx[:, None])
+    ramp = _line_ramps(bx, 0.0, n)
     corr, phi = _best_phase((q[:, None, :] @ ramp[:, :, None])[:, 0, 0], reach)
     by = np.divide(phi, turn, out=np.zeros(rows), where=k_y != 0.0)
     by = np.clip(by, -bounds.max_abs_y, bounds.max_abs_y)  # phi / turn can round past the bound
@@ -149,6 +148,7 @@ def estimate_line_shift(observed_line, reference_line, k_y, bounds, grid_step=0.
     ref = np.asarray(reference_line, dtype=np.complex128).ravel()
     if obs.shape != ref.shape:
         raise ValueError(f"lines differ in length: {obs.size} vs {ref.size} samples")
+    require_grid_size(obs.size)
     k_y = float(k_y)
     if not np.isfinite(k_y):
         raise ValueError(f"k_y must be finite, got {k_y}")
@@ -176,6 +176,20 @@ class MotionEstimate:
         object.__setattr__(self, "scores", scores)
 
 
+def _matched_filter_input(m, observed, abs_observed):
+    """q = observed * conj(reference), with the reference spectrum dft2(m)
+    amplitude-replaced by ``abs_observed`` unless that is None.
+
+    Frequencies where the model vanishes have no phase and give q = 0.
+    """
+    model = dft2(m)
+    q = observed * np.conj(model, out=model)
+    if abs_observed is not None:
+        mod = np.abs(model)
+        q *= np.divide(abs_observed, mod, out=np.zeros_like(mod), where=mod > 0)
+    return q
+
+
 def project_fourier(m, observed, cfg):
     """Project onto the set of images explaining the observed k-space.
 
@@ -194,18 +208,13 @@ def project_fourier(m, observed, cfg):
     observed = require_square_image(observed, "observed k-space").astype(np.complex128, copy=False)
     if m.shape != observed.shape:
         raise ValueError(f"image shape {m.shape} does not match observation {observed.shape}")
-    n = observed.shape[0]
-    coords = FrequencyGrid(n).coords
-    model = dft2(m)
-    if cfg.amplitude_replacement:
-        mod = np.abs(model)
-        phase = np.where(mod > 0, model / np.where(mod > 0, mod, 1.0), 0.0)
-        reference = np.abs(observed) * phase
-    else:
-        reference = model
-    q = observed * np.conj(reference)
-    shifts, scores = _estimate_lines(q, coords, cfg.bounds, cfg.grid_step)
-    energy = np.sum(np.abs(observed) ** 2, axis=1)
+    abs_observed = np.abs(observed)
+    energy = np.sum(abs_observed**2, axis=1)
+    # q and the spectra behind it die before the translation's temporaries
+    q = _matched_filter_input(m, observed, abs_observed if cfg.amplitude_replacement else None)
+    del abs_observed
+    shifts, scores = _estimate_lines(q, FrequencyGrid(observed.shape[0]).coords, cfg.bounds, cfg.grid_step)
+    del q
     total = energy.sum()
     if total > 0:
         shifts -= (energy @ shifts) / total

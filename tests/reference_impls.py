@@ -28,6 +28,14 @@ def direct_centered_dft2(img):
     return phase @ img @ phase.T / n
 
 
+def direct_translation(ksp, traj):
+    """Per-line translation with one complex exponential per k-space sample:
+    ksp * exp(-2i*pi*(k_x*dx[r] + k_y[r]*dy[r]))."""
+    k = S.FrequencyGrid(ksp.shape[0]).coords
+    ramp = traj.dx[:, None] * k[None, :] + (traj.dy * k)[:, None]
+    return ksp * np.exp(-2j * np.pi * ramp)
+
+
 def loop_haar_forward(img, levels):
     """Level-by-level 2-D Haar decomposition with explicit pair loops."""
     out = np.array(img, dtype=complex)

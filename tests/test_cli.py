@@ -209,6 +209,15 @@ class TestReconstruct:
         assert rc == 2
         assert err.getvalue().startswith("sraar reconstruct:")
 
+    def test_oversized_search_grid_exits_2(self, dataset, tmp_path, capsys):
+        # the readout-shift grid would need more than 128 TiB, which no
+        # machine grants
+        rc = main(["reconstruct", "--kspace", str(dataset / "kspace.srr"), "--c", "300",
+                   "--iters", "1", "--grid-step", "1e-13", "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sraar reconstruct:") and err.count("\n") == 1
+
     def test_missing_kspace_exits_1(self, tmp_path, capsys):
         rc = main(["reconstruct", "--kspace", str(tmp_path / "nope.srr"),
                    "--c", "300", "--out-dir", str(tmp_path)] + RECON_ARGS)

@@ -21,7 +21,9 @@ from sraar import (
     naive_reconstruct,
     shepp_logan,
 )
+from sraar.motion import _line_ramps
 from conftest import random_complex
+from reference_impls import direct_translation
 from scenarios import make_scenario
 
 
@@ -99,6 +101,34 @@ class TestTranslationOperator:
     def test_length_mismatch_rejected(self, rng):
         with pytest.raises(ValueError):
             apply_translation(random_complex(rng, (16, 16)), MotionTrajectory.zero(8))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        size=st.sampled_from([4, 8, 16, 32, 64, 128, 256]),
+        seed=st.integers(0, 2**32 - 1),
+        max_shift=st.floats(0.0, 64.0),
+    )
+    def test_matches_direct_exponential(self, size, seed, max_shift):
+        """The factored ramps agree with one exp per sample."""
+        rng = np.random.default_rng(seed)
+        ksp = random_complex(rng, (size, size))
+        traj = random_traj(rng, size, max_shift)
+        err = np.abs(apply_translation(ksp, traj) - direct_translation(ksp, traj)).max()
+        assert err <= 1e-12 * np.linalg.norm(ksp)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    log2_size=st.integers(2, 10),
+    lines=st.lists(st.tuples(st.floats(-64.0, 64.0), st.floats(-64.0, 64.0)), min_size=1, max_size=8),
+)
+def test_line_ramps_match_direct_exponential(log2_size, lines):
+    """Row r is exp(2i*pi*(a[r]*k + b[r])) on the centered grid."""
+    n = 2**log2_size
+    a, b = np.array(lines).T
+    k = FrequencyGrid(n).coords
+    want = np.exp(2j * np.pi * (a[:, None] * k + b[:, None]))
+    assert np.abs(_line_ramps(a, b, n) - want).max() <= 1e-12
 
 
 class TestNaiveReconstruct:
