@@ -18,7 +18,6 @@ __all__ = [
     "MotionBounds",
     "MotionTrajectory",
     "ReconConfig",
-    "is_power_of_two",
     "require_grid_size",
     "require_square_image",
 ]
@@ -28,17 +27,12 @@ SOLVER_SRAAR = "sraar"
 _SOLVERS = (SOLVER_ER, SOLVER_SRAAR)
 
 
-def is_power_of_two(n):
-    """True for positive integer powers of two."""
-    return n >= 1 and (n & (n - 1)) == 0
-
-
 def require_grid_size(n):
     """Validate a grid side length: integer power of two, at least 4."""
     if not isinstance(n, (int, np.integer)):
         raise ValueError(f"grid size must be an integer, got {n!r}")
     n = int(n)
-    if n < 4 or not is_power_of_two(n):
+    if n < 4 or n & (n - 1):
         raise ValueError(f"grid size must be a power of two >= 4, got {n}")
     return n
 
@@ -114,13 +108,6 @@ class MotionBounds:
         out[:, 0] = np.clip(out[:, 0], -self.max_abs_x, self.max_abs_x)
         out[:, 1] = np.clip(out[:, 1], -self.max_abs_y, self.max_abs_y)
         return out
-
-    def contains(self, traj, atol=0.0):
-        s = traj.shifts
-        return bool(
-            np.all(np.abs(s[:, 0]) <= self.max_abs_x + atol)
-            and np.all(np.abs(s[:, 1]) <= self.max_abs_y + atol)
-        )
 
 
 @dataclass(frozen=True)

@@ -58,9 +58,7 @@ def project_sparse(m, c):
     if mod.sum() <= c:
         return m.copy()
     tau = _l1_ball_threshold(mod.ravel(), c)
-    scale = np.maximum(mod - tau, 0.0)
-    nz = mod > 0
-    scale[nz] /= mod[nz]
+    scale = np.divide(np.maximum(mod - tau, 0.0), mod, out=np.zeros_like(mod), where=mod > 0)
     return haar_inverse(WaveletCoeffs(coeffs.data * scale, coeffs.levels))
 
 

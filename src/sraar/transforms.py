@@ -30,16 +30,21 @@ def idft2(ksp):
     return np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(ksp), norm="ortho"))
 
 
-def max_haar_levels(n):
-    return int(np.log2(n))
-
-
 def _check_levels(n, levels):
+    depth = int(np.log2(n))
     if levels is None:
-        return max_haar_levels(n)
-    if not isinstance(levels, (int, np.integer)) or not 1 <= levels <= max_haar_levels(n):
-        raise ValueError(f"levels must lie in [1, {max_haar_levels(n)}] for size {n}, got {levels!r}")
+        return depth
+    if not isinstance(levels, (int, np.integer)) or not 1 <= levels <= depth:
+        raise ValueError(f"levels must lie in [1, {depth}] for size {n}, got {levels!r}")
     return int(levels)
+
+
+def _butterfly(a, b, c, d):
+    """Orthonormal Haar step on the 2x2 blocks [[a, b], [c, d]]: pair (a, b) and
+    (c, d), then pair the two sums and the two differences.  It is its own inverse."""
+    p, q = (a + b) * _INV_SQRT2, (a - b) * _INV_SQRT2
+    r, t = (c + d) * _INV_SQRT2, (c - d) * _INV_SQRT2
+    return (p + r) * _INV_SQRT2, (q + t) * _INV_SQRT2, (p - r) * _INV_SQRT2, (q - t) * _INV_SQRT2
 
 
 @dataclass(frozen=True)
@@ -67,44 +72,35 @@ def haar_forward(img, levels=None):
 
     Each level applies the pairwise (a+b)/sqrt(2), (a-b)/sqrt(2) transform
     along rows then columns of the current approximation block, halving its
-    side.  ``levels=None`` applies the full depth log2(N).
+    side.  ``levels=None`` applies the full depth log2(N).  Both directions
+    run the same self-inverse 2x2 butterfly on every level.
     """
     img = require_square_image(img, "image").astype(np.complex128, copy=True)
-    n = img.shape[0]
-    levels = _check_levels(n, levels)
-    size = n
-    for _ in range(levels):
-        block = img[:size, :size]
-        lo = (block[:, 0::2] + block[:, 1::2]) * _INV_SQRT2
-        hi = (block[:, 0::2] - block[:, 1::2]) * _INV_SQRT2
-        block = np.concatenate((lo, hi), axis=1)
-        lo = (block[0::2, :] + block[1::2, :]) * _INV_SQRT2
-        hi = (block[0::2, :] - block[1::2, :]) * _INV_SQRT2
-        img[:size, :size] = np.concatenate((lo, hi), axis=0)
-        size //= 2
+    levels = _check_levels(img.shape[0], levels)
+    for level in range(levels):
+        h = img.shape[0] >> (level + 1)
+        blk = img[: 2 * h, : 2 * h]
+        cells = blk[0::2, 0::2], blk[0::2, 1::2], blk[1::2, 0::2], blk[1::2, 1::2]
+        blk[:h, :h], blk[:h, h:], blk[h:, :h], blk[h:, h:] = _butterfly(*cells)
     return WaveletCoeffs(img, levels)
 
 
 def haar_inverse(coeffs):
-    """Invert :func:`haar_forward`; round trips are exact to float precision."""
+    """Invert :func:`haar_forward`; round trips are exact to float precision.
+
+    The butterfly reads the quadrants and writes the cells with the middle
+    pair swapped (top-left, bottom-left, top-right, bottom-right), so it
+    undoes the forward's column step before its row step.  Without the swap
+    the result would differ only in rounding.
+    """
     if not isinstance(coeffs, WaveletCoeffs):
         raise ValueError("haar_inverse expects WaveletCoeffs")
     out = np.array(coeffs.data, dtype=np.complex128, copy=True)
-    n = out.shape[0]
-    size = n >> (coeffs.levels - 1)
-    for _ in range(coeffs.levels):
-        block = out[:size, :size]
-        half = size // 2
-        lo, hi = block[:half, :], block[half:, :]
-        step = np.empty_like(block)
-        step[0::2, :] = (lo + hi) * _INV_SQRT2
-        step[1::2, :] = (lo - hi) * _INV_SQRT2
-        lo, hi = step[:, :half], step[:, half:]
-        block = np.empty_like(step)
-        block[:, 0::2] = (lo + hi) * _INV_SQRT2
-        block[:, 1::2] = (lo - hi) * _INV_SQRT2
-        out[:size, :size] = block
-        size *= 2
+    for level in reversed(range(coeffs.levels)):
+        h = out.shape[0] >> (level + 1)
+        blk = out[: 2 * h, : 2 * h]
+        quads = blk[:h, :h], blk[h:, :h], blk[:h, h:], blk[h:, h:]
+        blk[0::2, 0::2], blk[1::2, 0::2], blk[0::2, 1::2], blk[1::2, 1::2] = _butterfly(*quads)
     return out
 
 

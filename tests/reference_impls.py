@@ -4,7 +4,10 @@ Everything here is written the slow, obvious way (direct summation,
 explicit loops, threshold scanning) so it shares no code path or algebraic
 shortcut with the library.  The per-line shift estimator is the joint
 (b_x, b_y) grid search with coordinate ascent that the package used before
-it solved b_y in closed form.
+it solved b_y in closed form.  The Haar level loops built from
+``np.concatenate`` and per-level scratch arrays are the ones the package used
+before both directions shared one 2x2 butterfly; its output must stay equal
+to theirs bit for bit.
 """
 
 import numpy as np
@@ -13,6 +16,8 @@ import sraar as S
 # the search grid defines the estimator rather than implementing it, so the
 # reference walks the same grid points
 from sraar.projections import _axis_points
+
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
 def direct_centered_dft2(img):
@@ -56,6 +61,43 @@ def loop_haar_forward(img, levels):
                 cols[half + r, c] = (rows[2 * r, c] - rows[2 * r + 1, c]) / root2
         out[:size, :size] = cols
         size = half
+    return out
+
+
+def concat_haar_forward(img, levels):
+    """Haar decomposition, rows then columns, each level joined with np.concatenate."""
+    img = np.array(img, dtype=complex)
+    size = img.shape[0]
+    for _ in range(levels):
+        block = img[:size, :size]
+        lo = (block[:, 0::2] + block[:, 1::2]) * _INV_SQRT2
+        hi = (block[:, 0::2] - block[:, 1::2]) * _INV_SQRT2
+        block = np.concatenate((lo, hi), axis=1)
+        lo = (block[0::2, :] + block[1::2, :]) * _INV_SQRT2
+        hi = (block[0::2, :] - block[1::2, :]) * _INV_SQRT2
+        img[:size, :size] = np.concatenate((lo, hi), axis=0)
+        size //= 2
+    return img
+
+
+def scratch_haar_inverse(data, levels):
+    """Inverse of :func:`concat_haar_forward`, columns then rows, through
+    per-level scratch arrays."""
+    out = np.array(data, dtype=complex)
+    size = out.shape[0] >> (levels - 1)
+    for _ in range(levels):
+        block = out[:size, :size]
+        half = size // 2
+        lo, hi = block[:half, :], block[half:, :]
+        step = np.empty_like(block)
+        step[0::2, :] = (lo + hi) * _INV_SQRT2
+        step[1::2, :] = (lo - hi) * _INV_SQRT2
+        lo, hi = step[:, :half], step[:, half:]
+        block = np.empty_like(step)
+        block[:, 0::2] = (lo + hi) * _INV_SQRT2
+        block[:, 1::2] = (lo - hi) * _INV_SQRT2
+        out[:size, :size] = block
+        size *= 2
     return out
 
 

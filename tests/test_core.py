@@ -84,11 +84,6 @@ class TestMotionBounds:
         out = b.clamp(np.array([[3.0, -5.0], [-0.5, 1.5]]))
         assert np.array_equal(out, [[1.0, -2.0], [-0.5, 1.5]])
 
-    def test_contains(self):
-        b = MotionBounds(1.0, 1.0)
-        assert b.contains(MotionTrajectory.from_components([1.0], [-1.0]))
-        assert not b.contains(MotionTrajectory.from_components([1.1], [0.0]))
-
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             MotionBounds(-1.0, 0.0)

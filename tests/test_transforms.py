@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sraar import WaveletCoeffs, dft2, haar_forward, haar_inverse, idft2, l1_norm
 from conftest import random_complex
-from reference_impls import direct_centered_dft2, loop_haar_forward
+from reference_impls import (
+    concat_haar_forward,
+    direct_centered_dft2,
+    loop_haar_forward,
+    scratch_haar_inverse,
+)
 
 
 class TestDft2:
@@ -61,6 +68,22 @@ class TestHaar:
         got = haar_forward(img, levels)
         assert got.levels == levels
         np.testing.assert_allclose(got.data, loop_haar_forward(img, levels), atol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        log2_size=st.integers(2, 8),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+        log10_scale=st.floats(-8.0, 8.0),
+    )
+    def test_bit_identical_to_level_loops(self, log2_size, data, seed, log10_scale):
+        """Both directions round exactly like the previous per-direction loops."""
+        n = 2**log2_size
+        levels = data.draw(st.integers(1, log2_size), label="levels")
+        img = 10.0**log10_scale * random_complex(np.random.default_rng(seed), (n, n))
+        coeffs = haar_forward(img, levels)
+        assert np.array_equal(coeffs.data, concat_haar_forward(img, levels))
+        assert np.array_equal(haar_inverse(coeffs), scratch_haar_inverse(coeffs.data, levels))
 
     def test_single_level_is_matrix_product(self, rng):
         # one level on 4x4 equals H @ X @ H.T with the pairwise
