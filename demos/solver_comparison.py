@@ -41,5 +41,5 @@ for i in (0, 4, 9, 24, 49, 99):
 for name, (image, estimate, trace) in runs.items():
     rmse_rel = image_metrics(image, gt)[0]
     print(f"{name}: final relative RMSE {rmse_rel:.5f}, "
-          f"final wavelet l1 {trace.l1[-1]:.1f}, "
+          f"last P2 output's wavelet l1 {trace.l1[-1]:.1f}, "
           f"mean line score {estimate.scores.mean():.4f}")

@@ -129,14 +129,14 @@ def _parse_fraction_grid(text):
         raise ValueError(f"could not parse --c-grid {text!r}") from exc
 
 
-def cmd_reconstruct(args):
-    observed = load_array(args.kspace)
+def reconstruct_config(args):
+    """The ReconConfig that ``reconstruct`` runs for its parsed arguments."""
     c_grid = _parse_fraction_grid(args.c_grid) if args.c_grid is not None else None
     if args.c is None and c_grid is None:
         if args.solver == "er":
             raise ValueError("the er solver needs an explicit --c or --c-grid")
         c_grid = DEFAULT_C_GRID
-    cfg = ReconConfig(
+    return ReconConfig(
         bounds=MotionBounds(args.max_shift_x, args.max_shift_y),
         solver=args.solver,
         theta=args.theta,
@@ -147,6 +147,11 @@ def cmd_reconstruct(args):
         grid_step=args.grid_step,
         threads=args.threads,
     )
+
+
+def cmd_reconstruct(args):
+    observed = load_array(args.kspace)
+    cfg = reconstruct_config(args)
     start = time.perf_counter()
     if cfg.c_grid is not None:
         chosen_c, image, estimate, trace = tune_sparsity_budget(observed, cfg)
@@ -160,8 +165,8 @@ def cmd_reconstruct(args):
     save_trajectory(out / "est_trajectory.txt", estimate.traj)
     save_trace_csv(out / "trace.csv", trace)
     print(
-        f"reconstruct: solver={cfg.solver} c={chosen_c:.6g} iters={cfg.iterations} "
-        f"final_misfit={trace.misfit[-1]:.6g} seconds={elapsed:.2f}"
+        f"reconstruct: solver={cfg.solver} c={chosen_c:.6g} iters={len(trace)} "
+        f"returned={trace.returned or 'terminal'} final_misfit={trace.misfit[-1]:.6g} seconds={elapsed:.2f}"
     )
     return 0
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import FrequencyGrid, MotionTrajectory, require_grid_size, require_square_image
 from .motion import _line_ramps, invert_translation
-from .transforms import WaveletCoeffs, dft2, haar_forward, haar_inverse, idft2
+from .transforms import _forward_levels, _inverse_levels, dft2, idft2
 
 __all__ = [
     "LineShiftEstimate",
@@ -53,13 +53,15 @@ def project_sparse(m, c):
         raise ValueError(f"sparsity budget c must be finite and >= 0, got {c}")
     if c == 0.0:
         return np.zeros_like(m)
-    coeffs = haar_forward(m)
-    mod = np.abs(coeffs.data)
+    levels = int(np.log2(m.shape[0]))
+    coeffs = _forward_levels(m.copy(), levels)
+    mod = np.abs(coeffs)
     if mod.sum() <= c:
         return m.copy()
     tau = _l1_ball_threshold(mod.ravel(), c)
-    scale = np.divide(np.maximum(mod - tau, 0.0), mod, out=np.zeros_like(mod), where=mod > 0)
-    return haar_inverse(WaveletCoeffs(coeffs.data * scale, coeffs.levels))
+    coeffs *= np.divide(np.maximum(mod - tau, 0.0), mod, out=np.zeros_like(mod), where=mod > 0)
+    del mod
+    return _inverse_levels(coeffs, levels)
 
 
 class LineShiftEstimate(NamedTuple):

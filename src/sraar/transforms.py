@@ -2,7 +2,11 @@
 
 Both directions of the DFT carry 1/N scaling, so round trips are exact and
 inner products are preserved.  The image origin and the DC frequency both
-sit at index N/2, matching :class:`sraar.core.FrequencyGrid`.
+sit at index N/2, matching :class:`sraar.core.FrequencyGrid`.  For even N,
+moving an origin from index 0 to N/2 multiplies the other domain by the
+checkerboard (-1)^(r+c), so the centered DFT is an FFT between two sign
+flips; the flips are exact, and the result equals the
+``fftshift(fft2(ifftshift(x)))`` formula value for value.
 """
 
 from __future__ import annotations
@@ -18,16 +22,29 @@ __all__ = ["WaveletCoeffs", "dft2", "idft2", "haar_forward", "haar_inverse", "l1
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
+def _flip_checkerboard(a):
+    """Negate, in place, the entries of ``a`` whose row + column is odd."""
+    for cells in (a[0::2, 1::2], a[1::2, 0::2]):
+        np.negative(cells, out=cells)
+    return a
+
+
+def _centered(fft, arr):
+    """Centered unitary transform of a copy of ``arr``, computed in that copy."""
+    a = _flip_checkerboard(arr.astype(np.complex128, copy=True))
+    # fftn and ifftn honour out=; numpy's ifft2 drops it
+    fft(a, norm="ortho", out=a)
+    return _flip_checkerboard(a)
+
+
 def dft2(img):
     """Centered unitary 2-D DFT of a square power-of-two image."""
-    img = require_square_image(img, "image").astype(np.complex128, copy=False)
-    return np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(img), norm="ortho"))
+    return _centered(np.fft.fftn, require_square_image(img, "image"))
 
 
 def idft2(ksp):
     """Inverse of :func:`dft2`."""
-    ksp = require_square_image(ksp, "k-space").astype(np.complex128, copy=False)
-    return np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(ksp), norm="ortho"))
+    return _centered(np.fft.ifftn, require_square_image(ksp, "k-space"))
 
 
 def _check_levels(n, levels):
@@ -67,6 +84,32 @@ class WaveletCoeffs:
         object.__setattr__(self, "levels", levels)
 
 
+def _forward_levels(a, levels):
+    """Haar-decompose the writable complex array ``a`` in place; returns ``a``."""
+    for level in range(levels):
+        h = a.shape[0] >> (level + 1)
+        blk = a[: 2 * h, : 2 * h]
+        cells = blk[0::2, 0::2], blk[0::2, 1::2], blk[1::2, 0::2], blk[1::2, 1::2]
+        blk[:h, :h], blk[:h, h:], blk[h:, :h], blk[h:, h:] = _butterfly(*cells)
+    return a
+
+
+def _inverse_levels(a, levels):
+    """Undo :func:`_forward_levels` on the writable array ``a`` in place; returns ``a``.
+
+    The butterfly reads the quadrants and writes the cells with the middle
+    pair swapped (top-left, bottom-left, top-right, bottom-right), so it
+    undoes the forward's column step before its row step.  Without the swap
+    the result would differ only in rounding.
+    """
+    for level in reversed(range(levels)):
+        h = a.shape[0] >> (level + 1)
+        blk = a[: 2 * h, : 2 * h]
+        quads = blk[:h, :h], blk[h:, :h], blk[:h, h:], blk[h:, h:]
+        blk[0::2, 0::2], blk[1::2, 0::2], blk[0::2, 1::2], blk[1::2, 1::2] = _butterfly(*quads)
+    return a
+
+
 def haar_forward(img, levels=None):
     """Orthonormal 2-D Haar decomposition.
 
@@ -77,31 +120,14 @@ def haar_forward(img, levels=None):
     """
     img = require_square_image(img, "image").astype(np.complex128, copy=True)
     levels = _check_levels(img.shape[0], levels)
-    for level in range(levels):
-        h = img.shape[0] >> (level + 1)
-        blk = img[: 2 * h, : 2 * h]
-        cells = blk[0::2, 0::2], blk[0::2, 1::2], blk[1::2, 0::2], blk[1::2, 1::2]
-        blk[:h, :h], blk[:h, h:], blk[h:, :h], blk[h:, h:] = _butterfly(*cells)
-    return WaveletCoeffs(img, levels)
+    return WaveletCoeffs(_forward_levels(img, levels), levels)
 
 
 def haar_inverse(coeffs):
-    """Invert :func:`haar_forward`; round trips are exact to float precision.
-
-    The butterfly reads the quadrants and writes the cells with the middle
-    pair swapped (top-left, bottom-left, top-right, bottom-right), so it
-    undoes the forward's column step before its row step.  Without the swap
-    the result would differ only in rounding.
-    """
+    """Invert :func:`haar_forward`; round trips are exact to float precision."""
     if not isinstance(coeffs, WaveletCoeffs):
         raise ValueError("haar_inverse expects WaveletCoeffs")
-    out = np.array(coeffs.data, dtype=np.complex128, copy=True)
-    for level in reversed(range(coeffs.levels)):
-        h = out.shape[0] >> (level + 1)
-        blk = out[: 2 * h, : 2 * h]
-        quads = blk[:h, :h], blk[h:, :h], blk[:h, h:], blk[h:, h:]
-        blk[0::2, 0::2], blk[1::2, 0::2], blk[0::2, 1::2], blk[1::2, 1::2] = _butterfly(*quads)
-    return out
+    return _inverse_levels(np.array(coeffs.data, dtype=np.complex128, copy=True), coeffs.levels)
 
 
 def l1_norm(x):

@@ -7,7 +7,9 @@ shortcut with the library.  The per-line shift estimator is the joint
 it solved b_y in closed form.  The Haar level loops built from
 ``np.concatenate`` and per-level scratch arrays are the ones the package used
 before both directions shared one 2x2 butterfly; its output must stay equal
-to theirs bit for bit.
+to theirs bit for bit.  The same holds for the centered DFT built from
+``np.roll`` shifts around the FFT, which the package used before it moved
+both origins with checkerboard sign flips.
 """
 
 import numpy as np
@@ -31,6 +33,16 @@ def direct_centered_dft2(img):
     idx = np.arange(n) - n // 2
     phase = np.exp(-2j * np.pi * np.outer(idx, idx) / n)
     return phase @ img @ phase.T / n
+
+
+def roll_dft2(img):
+    """Centered unitary DFT with both origin moves done by fftshift / ifftshift."""
+    return np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(np.asarray(img, dtype=complex)), norm="ortho"))
+
+
+def roll_idft2(ksp):
+    """Inverse of :func:`roll_dft2`, shifted the same way."""
+    return np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(np.asarray(ksp, dtype=complex)), norm="ortho"))
 
 
 def direct_translation(ksp, traj):

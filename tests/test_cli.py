@@ -132,7 +132,16 @@ class TestReconstruct:
             assert (out / name).is_file()
         trace = load_trace_csv(out / "trace.csv")
         assert trace["iter"].size == 5
-        assert "final_misfit=" in capsys.readouterr().out
+        line = capsys.readouterr().out
+        # fewer iterations than the patience: the sparsest P2 output is returned, none stops
+        assert " iters=5 returned=" in line and "returned=terminal" not in line
+        assert "final_misfit=" in line
+
+    def test_fixed_budget_summary_names_terminal_pass(self, dataset, tmp_path, capsys):
+        rc = main(["reconstruct", "--kspace", str(dataset / "kspace.srr"), "--c", "300",
+                   "--out-dir", str(tmp_path / "rec")] + RECON_ARGS)
+        assert rc == 0
+        assert " iters=5 returned=terminal " in capsys.readouterr().out
 
     def test_deterministic_reruns(self, dataset, tmp_path):
         args = ["reconstruct", "--kspace", str(dataset / "kspace.srr"),

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from sraar import (
     solve_sraar,
     tune_sparsity_budget,
 )
-from sraar.solvers import SolverTrace
+from sraar.solvers import _PATIENCE, _SOLVER_FUNCS, SolverTrace
 from scenarios import make_scenario
 
 
@@ -141,11 +143,12 @@ class TestSharedDriver:
                            c=0.5 * budget_of(naive_reconstruct(scenario.observed)),
                            iterations=4, threads=1)
 
-    def check(self, result, expected, estimate, misfit, l1):
+    def check(self, result, expected, estimate, misfit, l1, returned):
         image, got_estimate, trace = result
         assert np.array_equal(image, expected)
         assert np.array_equal(got_estimate.traj.shifts, estimate.traj.shifts)
         assert trace.l1 == l1
+        assert trace.returned == returned
         np.testing.assert_allclose(trace.misfit, misfit, rtol=1e-12, atol=0.0)
 
     def test_er_matches_hand_loop(self, scenario):
@@ -158,7 +161,7 @@ class TestSharedDriver:
             m, estimate = project_fourier(sparse, observed, cfg)
             misfit.append(old_misfit(observed, sparse, estimate))
             l1.append(budget_of(m))
-        self.check(solve_er(observed, cfg), m, estimate, misfit, l1)
+        self.check(solve_er(observed, cfg), m, estimate, misfit, l1, cfg.iterations)
 
     def test_sraar_matches_hand_loop(self, scenario):
         cfg = self.config(scenario, "sraar")
@@ -172,9 +175,9 @@ class TestSharedDriver:
             r1r2 = 2.0 * sparse - r2
             m = 0.5 * cfg.theta * (r1r2 + m) + (1.0 - cfg.theta) * p2
             misfit.append(old_misfit(observed, sparse, estimate))
-            l1.append(budget_of(m))
+            l1.append(budget_of(p2))
         expected, estimate = project_fourier(m, observed, cfg)
-        self.check(solve_sraar(observed, cfg), expected, estimate, misfit, l1)
+        self.check(solve_sraar(observed, cfg), expected, estimate, misfit, l1, None)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_kspace_rejected(self, scenario, bad):
@@ -187,22 +190,70 @@ class TestSharedDriver:
             tune_sparsity_budget(observed, ReconConfig(c_grid=(0.5,), iterations=2))
 
 
+def replay_sraar_candidate(observed, cfg):
+    """One tuned SRAAR candidate by hand: the l1 of every P2 output, kept
+    until the sparsest (first of equals) is _PATIENCE iterations old.
+
+    Returns (best l1, P2 output, estimate, its iteration, iterations run).
+    """
+    m = naive_reconstruct(observed)
+    best = None
+    for iteration in range(1, cfg.iterations + 1):
+        p2, estimate = project_fourier(m, observed, cfg)
+        l1 = budget_of(p2)
+        if best is None or l1 < best[0]:
+            best = (l1, p2, estimate, iteration)
+        elif iteration - best[3] >= _PATIENCE:
+            return (*best, iteration)
+        r2 = 2.0 * p2 - m
+        r1r2 = 2.0 * project_sparse(r2, cfg.c) - r2
+        m = 0.5 * cfg.theta * (r1r2 + m) + (1.0 - cfg.theta) * p2
+    return (*best, cfg.iterations)
+
+
 class TestTuneSparsityBudget:
-    def test_chooses_minimum_final_l1(self):
-        scenario = make_scenario(64, 3, 1.5, solver_bound=2.0)
+    def test_sraar_keeps_sparsest_p2_output_and_stops(self):
+        # more iterations than the patience, so candidates stop early
+        scenario = make_scenario(32, 3, 1.5, solver_bound=2.0)
         cfg = ReconConfig(solver="sraar", bounds=MotionBounds(2.0, 2.0),
-                          c_grid=(0.2, 0.5, 0.8), iterations=8, threads=1)
+                          c_grid=(0.2, 0.5, 0.8), iterations=_PATIENCE + 40, threads=1)
         chosen_c, image, estimate, trace = tune_sparsity_budget(scenario.observed, cfg)
 
         base = budget_of(naive_reconstruct(scenario.observed))
-        finals = {}
-        from dataclasses import replace
+        runs = {}
+        for fraction in sorted(cfg.c_grid):
+            run_cfg = replace(cfg, c=fraction * base, c_grid=None)
+            runs[run_cfg.c] = replay = replay_sraar_candidate(scenario.observed, run_cfg)
+            got_image, got_estimate, got_trace = _SOLVER_FUNCS["sraar"](scenario.observed, run_cfg, _PATIENCE)
+            assert np.array_equal(got_image, replay[1])
+            assert np.array_equal(got_estimate.traj.shifts, replay[2].traj.shifts)
+            assert (got_trace.returned, len(got_trace)) == replay[3:]
+        assert any(run[4] < cfg.iterations for run in runs.values())
+        best_c = min(runs, key=lambda c: (runs[c][0], c))
+        best_l1, p2, best_estimate, returned, ran = runs[best_c]
+        assert chosen_c == best_c
+        assert np.array_equal(image, p2)
+        assert np.array_equal(estimate.traj.shifts, best_estimate.traj.shifts)
+        assert (trace.returned, len(trace)) == (returned, ran)
+        assert trace.l1[returned - 1] == best_l1 == min(trace.l1)
+
+    def test_er_keeps_minimum_final_l1(self):
+        scenario = make_scenario(32, 4, 1.5, solver_bound=2.0)
+        cfg = ReconConfig(solver="er", bounds=MotionBounds(2.0, 2.0),
+                          c_grid=(0.2, 0.5, 0.8), iterations=_PATIENCE + 30, threads=1)
+        chosen_c, image, estimate, trace = tune_sparsity_budget(scenario.observed, cfg)
+
+        base = budget_of(naive_reconstruct(scenario.observed))
+        runs = {}
         for fraction in cfg.c_grid:
             run_cfg = replace(cfg, c=fraction * base, c_grid=None)
-            img, _, _ = solve_sraar(scenario.observed, run_cfg)
-            finals[fraction * base] = budget_of(img)
-        best_c = min(sorted(finals), key=lambda c: (finals[c], c))
-        assert chosen_c == pytest.approx(best_c, rel=1e-12)
-        assert budget_of(image) == pytest.approx(finals[best_c], rel=1e-9)
-        assert len(trace) == cfg.iterations
-        assert len(estimate.traj) == 64
+            runs[run_cfg.c] = solve_er(scenario.observed, run_cfg)
+        best_c = min(sorted(runs), key=lambda c: (budget_of(runs[c][0]), c))
+        # the chosen run's sparsest P2 output is older than the patience, so a
+        # stop or a sparsest-output rule would change what ER returns
+        assert np.argmin(runs[best_c][2].l1) < cfg.iterations - 1 - _PATIENCE
+        expected, expected_estimate, _ = runs[best_c]
+        assert chosen_c == best_c
+        assert np.array_equal(image, expected)
+        assert np.array_equal(estimate.traj.shifts, expected_estimate.traj.shifts)
+        assert len(trace) == cfg.iterations == trace.returned

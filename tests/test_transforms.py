@@ -9,6 +9,8 @@ from reference_impls import (
     concat_haar_forward,
     direct_centered_dft2,
     loop_haar_forward,
+    roll_dft2,
+    roll_idft2,
     scratch_haar_inverse,
 )
 
@@ -38,6 +40,29 @@ class TestDft2:
         img = random_complex(rng, (n, n))
         assert np.abs(idft2(dft2(img)) - img).max() < 1e-12
         assert np.abs(dft2(idft2(img)) - img).max() < 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        log2_size=st.integers(2, 10),
+        seed=st.integers(0, 2**32 - 1),
+        log10_scale=st.floats(-8.0, 8.0),
+        real=st.booleans(),
+    )
+    def test_bit_identical_to_roll_formula(self, log2_size, seed, log10_scale, real):
+        """The sign flips equal the fftshift / ifftshift rolls value for value."""
+        n = 2**log2_size
+        img = 10.0**log10_scale * random_complex(np.random.default_rng(seed), (n, n))
+        if real:
+            img = img.real
+        assert np.array_equal(dft2(img), roll_dft2(img))
+        assert np.array_equal(idft2(img), roll_idft2(img))
+
+    def test_input_left_untouched(self, rng):
+        img = random_complex(rng, (8, 8))
+        before = img.copy()
+        for transform in (dft2, idft2):
+            out = transform(img)
+            assert out is not img and np.array_equal(img, before)
 
     def test_inner_product_preserved(self, rng):
         x = random_complex(rng, (32, 32))
