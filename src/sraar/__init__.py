@@ -10,29 +10,9 @@ through relaxed averaged alternating reflections (SRAAR).
 from .core import FrequencyGrid, MotionBounds, MotionTrajectory, ReconConfig
 from .fileio import export_pgm, load_array, load_trajectory, save_array, save_trajectory
 from .metrics import EvalReport, image_metrics, trajectory_error
-from .motion import (
-    apply_translation,
-    fold_trajectory,
-    gauge_aligned,
-    invert_translation,
-    naive_reconstruct,
-)
-from .projections import (
-    LineShiftEstimate,
-    MotionEstimate,
-    estimate_line_shift,
-    project_fourier,
-    project_sparse,
-)
-from .simulate import (
-    SHEPP_LOGAN_ELLIPSES,
-    TrajectoryGenConfig,
-    corrupt,
-    generate_trajectory,
-    load_ground_truth,
-    render_ellipses,
-    shepp_logan,
-)
+from .motion import apply_translation, gauge_aligned, invert_translation, naive_reconstruct
+from .projections import MotionEstimate, estimate_line_shift, project_fourier, project_sparse
+from .simulate import TrajectoryGenConfig, corrupt, generate_trajectory, load_ground_truth, shepp_logan
 from .solvers import SolverTrace, solve_er, solve_sraar, tune_sparsity_budget
 from .transforms import WaveletCoeffs, dft2, haar_forward, haar_inverse, idft2, l1_norm
 
@@ -41,12 +21,10 @@ __version__ = "0.1.0"
 __all__ = [
     "EvalReport",
     "FrequencyGrid",
-    "LineShiftEstimate",
     "MotionBounds",
     "MotionEstimate",
     "MotionTrajectory",
     "ReconConfig",
-    "SHEPP_LOGAN_ELLIPSES",
     "SolverTrace",
     "TrajectoryGenConfig",
     "WaveletCoeffs",
@@ -55,7 +33,6 @@ __all__ = [
     "dft2",
     "estimate_line_shift",
     "export_pgm",
-    "fold_trajectory",
     "gauge_aligned",
     "generate_trajectory",
     "haar_forward",
@@ -70,7 +47,6 @@ __all__ = [
     "naive_reconstruct",
     "project_fourier",
     "project_sparse",
-    "render_ellipses",
     "save_array",
     "save_trajectory",
     "shepp_logan",

@@ -63,9 +63,6 @@ def build_parser():
     budget.add_argument("--c", type=float, help="fixed wavelet l1 budget")
     budget.add_argument("--c-grid", help="comma-separated budget fractions in (0, 1) to tune over")
     _add_bounds_args(rec)
-    rec.add_argument("--grid-step", type=float, default=0.25, help="coarse search step in pixels")
-    rec.add_argument("--no-amplitude-replacement", action="store_true",
-                     help="use the raw model spectrum as matched-filter reference")
     rec.add_argument("--threads", type=int, default=0, help="accepted for compatibility; has no effect")
     rec.add_argument("--out-dir", required=True, help="output directory")
     rec.set_defaults(func=cmd_reconstruct)
@@ -143,8 +140,6 @@ def reconstruct_config(args):
         iterations=args.iters,
         c=args.c,
         c_grid=c_grid,
-        amplitude_replacement=not args.no_amplitude_replacement,
-        grid_step=args.grid_step,
         threads=args.threads,
     )
 
@@ -164,9 +159,11 @@ def cmd_reconstruct(args):
     save_array(out / "recon.srr", image)
     save_trajectory(out / "est_trajectory.txt", estimate.traj)
     save_trace_csv(out / "trace.csv", trace)
+    # the misfit row of the iteration whose image was returned
+    misfit = trace.misfit[trace.returned - 1 if trace.returned else -1]
     print(
         f"reconstruct: solver={cfg.solver} c={chosen_c:.6g} iters={len(trace)} "
-        f"returned={trace.returned or 'terminal'} final_misfit={trace.misfit[-1]:.6g} seconds={elapsed:.2f}"
+        f"returned={trace.returned or 'terminal'} final_misfit={misfit:.6g} seconds={elapsed:.2f}"
     )
     return 0
 

@@ -180,8 +180,6 @@ class ReconConfig:
     iterations: int = 100
     c: float | None = None
     c_grid: tuple[float, ...] | None = None
-    amplitude_replacement: bool = True
-    grid_step: float = 0.25
     threads: int = 0
 
     def __post_init__(self):
@@ -208,10 +206,6 @@ class ReconConfig:
             object.__setattr__(self, "c_grid", grid)
         if self.c is not None and self.c_grid is not None:
             raise ValueError("set either c or c_grid, not both")
-        step = float(self.grid_step)
-        if not np.isfinite(step) or step <= 0:
-            raise ValueError(f"grid_step must be positive, got {step}")
-        object.__setattr__(self, "grid_step", step)
         if not isinstance(self.threads, (int, np.integer)) or self.threads < 0:
             raise ValueError(f"threads must be a non-negative integer, got {self.threads!r}")
         object.__setattr__(self, "threads", int(self.threads))

@@ -64,6 +64,10 @@ def project_sparse(m, c):
     return _inverse_levels(coeffs, levels)
 
 
+# coarse readout-shift search step in pixels; quadratic refinement goes below it
+_GRID_STEP = 0.25
+
+
 class LineShiftEstimate(NamedTuple):
     beta_x: float
     beta_y: float
@@ -136,13 +140,14 @@ def _estimate_lines(q, k_y, bounds, step):
     return np.where(live[:, None], np.stack([bx, by], axis=1), 0.0), scores
 
 
-def estimate_line_shift(observed_line, reference_line, k_y, bounds, grid_step=0.25):
+def estimate_line_shift(observed_line, reference_line, k_y, bounds):
     """Estimate the (beta_x, beta_y) translation relating one readout line
     to its reference, with a normalized correlation score in [0, 1].
 
     The two lines must have equal length n; the readout frequencies are
-    those of ``FrequencyGrid(n)``.  Zero-energy lines return (0, 0) with
-    score 0.
+    those of ``FrequencyGrid(n)``.  beta_x is searched on the same
+    quarter-pixel grid as :func:`project_fourier` uses.  Zero-energy lines
+    return (0, 0) with score 0.
     """
     obs = np.asarray(observed_line, dtype=np.complex128).ravel()
     ref = np.asarray(reference_line, dtype=np.complex128).ravel()
@@ -152,10 +157,7 @@ def estimate_line_shift(observed_line, reference_line, k_y, bounds, grid_step=0.
     k_y = float(k_y)
     if not np.isfinite(k_y):
         raise ValueError(f"k_y must be finite, got {k_y}")
-    grid_step = float(grid_step)
-    if not np.isfinite(grid_step) or grid_step <= 0:
-        raise ValueError(f"grid_step must be finite and positive, got {grid_step}")
-    shifts, scores = _estimate_lines((obs * np.conj(ref))[None, :], np.array([k_y]), bounds, grid_step)
+    shifts, scores = _estimate_lines((obs * np.conj(ref))[None, :], np.array([k_y]), bounds, _GRID_STEP)
     return LineShiftEstimate(float(shifts[0, 0]), float(shifts[0, 1]), float(scores[0]))
 
 
@@ -177,29 +179,32 @@ class MotionEstimate:
 
 
 def _matched_filter_input(m, observed, abs_observed):
-    """q = observed * conj(reference), with the reference spectrum dft2(m)
-    amplitude-replaced by ``abs_observed`` unless that is None.
+    """q = observed * conj(reference), the reference carrying the phase of
+    the model spectrum dft2(m) and the observed moduli ``abs_observed``.
 
-    Frequencies where the model vanishes have no phase and give q = 0.
+    A translation changes only the phase of a line, so the motion-free
+    spectrum has the observed moduli and only its phase is unknown: the
+    model supplies that phase (amplitude replacement, as in Fienup, Appl.
+    Opt. 21 (1982)).  Frequencies where the model vanishes have no phase
+    and give q = 0.
     """
     model = dft2(m)
     q = observed * np.conj(model, out=model)
-    if abs_observed is not None:
-        mod = np.abs(model)
-        q *= np.divide(abs_observed, mod, out=np.zeros_like(mod), where=mod > 0)
+    mod = np.abs(model)
+    q *= np.divide(abs_observed, mod, out=np.zeros_like(mod), where=mod > 0)
     return q
 
 
 def project_fourier(m, observed, cfg):
     """Project onto the set of images explaining the observed k-space.
 
-    Builds a reference spectrum from the current image (amplitude-replaced
-    with the observed moduli unless disabled), estimates each line's shift
-    by the matched filter, removes the energy-weighted mean displacement
-    (the unidentifiable global-shift gauge), clamps into bounds, and
-    returns the observation with the estimated motion undone, back in image
-    space, together with the motion estimate.  Frequencies come from the
-    centered grid of the data's side.
+    Builds a reference spectrum with the current image's phase and the
+    observed moduli, estimates each line's shift by the matched filter on a
+    quarter-pixel grid with quadratic refinement, removes the energy-weighted
+    mean displacement (the unidentifiable global-shift gauge), clamps into
+    bounds, and returns the observation with the estimated motion undone,
+    back in image space, together with the motion estimate.  Frequencies
+    come from the centered grid of the data's side.
 
     All lines are estimated in one batched pass; ``cfg.threads`` has no
     effect.
@@ -211,9 +216,9 @@ def project_fourier(m, observed, cfg):
     abs_observed = np.abs(observed)
     energy = np.sum(abs_observed**2, axis=1)
     # q and the spectra behind it die before the translation's temporaries
-    q = _matched_filter_input(m, observed, abs_observed if cfg.amplitude_replacement else None)
+    q = _matched_filter_input(m, observed, abs_observed)
     del abs_observed
-    shifts, scores = _estimate_lines(q, FrequencyGrid(observed.shape[0]).coords, cfg.bounds, cfg.grid_step)
+    shifts, scores = _estimate_lines(q, FrequencyGrid(observed.shape[0]).coords, cfg.bounds, _GRID_STEP)
     del q
     total = energy.sum()
     if total > 0:

@@ -135,13 +135,17 @@ class TestReconstruct:
         line = capsys.readouterr().out
         # fewer iterations than the patience: the sparsest P2 output is returned, none stops
         assert " iters=5 returned=" in line and "returned=terminal" not in line
-        assert "final_misfit=" in line
+        fields = dict(f.split("=", 1) for f in line.split()[1:])
+        assert fields["final_misfit"] == f"{trace['misfit'][int(fields['returned']) - 1]:.6g}"
 
     def test_fixed_budget_summary_names_terminal_pass(self, dataset, tmp_path, capsys):
         rc = main(["reconstruct", "--kspace", str(dataset / "kspace.srr"), "--c", "300",
                    "--out-dir", str(tmp_path / "rec")] + RECON_ARGS)
         assert rc == 0
-        assert " iters=5 returned=terminal " in capsys.readouterr().out
+        line = capsys.readouterr().out
+        assert " iters=5 returned=terminal " in line
+        misfit = load_trace_csv(tmp_path / "rec" / "trace.csv")["misfit"][-1]
+        assert f" final_misfit={misfit:.6g} " in line
 
     def test_deterministic_reruns(self, dataset, tmp_path):
         args = ["reconstruct", "--kspace", str(dataset / "kspace.srr"),
@@ -222,7 +226,7 @@ class TestReconstruct:
         # the readout-shift grid would need more than 128 TiB, which no
         # machine grants
         rc = main(["reconstruct", "--kspace", str(dataset / "kspace.srr"), "--c", "300",
-                   "--iters", "1", "--grid-step", "1e-13", "--out-dir", str(tmp_path / "out")])
+                   "--iters", "1", "--max-shift-x", "1e13", "--out-dir", str(tmp_path / "out")])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("sraar reconstruct:") and err.count("\n") == 1

@@ -99,7 +99,6 @@ class TestReconConfig:
         assert cfg.solver == "sraar"
         assert cfg.theta == 0.9
         assert cfg.iterations == 100
-        assert cfg.amplitude_replacement
 
     @pytest.mark.parametrize("theta", [0.0, -0.1, 1.0001, np.nan])
     def test_theta_range(self, theta):
@@ -130,10 +129,6 @@ class TestReconConfig:
     def test_bad_solver(self):
         with pytest.raises(ValueError):
             ReconConfig(solver="gradient")
-
-    def test_bad_grid_step(self):
-        with pytest.raises(ValueError):
-            ReconConfig(grid_step=0.0)
 
     def test_bad_threads(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,6 @@ from sraar import (
     apply_translation,
     corrupt,
     dft2,
-    fold_trajectory,
     gauge_aligned,
     generate_trajectory,
     haar_forward,
@@ -21,7 +20,7 @@ from sraar import (
     naive_reconstruct,
     shepp_logan,
 )
-from sraar.motion import _line_ramps
+from sraar.motion import _line_ramps, fold_trajectory
 from conftest import random_complex
 from reference_impls import direct_translation
 from scenarios import make_scenario

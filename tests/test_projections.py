@@ -111,11 +111,18 @@ class TestProjectSparse:
     seed=st.integers(0, 2**32 - 1),
     log10_scale=st.floats(-8.0, 8.0),
     budget=st.floats(0.0, 1.0),
+    log10_spread=st.floats(-6.0, 0.0),
 )
-def test_project_sparse_properties(size, seed, log10_scale, budget):
+def test_project_sparse_properties(size, seed, log10_scale, budget, log10_spread):
     """P1 never raises, stays finite and feasible, and is idempotent for any
-    budget between 1e-300 and the input's full wavelet l1 norm."""
-    m = 10.0**log10_scale * random_complex(np.random.default_rng(seed), (size, size))
+    budget between 1e-300 and the input's full wavelet l1 norm.  It is a
+    projection onto a convex set, so it is non-expansive: a second input y at
+    the same scale, from near m to as far as an independent draw, lands no
+    farther from P1(m) than y is from m."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0**log10_scale
+    m = scale * random_complex(rng, (size, size))
+    y = m + 10.0**log10_spread * scale * random_complex(rng, (size, size))
     full = l1_norm(haar_forward(m))
     c = min(full, np.exp((1.0 - budget) * np.log(1e-300) + budget * np.log(full)))
     once = project_sparse(m, c)
@@ -123,6 +130,8 @@ def test_project_sparse_properties(size, seed, log10_scale, budget):
     assert l1_norm(haar_forward(once)) <= c + 1e-9 * full
     twice = project_sparse(once, c)
     assert np.abs(twice - once).max() <= 1e-9 * np.abs(m).max()
+    gap = np.linalg.norm(project_sparse(y, c) - once)
+    assert gap <= np.linalg.norm(y - m) + 1e-12 * scale
 
 
 class TestEstimateLineShift:
@@ -182,9 +191,6 @@ class TestEstimateLineShift:
             estimate_line_shift(line[:32], line, 0.1, bounds)
         with pytest.raises(ValueError, match="power of two"):
             estimate_line_shift(line[:30], line[:30], 0.1, bounds)
-        for step in (0.0, np.inf, np.nan):
-            with pytest.raises(ValueError, match="grid_step"):
-                estimate_line_shift(line, line, 0.1, bounds, grid_step=step)
         for k_y in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="k_y"):
                 estimate_line_shift(line, line, k_y, bounds)
@@ -296,9 +302,7 @@ class TestProjectFourier:
 
     def test_recovers_trajectory_given_true_image(self):
         scenario = make_scenario(128, 0, 3.5)
-        cfg = ReconConfig(
-            bounds=MotionBounds(5.0, 5.0), amplitude_replacement=False, threads=1
-        )
+        cfg = ReconConfig(bounds=MotionBounds(5.0, 5.0), threads=1)
         corrected, est = project_fourier(scenario.gt, scenario.observed, cfg)
         err_x, err_y = trajectory_error(est.traj, scenario.truth, scenario.weights)
         assert err_x <= 0.02
@@ -337,22 +341,19 @@ class TestProjectFourier:
 
     def test_matched_filter_input_matches_reference_chain(self, rng, phantom64):
         """q is observed * conj(reference), the reference carrying the model's
-        phase and, with amplitude replacement, the observed moduli."""
+        phase and the observed moduli."""
         observed = random_complex(rng, (64, 64))
         model = dft2(phantom64)
-        replaced = np.abs(observed) * model / np.abs(model)
-        for reference, moduli in ((replaced, np.abs(observed)), (model, None)):
-            want = observed * np.conj(reference)
-            got = _matched_filter_input(phantom64, observed, moduli)
-            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        want = observed * np.conj(np.abs(observed) * model / np.abs(model))
+        got = _matched_filter_input(phantom64, observed, np.abs(observed))
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
-    @pytest.mark.parametrize("amplitude_replacement", [True, False])
     @pytest.mark.parametrize("observed_zero", [False, True])
-    def test_zero_image_gives_zero_shifts(self, phantom64, amplitude_replacement, observed_zero):
+    def test_zero_image_gives_zero_shifts(self, phantom64, observed_zero):
         """A model spectrum with no phase anywhere gives q = 0 on every line,
         without a 0/0."""
         observed = np.zeros((64, 64), complex) if observed_zero else dft2(phantom64)
-        cfg = ReconConfig(bounds=MotionBounds(5.0, 5.0), amplitude_replacement=amplitude_replacement)
+        cfg = ReconConfig(bounds=MotionBounds(5.0, 5.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             corrected, est = project_fourier(np.zeros((64, 64)), observed, cfg)

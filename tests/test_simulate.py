@@ -4,16 +4,15 @@ import pytest
 from sraar import (
     MotionBounds,
     MotionTrajectory,
-    SHEPP_LOGAN_ELLIPSES,
     TrajectoryGenConfig,
     corrupt,
     dft2,
     generate_trajectory,
     load_ground_truth,
-    render_ellipses,
     save_array,
     shepp_logan,
 )
+from sraar.simulate import SHEPP_LOGAN_ELLIPSES, render_ellipses
 from reference_impls import point_in_ellipse
 
 
