@@ -48,7 +48,6 @@ def build_parser():
     source.add_argument("--input", help="raw array file to use as ground truth")
     sim.add_argument("--size", type=int, default=256, help="phantom side length (power of two)")
     _add_bounds_args(sim)
-    sim.add_argument("--smoothness", type=int, default=8, help="trajectory correlation length in lines")
     sim.add_argument("--snr-db", type=float, default=None, help="add complex white noise at this SNR")
     sim.add_argument("--seed", type=int, default=0, help="random seed")
     sim.add_argument("--out-dir", required=True, help="output directory")
@@ -98,9 +97,7 @@ def cmd_simulate(args):
     # the observation; centering on them keeps gt itself the reconstruction
     # target instead of a subpixel-shifted copy
     energy = np.sum(np.abs(dft2(gt)) ** 2, axis=1)
-    traj = generate_trajectory(
-        TrajectoryGenConfig(bounds, args.smoothness, args.seed), n, gauge_weights=energy
-    )
+    traj = generate_trajectory(TrajectoryGenConfig(bounds, seed=args.seed), n, gauge_weights=energy)
     clean = corrupt(gt, traj)
     observed = corrupt(gt, traj, noise_snr_db=args.snr_db, seed=args.seed) if args.snr_db is not None else clean
     out = Path(args.out_dir)

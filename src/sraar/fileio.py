@@ -68,7 +68,7 @@ def load_array(path):
     expected = rows * cols * np.dtype(dtype).itemsize
     if len(blob) - 13 != expected:
         raise ValueError(f"{path}: payload has {len(blob) - 13} bytes, expected {expected}")
-    data = np.frombuffer(blob[13:], dtype=dtype).reshape(rows, cols)
+    data = np.frombuffer(blob, dtype=dtype, offset=13).reshape(rows, cols)
     if not np.all(np.isfinite(data)):
         raise ValueError(f"{path}: payload contains non-finite values (NaN or Inf)")
     return data.astype(np.float64 if code == _DTYPE_REAL else np.complex128)

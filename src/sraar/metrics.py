@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -53,15 +53,19 @@ def trajectory_error(est, true_traj, weights=None):
     return float(rms[0]), float(rms[1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class EvalReport:
-    """Flat bundle of evaluation numbers; optional entries may be None."""
+    """Flat bundle of evaluation numbers; optional entries may be None.
+
+    Built by keyword only.  The fields are declared in report order, which
+    :meth:`as_dict` and the ``evaluate`` report follow.
+    """
 
     rmse_rel: float
     psnr_db: float
     l1_gt: float
-    l1_recon: float
     l1_corrupted: float | None = None
+    l1_recon: float
     naive_rmse_rel: float | None = None
     traj_rms_x: float | None = None
     traj_rms_y: float | None = None
@@ -70,20 +74,5 @@ class EvalReport:
 
     def as_dict(self):
         """Ordered name -> value mapping with the unset entries dropped."""
-        out = {}
-        for name in (
-            "rmse_rel",
-            "psnr_db",
-            "l1_gt",
-            "l1_corrupted",
-            "l1_recon",
-            "naive_rmse_rel",
-            "traj_rms_x",
-            "traj_rms_y",
-            "iterations",
-            "wall_time_s",
-        ):
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
-        return out
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return {name: value for name, value in values if value is not None}

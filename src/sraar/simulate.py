@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MotionBounds, MotionTrajectory, normalized_line_weights, require_square_image
+from .core import MotionBounds, MotionTrajectory, normalized_line_weights, require_grid_size, require_square_image
+from .fileio import load_array
 from .motion import apply_translation
 from .transforms import dft2
 
@@ -50,8 +51,6 @@ def render_ellipses(n, ellipses):
     Pixel (r, c) is sampled at x = (c - N/2)/(N/2), y = (N/2 - r)/(N/2), so
     the image center pixel (N/2, N/2) sits exactly at the origin.
     """
-    from .core import require_grid_size
-
     n = require_grid_size(n)
     x = (np.arange(n) - n // 2) / (n // 2)
     y = (n // 2 - np.arange(n)) / (n // 2)
@@ -72,8 +71,6 @@ def shepp_logan(n):
 
 def load_ground_truth(path):
     """Load an image file and normalize it to unit maximum modulus."""
-    from .fileio import load_array
-
     img = require_square_image(load_array(path), "ground truth").astype(np.complex128)
     peak = np.abs(img).max()
     if peak == 0:

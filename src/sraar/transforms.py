@@ -70,18 +70,18 @@ class WaveletCoeffs:
 
     ``data`` has the same shape as the source image; the approximation of
     the deepest level occupies the top-left block of side N / 2**levels.
+    The record owns ``data``, a writable complex128 copy of its input that
+    never aliases the caller's array.  :func:`haar_forward` decomposes it in
+    place; nothing writes it afterwards, and :func:`haar_inverse` inverts a copy.
     """
 
     data: np.ndarray
     levels: int
 
     def __post_init__(self):
-        arr = np.array(self.data, dtype=np.complex128, copy=True)
-        require_square_image(arr, "coefficients")
-        levels = _check_levels(arr.shape[0], self.levels)
-        arr.setflags(write=False)
+        arr = require_square_image(np.array(self.data, dtype=np.complex128, copy=True), "coefficients")
         object.__setattr__(self, "data", arr)
-        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "levels", _check_levels(arr.shape[0], self.levels))
 
 
 def _forward_levels(a, levels):
@@ -118,16 +118,16 @@ def haar_forward(img, levels=None):
     side.  ``levels=None`` applies the full depth log2(N).  Both directions
     run the same self-inverse 2x2 butterfly on every level.
     """
-    img = require_square_image(img, "image").astype(np.complex128, copy=True)
-    levels = _check_levels(img.shape[0], levels)
-    return WaveletCoeffs(_forward_levels(img, levels), levels)
+    coeffs = WaveletCoeffs(require_square_image(img, "image"), levels)
+    _forward_levels(coeffs.data, coeffs.levels)
+    return coeffs
 
 
 def haar_inverse(coeffs):
     """Invert :func:`haar_forward`; round trips are exact to float precision."""
     if not isinstance(coeffs, WaveletCoeffs):
         raise ValueError("haar_inverse expects WaveletCoeffs")
-    return _inverse_levels(np.array(coeffs.data, dtype=np.complex128, copy=True), coeffs.levels)
+    return _inverse_levels(coeffs.data.copy(), coeffs.levels)
 
 
 def l1_norm(x):

@@ -121,6 +121,13 @@ class TestSimulate:
             main(["simulate", "--phantom", "shepp-logan"])
         assert exc.value.code == 2
 
+    def test_smoothness_is_not_a_flag(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--phantom", "shepp-logan", "--smoothness", "8",
+                  "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --smoothness 8" in capsys.readouterr().err
+
 
 class TestReconstruct:
     def test_pipeline_outputs(self, dataset, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,6 +99,21 @@ class TestRawArrays:
         save_array(tmp_path / "n.srr", arr)
         with pytest.raises(ValueError, match="non-finite"):
             load_array(tmp_path / "n.srr")
+
+    @pytest.mark.parametrize("n", [256, 512])
+    def test_complex_load_copies_payload_once(self, tmp_path, rng, n):
+        # the file's bytes (half an n x n complex128 array) plus the
+        # complex128 result peak at 1.5 arrays; slicing the header off the
+        # bytes copies the payload once more and peaks at 2.0
+        path = tmp_path / "k.srr"
+        save_array(path, random_complex(rng, (n, n)))
+        tracemalloc.start()
+        try:
+            load_array(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * n * n * 16
 
     @pytest.mark.parametrize("big", [1e39, complex(1.0, -1e39)])
     def test_single_precision_overflow_rejected(self, tmp_path, big):

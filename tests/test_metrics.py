@@ -83,6 +83,10 @@ class TestTrajectoryError:
 
 
 class TestEvalReport:
+    def test_keyword_only(self):
+        with pytest.raises(TypeError):
+            EvalReport(0.01, 40.0, 100.0, 101.0)
+
     def test_as_dict_drops_unset_and_orders(self):
         report = EvalReport(rmse_rel=0.01, psnr_db=40.0, l1_gt=100.0, l1_recon=101.0)
         d = report.as_dict()

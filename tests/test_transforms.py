@@ -157,6 +157,17 @@ class TestHaar:
         with pytest.raises(ValueError):
             WaveletCoeffs(np.zeros((8, 8), complex), 9)
 
+    def test_coeffs_never_alias_their_input(self, rng):
+        img = random_complex(rng, (8, 8))
+        kept = img.copy()
+        assert not np.shares_memory(WaveletCoeffs(img, 2).data, img)
+        coeffs = haar_forward(img)
+        assert not np.shares_memory(coeffs.data, img)
+        assert np.array_equal(img, kept)
+        before = coeffs.data.copy()
+        haar_inverse(coeffs)
+        assert np.array_equal(coeffs.data, before)
+
     def test_inverse_requires_coeffs(self):
         with pytest.raises(ValueError):
             haar_inverse(np.zeros((8, 8)))
