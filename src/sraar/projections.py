@@ -2,7 +2,8 @@
 
 P1 (:func:`project_sparse`) projects onto the set of images whose Haar
 coefficients lie in an l1 ball of radius c: moduli are soft-shrunk by the
-exact threshold found by sorting, phases are preserved.
+exact threshold, phases are preserved.  The solvers run it on Haar
+coefficients directly, as the shrink alone.
 
 P2 (:func:`project_fourier`) projects onto the set of images consistent
 with the observed k-space under some in-bounds per-line translation: each
@@ -13,6 +14,7 @@ clamped, and the observation is un-translated accordingly.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -34,15 +36,46 @@ __all__ = [
 def _l1_ball_threshold(moduli, c):
     """Shrink threshold tau with sum(max(moduli - tau, 0)) == c.
 
-    Sort-and-scan construction; assumes 0 < c < moduli.sum().  A c lost to
-    rounding against the largest modulus passes no index; rho = 0 is the limit.
+    Michelot's finite algorithm (reviewed by Condat, Math. Prog. 158, 2016),
+    in place of sorting every modulus: tau starts as the threshold that
+    keeps every modulus, then each pass drops the moduli at or below it and
+    recomputes it from the rest, until no modulus drops.  tau only rises, so
+    no pass drops a modulus that the final threshold keeps, and each pass
+    scans only the moduli still kept (under 15 passes on 512^2 test
+    distributions).  Assumes 0 < c < moduli.sum().  When rounding loses c
+    against the largest modulus, every modulus drops and the returned tau
+    is that modulus minus c, the limit the sort-and-scan construction
+    takes too.  When c is within a few ulps of the total, the kept moduli
+    summed in another order can fall short of c; tau is then 0, not negative.
     """
-    s = np.sort(moduli)[::-1]
-    cumulative = np.cumsum(s)
-    k = np.arange(1, s.size + 1)
-    passing = np.nonzero(s > (cumulative - c) / k)[0]
-    rho = passing[-1] if passing.size else 0
-    return (cumulative[rho] - c) / (rho + 1.0)
+    active = moduli
+    tau = (active.sum() - c) / active.size
+    while True:
+        kept = active[active > tau]
+        if kept.size in (0, active.size):
+            return max(tau, 0.0)
+        active = kept
+        tau = (active.sum() - c) / active.size
+
+
+def _shrink(coeffs, c):
+    """Nearest point to ``coeffs`` in the l1 ball of radius c, in a new array.
+
+    Moduli are soft-shrunk by the exact threshold and phases are kept: this
+    is P1 on Haar coefficients.
+    """
+    mod = np.abs(coeffs).ravel()
+    if mod.sum() <= c:
+        return coeffs.copy()
+    out = np.zeros_like(coeffs)
+    if c == 0.0:
+        return out
+    tau = _l1_ball_threshold(mod, c)
+    # only the kept coefficients are scaled; the rest stay zero
+    kept = np.flatnonzero(mod > tau)
+    mod = mod[kept]
+    out.reshape(-1)[kept] = coeffs.reshape(-1)[kept] * ((mod - tau) / mod)
+    return out
 
 
 def project_sparse(m, c):
@@ -51,17 +84,13 @@ def project_sparse(m, c):
     c = float(c)
     if not np.isfinite(c) or c < 0:
         raise ValueError(f"sparsity budget c must be finite and >= 0, got {c}")
-    if c == 0.0:
-        return np.zeros_like(m)
     levels = int(np.log2(m.shape[0]))
     coeffs = _forward_levels(m.copy(), levels)
-    mod = np.abs(coeffs)
-    if mod.sum() <= c:
+    if np.abs(coeffs).sum() <= c:
         return m.copy()
-    tau = _l1_ball_threshold(mod.ravel(), c)
-    coeffs *= np.divide(np.maximum(mod - tau, 0.0), mod, out=np.zeros_like(mod), where=mod > 0)
-    del mod
-    return _inverse_levels(coeffs, levels)
+    shrunk = _shrink(coeffs, c)
+    del coeffs
+    return _inverse_levels(shrunk, levels)
 
 
 # coarse readout-shift search step in pixels; quadratic refinement goes below it
@@ -84,6 +113,19 @@ def _axis_points(bound, step):
     pts = step * np.arange(-(n + 1), n + 2)
     inner = np.abs(pts) <= bound + 1e-12
     return pts, inner
+
+
+@functools.lru_cache(maxsize=8)
+def _coarse_basis(bound, step, n):
+    """Read-only ramps exp(2i*pi*k*x) of the readout-shift grid points x
+    that :func:`_axis_points` gives for (bound, step), one row per point.
+
+    They depend only on the bounds and the side, so each P2 call of a solve
+    reuses one build.
+    """
+    basis = _line_ramps(_axis_points(bound, step)[0], 0.0, n)
+    basis.setflags(write=False)
+    return basis
 
 
 def _peak(f, inner, pts, step):
@@ -127,7 +169,7 @@ def _estimate_lines(q, k_y, bounds, step):
     x_pts, x_inner = _axis_points(bounds.max_abs_x, step)
     turn = 2.0 * np.pi * k_y
     reach = np.where(k_y == 0.0, np.pi, np.minimum(np.abs(turn) * bounds.max_abs_y, np.pi))
-    profile, _ = _best_phase(q @ _line_ramps(x_pts, 0.0, n).T, reach[:, None])
+    profile, _ = _best_phase(q @ _coarse_basis(bounds.max_abs_x, step, n).T, reach[:, None])
     bx = np.clip(_peak(profile, x_inner, x_pts, step), -bounds.max_abs_x, bounds.max_abs_x)
     ramp = _line_ramps(bx, 0.0, n)
     corr, phi = _best_phase((q[:, None, :] @ ramp[:, :, None])[:, 0, 0], reach)

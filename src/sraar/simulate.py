@@ -75,7 +75,8 @@ def load_ground_truth(path):
     peak = np.abs(img).max()
     if peak == 0:
         raise ValueError(f"ground truth in {path} is identically zero")
-    return img / peak
+    img /= peak
+    return img
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,15 @@ per iteration and shared between both terms, and a terminal P2 pass makes
 the returned image data-consistent.  The DFT and the translations are
 unitary, so the data misfit equals ||P2 output - P1 output|| in image space.
 
+The full-depth Haar transform W is orthonormal, so W P1 W^T is the shrink
+of Haar coefficients onto the l1 ball, and both solvers iterate on
+coefficients.  An iteration makes one forward pass, W of the P2 output
+(whose l1 norm the trace records), and one inverse pass, to the image that
+P2 takes next: SRAAR reflects, shrinks and relaxes the coefficients and
+inverts the result; ER shrinks them and inverts the shrunk ones.  SRAAR
+measures the misfit between coefficients and ER between images, which
+orthonormality makes equal.
+
 Every P2 output is a compensated image: the observation with one estimated
 motion undone.  The trace records the wavelet l1 norm of each one.  Budget
 tuning keeps the maximally sparse compensated image: each SRAAR candidate
@@ -31,8 +40,8 @@ import numpy as np
 
 from .core import SOLVER_ER, SOLVER_SRAAR
 from .motion import naive_reconstruct
-from .projections import project_fourier, project_sparse
-from .transforms import haar_forward, l1_norm
+from .projections import _shrink, project_fourier
+from .transforms import _inverse_levels, haar_forward, l1_norm
 
 __all__ = ["SolverTrace", "solve_er", "solve_sraar", "tune_sparsity_budget"]
 
@@ -49,8 +58,10 @@ class SolverTrace:
 
     ``misfit[j]`` is the Frobenius distance between the observation and the
     translated spectrum of iteration j's sparsity-projected image under
-    iteration j's motion estimate.  By unitarity it is computed as the
-    image-space distance between iteration j's P2 and P1 outputs.
+    iteration j's motion estimate.  By unitarity it equals the distance
+    between iteration j's P2 and P1 outputs, which SRAAR computes between
+    their Haar coefficients and ER between the images; the orthonormal Haar
+    transform makes the two equal.
     ``l1[j]`` is the Haar l1 norm of iteration j's P2 output, the
     observation with iteration j's motion estimate undone; for ER that is
     the iterate itself.  ``returned`` is the 1-based iteration whose P2
@@ -86,46 +97,62 @@ def _require_finite(observed):
         raise ValueError("observed k-space contains non-finite values (NaN or Inf)")
 
 
-def _er_step(m, observed, cfg, c):
-    sparse = project_sparse(m, c)
+def _image(w):
+    """W^T w, the image of full-depth Haar coefficients, computed in w's buffer."""
+    return _inverse_levels(w, int(np.log2(w.shape[0])))
+
+
+def _er_step(w, m, observed, cfg, c):
+    sparse = _image(_shrink(w, c))
     p2, estimate = project_fourier(sparse, observed, cfg)
-    return p2, p2, sparse, estimate
+    wp2 = haar_forward(p2).data
+    return wp2, p2, p2, estimate, np.linalg.norm(p2 - sparse), l1_norm(wp2)
 
 
-def _sraar_step(m, observed, cfg, c):
+def _sraar_step(w, m, observed, cfg, c):
     p2, estimate = project_fourier(m, observed, cfg)
-    r2 = 2.0 * p2
-    r2 -= m
-    sparse = project_sparse(r2, c)
-    # (theta/2) * (R1 R2 m + m) + (1 - theta) * P2 m, built in r2's buffer,
-    # which saves the solve two n x n temporaries at its memory peak; the
-    # operations run in that expression's order, so they round the same
-    nxt = np.subtract(2.0 * sparse, r2, out=r2)
-    nxt += m
+    wp2 = haar_forward(p2).data
+    l1 = l1_norm(wp2)
+    wr2 = 2.0 * wp2
+    wr2 -= w
+    ws = _shrink(wr2, c)
+    misfit = np.linalg.norm(wp2 - ws)
+    # (theta/2) * (2 ws - wr2 + w) + (1 - theta) * wp2, built in wr2's buffer
+    # with ws and wp2 scaled in place and dropped before the inverse pass,
+    # which saves the solve n x n arrays at its memory peak; the operations
+    # run in that expression's order, so they round the same
+    ws *= 2.0
+    nxt = np.subtract(ws, wr2, out=wr2)
+    del ws
+    nxt += w
     nxt *= 0.5 * cfg.theta
-    nxt += (1.0 - cfg.theta) * p2
-    return nxt, p2, sparse, estimate
+    wp2 *= 1.0 - cfg.theta
+    nxt += wp2
+    del wp2
+    return nxt, _image(nxt.copy()), p2, estimate, misfit, l1
 
 
 def _iterate(observed, cfg, solver, step, patience=None):
     """Run ``step`` up to cfg.iterations times from the naive reconstruction.
 
-    ``step`` returns (next iterate, P2 output, P1 output, motion estimate).
-    Without ``patience`` the last iterate is returned, after a terminal P2
-    pass when it is not a P2 output.  With ``patience`` the sparsest P2
-    output (the first of equals) is returned with its estimate, and the run
-    stops once that output is ``patience`` iterations old.
+    The iterate is carried as its Haar coefficients w together with its
+    image m.  ``step`` returns (next w, next m, P2 output, motion estimate,
+    misfit, Haar l1 of the P2 output).  Without ``patience`` the last
+    iterate is returned, after a terminal P2 pass when it is not a P2
+    output.  With ``patience`` the sparsest P2 output (the first of equals)
+    is returned with its estimate, and the run stops once that output is
+    ``patience`` iterations old.
     """
     c = _require_fixed_budget(cfg, solver)
     _require_finite(observed)
     trace = SolverTrace()
     m = naive_reconstruct(observed)
+    w = haar_forward(m).data
     kept = None
     for iteration in range(1, cfg.iterations + 1):
         start = time.perf_counter()
-        m, p2, sparse, estimate = step(m, observed, cfg, c)
-        l1 = l1_norm(haar_forward(p2))
-        trace.append(np.linalg.norm(p2 - sparse), l1, time.perf_counter() - start)
+        w, m, p2, estimate, misfit, l1 = step(w, m, observed, cfg, c)
+        trace.append(misfit, l1, time.perf_counter() - start)
         if patience is None:
             continue
         if kept is None or l1 < trace.l1[trace.returned - 1]:

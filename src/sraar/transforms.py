@@ -56,12 +56,21 @@ def _check_levels(n, levels):
     return int(levels)
 
 
-def _butterfly(a, b, c, d):
+def _butterfly(a, b, c, d, out):
     """Orthonormal Haar step on the 2x2 blocks [[a, b], [c, d]]: pair (a, b) and
-    (c, d), then pair the two sums and the two differences.  It is its own inverse."""
+    (c, d), then pair the two sums and the two differences.  It is its own inverse.
+
+    The four results go into the four arrays of ``out``, which may overlap
+    the inputs: the inputs are read in full before the first result is written.
+    """
     p, q = (a + b) * _INV_SQRT2, (a - b) * _INV_SQRT2
     r, t = (c + d) * _INV_SQRT2, (c - d) * _INV_SQRT2
-    return (p + r) * _INV_SQRT2, (q + t) * _INV_SQRT2, (p - r) * _INV_SQRT2, (q - t) * _INV_SQRT2
+    np.add(p, r, out=out[0])
+    np.add(q, t, out=out[1])
+    np.subtract(p, r, out=out[2])
+    np.subtract(q, t, out=out[3])
+    for dst in out:
+        dst *= _INV_SQRT2
 
 
 @dataclass(frozen=True)
@@ -90,7 +99,7 @@ def _forward_levels(a, levels):
         h = a.shape[0] >> (level + 1)
         blk = a[: 2 * h, : 2 * h]
         cells = blk[0::2, 0::2], blk[0::2, 1::2], blk[1::2, 0::2], blk[1::2, 1::2]
-        blk[:h, :h], blk[:h, h:], blk[h:, :h], blk[h:, h:] = _butterfly(*cells)
+        _butterfly(*cells, (blk[:h, :h], blk[:h, h:], blk[h:, :h], blk[h:, h:]))
     return a
 
 
@@ -106,7 +115,7 @@ def _inverse_levels(a, levels):
         h = a.shape[0] >> (level + 1)
         blk = a[: 2 * h, : 2 * h]
         quads = blk[:h, :h], blk[h:, :h], blk[:h, h:], blk[h:, h:]
-        blk[0::2, 0::2], blk[1::2, 0::2], blk[0::2, 1::2], blk[1::2, 1::2] = _butterfly(*quads)
+        _butterfly(*quads, (blk[0::2, 0::2], blk[1::2, 0::2], blk[0::2, 1::2], blk[1::2, 1::2]))
     return a
 
 

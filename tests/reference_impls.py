@@ -9,7 +9,9 @@ it solved b_y in closed form.  The Haar level loops built from
 before both directions shared one 2x2 butterfly; its output must stay equal
 to theirs bit for bit.  The same holds for the centered DFT built from
 ``np.roll`` shifts around the FFT, which the package used before it moved
-both origins with checkerboard sign flips.
+both origins with checkerboard sign flips.  The l1-ball threshold found by
+sorting every modulus is the one the package used before it switched to
+Michelot's algorithm.
 """
 
 import numpy as np
@@ -139,6 +141,22 @@ def scan_l1_projection(values, c, n_scan=4001, bisections=80):
     tau = 0.5 * (lo + hi)
     scale = np.where(mod > 0, np.maximum(mod - tau, 0.0) / np.where(mod > 0, mod, 1.0), 0.0)
     return values * scale
+
+
+def sort_scan_l1_threshold(moduli, c):
+    """Shrink threshold tau with sum(max(moduli - tau, 0)) == c, by sorting.
+
+    The construction the package used before Michelot's algorithm: the
+    largest rho whose sorted modulus exceeds (its prefix sum - c) / rho
+    fixes tau.  Assumes 0 < c < moduli.sum(); when rounding loses c
+    against the largest modulus no index passes, and the first is the limit.
+    """
+    s = np.sort(moduli)[::-1]
+    cumulative = np.cumsum(s)
+    k = np.arange(1, s.size + 1)
+    passing = np.nonzero(s > (cumulative - c) / k)[0]
+    rho = passing[-1] if passing.size else 0
+    return (cumulative[rho] - c) / (rho + 1.0)
 
 
 def loop_rmse_metrics(x, gt):

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sraar import (
@@ -22,9 +22,22 @@ from sraar import (
     shepp_logan,
     trajectory_error,
 )
-from sraar.projections import _estimate_lines, _matched_filter_input
+from sraar.motion import _line_ramps
+from sraar.projections import (
+    _axis_points,
+    _coarse_basis,
+    _estimate_lines,
+    _l1_ball_threshold,
+    _matched_filter_input,
+    _shrink,
+)
 from conftest import random_complex
-from reference_impls import loop_estimate_lines, loop_haar_forward, scan_l1_projection
+from reference_impls import (
+    loop_estimate_lines,
+    loop_haar_forward,
+    scan_l1_projection,
+    sort_scan_l1_threshold,
+)
 from scenarios import make_scenario
 
 
@@ -87,11 +100,10 @@ class TestProjectSparse:
         assert l1_norm(haar_forward(out)) <= c
 
     def test_peak_memory_of_one_call(self, rng):
-        # measured 3.56 n x n complex arrays at 256^2: one writable copy of
-        # the image is decomposed, shrunk and inverted in place, so the
-        # threshold's moduli and sort temporaries set the peak.  One more
-        # copy of the coefficients before the inverse peaks at 4.00 and fails
-        # the bound, as do the two copies before (6.00)
+        # measured 2.64 n x n complex arrays at 256^2 (2.72 at 512^2): the
+        # coefficients, their moduli and the shrunk copy, which the
+        # coefficients leave before it is inverted in place.  P1 peaked at
+        # 3.56 while it sorted every modulus, and at 6.00 with two copies
         n = 256
         m = shepp_logan(n) + 0.01 * random_complex(rng, (n, n))
         c = 0.5 * l1_norm(haar_forward(m))
@@ -132,6 +144,65 @@ def test_project_sparse_properties(size, seed, log10_scale, budget, log10_spread
     assert np.abs(twice - once).max() <= 1e-9 * np.abs(m).max()
     gap = np.linalg.norm(project_sparse(y, c) - once)
     assert gap <= np.linalg.norm(y - m) + 1e-12 * scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    size=st.integers(4, 512),
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.sampled_from([0, 1, 3, 50]),
+    zero_fraction=st.floats(0.0, 0.95),
+    budget=st.floats(0.0, 1.0),
+    from_top=st.booleans(),
+)
+@example(size=4, seed=0, steps=1, zero_fraction=0.0, budget=0.0, from_top=False)
+@example(size=512, seed=1, steps=1, zero_fraction=0.0, budget=0.0, from_top=True)
+@example(size=512, seed=2, steps=0, zero_fraction=0.9, budget=0.0, from_top=True)
+def test_l1_ball_threshold_matches_sort_and_scan(size, seed, steps, zero_fraction, budget, from_top):
+    """Michelot's threshold equals the sort-and-scan one for moduli with ties
+    (``steps`` > 0 rounds them to multiples of 1/steps; 1 makes most equal)
+    and zeros, and for budgets from 1e-300, lost to rounding against the
+    largest modulus, up to within 1e-15 of the total.  Both sum the moduli
+    above tau in different orders, so they agree to a few ulps of the
+    largest modulus; the shrunk moduli sum to c."""
+    rng = np.random.default_rng(seed)
+    moduli = rng.exponential(size=size)
+    if steps:
+        moduli = np.ceil(moduli * steps) / steps
+    moduli[rng.random(size) < zero_fraction] = 0.0
+    total = moduli.sum()
+    assume(total > 0.0)
+    if from_top:
+        c = total * (1.0 - 10.0 ** (-15.0 * (1.0 - budget)))
+    else:
+        c = np.exp((1.0 - budget) * np.log(1e-300) + budget * np.log(total))
+    assume(0.0 < c < total)
+    tau = _l1_ball_threshold(moduli, c)
+    assert 0.0 <= tau <= moduli.max()
+    assert abs(tau - sort_scan_l1_threshold(moduli, c)) <= 1e-12 * moduli.max()
+    assert abs(np.maximum(moduli - tau, 0.0).sum() - c) <= 1e-12 * size * moduli.max()
+
+
+def test_budget_an_ulp_below_the_total():
+    # the moduli above the first threshold, summed in another order than
+    # the total, can fall short of c, which would make tau negative and
+    # divide the zero moduli by zero; seeds 45 and 145 did
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        mod = rng.exponential(size=64)
+        mod[::2] = 0.0
+        c = np.nextafter(mod.sum(), 0.0)
+        assert _l1_ball_threshold(mod, c) >= 0.0
+        coeffs = (mod * np.exp(1j * rng.uniform(-np.pi, np.pi, 64))).reshape(8, 8)
+        assert np.all(np.isfinite(_shrink(coeffs, c)))
+
+
+@pytest.mark.parametrize("bound, step, n", [(0.0, 0.25, 8), (1.0, 0.25, 512), (5.0, 0.25, 256), (2.3, 0.7, 64)])
+def test_coarse_basis_is_the_fresh_build(bound, step, n):
+    basis = _coarse_basis(bound, step, n)
+    assert np.array_equal(basis, _line_ramps(_axis_points(bound, step)[0], 0.0, n))
+    assert _coarse_basis(bound, step, n) is basis
+    assert not basis.flags.writeable
 
 
 class TestEstimateLineShift:

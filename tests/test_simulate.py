@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,20 @@ class TestLoadGroundTruth(object):
         save_array(path, np.zeros((8, 8), dtype=np.complex128))
         with pytest.raises(ValueError):
             load_ground_truth(path)
+
+    @pytest.mark.parametrize("n", [256, 512])
+    def test_peak_memory_of_one_real_load(self, tmp_path, n):
+        # the complex128 copy and the moduli for the peak search peak at 1.5
+        # n x n complex arrays; dividing into a second copy peaks at 2.0
+        path = tmp_path / "gt.srr"
+        save_array(path, 3.0 * shepp_logan(n).real)
+        tracemalloc.start()
+        try:
+            load_ground_truth(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * n * n * 16
 
 
 class TestGenerateTrajectory:

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -18,12 +19,20 @@ from sraar import (
     solve_sraar,
     tune_sparsity_budget,
 )
+from sraar import projections, solvers, transforms
+from sraar.projections import _shrink
 from sraar.solvers import _PATIENCE, _SOLVER_FUNCS, SolverTrace
+from sraar.transforms import _inverse_levels
 from scenarios import make_scenario
 
 
 def budget_of(img):
     return l1_norm(haar_forward(img))
+
+
+def image_of(w):
+    """The image of full-depth Haar coefficients, as the solvers compute it."""
+    return _inverse_levels(w.copy(), int(np.log2(w.shape[0])))
 
 
 class TestConfigHandling:
@@ -92,6 +101,69 @@ class TestThetaOneReduction:
             m = 0.5 * (r1r2 + m)
         expected, _ = project_fourier(m, scenario.observed, cfg)
         assert np.abs(image - expected).max() <= 1e-10
+
+
+class TestRelaxedComposition:
+    def test_matches_composition_of_public_projections(self):
+        # theta = 0.9 relaxes towards P2 m; the solver runs on Haar
+        # coefficients, the replay on images through the public projections
+        scenario = make_scenario(16, 5, 1.0, solver_bound=2.0)
+        cfg = ReconConfig(solver="sraar", bounds=MotionBounds(2.0, 2.0), theta=0.9,
+                          c=0.5 * budget_of(naive_reconstruct(scenario.observed)),
+                          iterations=3, threads=1)
+        image, _, _ = solve_sraar(scenario.observed, cfg)
+
+        m = naive_reconstruct(scenario.observed)
+        for _ in range(cfg.iterations):
+            p2, _ = project_fourier(m, scenario.observed, cfg)
+            r2 = 2.0 * p2 - m
+            r1r2 = 2.0 * project_sparse(r2, cfg.c) - r2
+            m = 0.5 * cfg.theta * (r1r2 + m) + (1.0 - cfg.theta) * p2
+        expected, _ = project_fourier(m, scenario.observed, cfg)
+        assert np.abs(image - expected).max() <= 1e-10
+
+
+class TestIterationCost:
+    @pytest.mark.parametrize("solver, solve", [("er", solve_er), ("sraar", solve_sraar)])
+    def test_two_haar_passes_per_iteration(self, monkeypatch, solver, solve):
+        # one forward pass of the P2 output and one inverse pass to P2's
+        # next input per iteration; the start and the end add O(1)
+        passes = []
+        for name in ("_forward_levels", "_inverse_levels"):
+            levels_fn = getattr(transforms, name)
+
+            def counted(a, levels, levels_fn=levels_fn):
+                passes.append(levels)
+                return levels_fn(a, levels)
+
+            for module in (transforms, projections, solvers):
+                monkeypatch.setattr(module, name, counted, raising=False)
+        scenario = make_scenario(16, 6, 1.0, solver_bound=2.0)
+        counts = {}
+        for k in (3, 6):
+            cfg = ReconConfig(solver=solver, bounds=MotionBounds(2.0, 2.0), iterations=k,
+                              c=0.5 * budget_of(naive_reconstruct(scenario.observed)), threads=1)
+            passes.clear()
+            solve(scenario.observed, cfg)
+            counts[k] = len(passes)
+        assert counts[6] - counts[3] == 2 * 3
+        assert counts[3] <= 2 * 3 + 2
+
+    def test_peak_memory_of_one_sraar_solve(self):
+        # measured 8.02 n x n complex arrays at 256^2, half an array below
+        # the bound; the parent, which ran P1 on images, peaked at 8.58
+        n = 256
+        scenario = make_scenario(n, 4, 5.0)
+        cfg = ReconConfig(solver="sraar", bounds=MotionBounds(5.0, 5.0), iterations=3,
+                          c=0.5 * budget_of(naive_reconstruct(scenario.observed)), threads=1)
+        solve_sraar(scenario.observed, cfg)
+        tracemalloc.start()
+        try:
+            solve_sraar(scenario.observed, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (8.02 + 0.5) * n * n * 16
 
 
 class TestSolverBehaviour:
@@ -167,14 +239,16 @@ class TestSharedDriver:
         cfg = self.config(scenario, "sraar")
         observed = scenario.observed
         m = naive_reconstruct(observed)
+        w = haar_forward(m).data
         misfit, l1 = [], []
         for _ in range(cfg.iterations):
             p2, estimate = project_fourier(m, observed, cfg)
-            r2 = 2.0 * p2 - m
-            sparse = project_sparse(r2, cfg.c)
-            r1r2 = 2.0 * sparse - r2
-            m = 0.5 * cfg.theta * (r1r2 + m) + (1.0 - cfg.theta) * p2
-            misfit.append(old_misfit(observed, sparse, estimate))
+            wp2 = haar_forward(p2).data
+            wr2 = 2.0 * wp2 - w
+            ws = _shrink(wr2, cfg.c)
+            w = 0.5 * cfg.theta * (2.0 * ws - wr2 + w) + (1.0 - cfg.theta) * wp2
+            m = image_of(w)
+            misfit.append(old_misfit(observed, image_of(ws), estimate))
             l1.append(budget_of(p2))
         expected, estimate = project_fourier(m, observed, cfg)
         self.check(solve_sraar(observed, cfg), expected, estimate, misfit, l1, None)
@@ -197,17 +271,19 @@ def replay_sraar_candidate(observed, cfg):
     Returns (best l1, P2 output, estimate, its iteration, iterations run).
     """
     m = naive_reconstruct(observed)
+    w = haar_forward(m).data
     best = None
     for iteration in range(1, cfg.iterations + 1):
         p2, estimate = project_fourier(m, observed, cfg)
-        l1 = budget_of(p2)
+        wp2 = haar_forward(p2).data
+        l1 = l1_norm(wp2)
         if best is None or l1 < best[0]:
             best = (l1, p2, estimate, iteration)
         elif iteration - best[3] >= _PATIENCE:
             return (*best, iteration)
-        r2 = 2.0 * p2 - m
-        r1r2 = 2.0 * project_sparse(r2, cfg.c) - r2
-        m = 0.5 * cfg.theta * (r1r2 + m) + (1.0 - cfg.theta) * p2
+        wr2 = 2.0 * wp2 - w
+        w = 0.5 * cfg.theta * (2.0 * _shrink(wr2, cfg.c) - wr2 + w) + (1.0 - cfg.theta) * wp2
+        m = image_of(w)
     return (*best, cfg.iterations)
 
 

@@ -68,9 +68,10 @@ def replay_seed(sraar, name, seed):
     candidates = []
     for fraction in sorted(cfg.c_grid):
         c = fraction * base
-        m, rows = naive, []
+        # the solver's own step, which carries Haar coefficients and image
+        w, m, rows = sraar.haar_forward(naive).data, naive, []
         for _ in range(cfg.iterations):
-            m, p2, _, estimate = _sraar_step(m, observed, cfg, c)
+            w, m, p2, estimate, _, _ = _sraar_step(w, m, observed, cfg, c)
             rows.append(record(p2, estimate))
         terminal = record(*sraar.project_fourier(m, observed, cfg))
         candidates.append((fraction, np.array(rows), terminal))
