@@ -17,7 +17,6 @@ from .fileio import (
     load_trace_csv,
     load_trajectory,
     save_array,
-    save_report,
     save_trace_csv,
     save_trajectory,
 )
@@ -62,7 +61,6 @@ def build_parser():
     budget.add_argument("--c", type=float, help="fixed wavelet l1 budget")
     budget.add_argument("--c-grid", help="comma-separated budget fractions in (0, 1) to tune over")
     _add_bounds_args(rec)
-    rec.add_argument("--threads", type=int, default=0, help="accepted for compatibility; has no effect")
     rec.add_argument("--out-dir", required=True, help="output directory")
     rec.set_defaults(func=cmd_reconstruct)
 
@@ -104,7 +102,8 @@ def cmd_simulate(args):
     out.mkdir(parents=True, exist_ok=True)
     # save_array may refuse the k-space; written first, a refusal writes nothing
     save_array(out / "kspace.srr", observed)
-    save_array(out / "ground_truth.srr", gt.real)
+    # a real image is stored as float32; a complex one keeps its phase
+    save_array(out / "ground_truth.srr", gt if np.any(gt.imag) else gt.real)
     save_trajectory(out / "trajectory.txt", traj)
     l1_gt = l1_norm(haar_forward(gt))
     l1_corrupted = l1_norm(haar_forward(naive_reconstruct(observed)))
@@ -137,7 +136,6 @@ def reconstruct_config(args):
         iterations=args.iters,
         c=args.c,
         c_grid=c_grid,
-        threads=args.threads,
     )
 
 
@@ -166,6 +164,8 @@ def cmd_reconstruct(args):
 
 
 def cmd_evaluate(args):
+    if (args.est_traj is None) != (args.true_traj is None):
+        raise ValueError("--est-traj and --true-traj go together: give both or neither")
     recon = load_array(args.recon)
     gt = load_ground_truth(args.gt)
     rmse_rel, psnr_db = image_metrics(recon, gt)
@@ -182,7 +182,7 @@ def cmd_evaluate(args):
         values["l1_corrupted"] = l1_norm(haar_forward(naive))
         values["naive_rmse_rel"] = image_metrics(naive, gt)[0]
         weights = np.sum(np.abs(observed) ** 2, axis=1)
-    if args.est_traj is not None and args.true_traj is not None:
+    if args.est_traj is not None:
         est = load_trajectory(args.est_traj)
         true_traj = load_trajectory(args.true_traj)
         # global shift and phase-encode aliases are invisible in the data, so
@@ -193,10 +193,10 @@ def cmd_evaluate(args):
         trace = load_trace_csv(args.trace)
         values["iterations"] = int(trace["iter"].size)
         values["wall_time_s"] = float(trace["seconds"].sum())
-    report = EvalReport(**values)
-    sys.stdout.write(format_report(report))
+    text = format_report(EvalReport(**values))
+    sys.stdout.write(text)
     if args.out is not None:
-        save_report(args.out, report)
+        Path(args.out).write_text(text)
     return 0
 
 

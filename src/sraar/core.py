@@ -18,6 +18,7 @@ __all__ = [
     "MotionBounds",
     "MotionTrajectory",
     "ReconConfig",
+    "require_budget",
     "require_grid_size",
     "require_square_image",
 ]
@@ -44,6 +45,14 @@ def require_square_image(arr, name="array"):
         raise ValueError(f"{name} must be square 2-D, got shape {a.shape}")
     require_grid_size(a.shape[0])
     return a
+
+
+def require_budget(c):
+    """Validate a wavelet-l1 budget: finite and non-negative; returns a float."""
+    c = float(c)
+    if not np.isfinite(c) or c < 0:
+        raise ValueError(f"sparsity budget c must be finite and >= 0, got {c}")
+    return c
 
 
 def normalized_line_weights(weights, n_lines):
@@ -158,9 +167,6 @@ class MotionTrajectory:
             raise ValueError("trajectory lengths differ")
         return MotionTrajectory(self.shifts + other.shifts)
 
-    def __sub__(self, other):
-        return self + (-other)
-
 
 @dataclass(frozen=True)
 class ReconConfig:
@@ -171,7 +177,8 @@ class ReconConfig:
     tuning) may be set.  ``theta`` is the relaxation parameter of the
     reflection solver; ``theta == 1`` gives plain averaged alternating
     reflections.  ``threads`` has no effect: P2 estimates every line in one
-    batched pass.  It is still accepted and validated.
+    batched pass.  It is kept, validated, only because the benchmark's traced
+    run replays P2 with ``threads=1``; nothing in the package reads it.
     """
 
     bounds: MotionBounds = MotionBounds(5.0, 5.0)
@@ -193,10 +200,7 @@ class ReconConfig:
             raise ValueError(f"iterations must be a positive integer, got {self.iterations!r}")
         object.__setattr__(self, "iterations", int(self.iterations))
         if self.c is not None:
-            c = float(self.c)
-            if not np.isfinite(c) or c < 0:
-                raise ValueError(f"sparsity budget c must be finite and >= 0, got {c}")
-            object.__setattr__(self, "c", c)
+            object.__setattr__(self, "c", require_budget(self.c))
         if self.c_grid is not None:
             grid = tuple(float(f) for f in self.c_grid)
             if len(grid) == 0:

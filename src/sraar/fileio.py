@@ -26,7 +26,6 @@ __all__ = [
     "load_trace_csv",
     "load_trajectory",
     "save_array",
-    "save_report",
     "save_trace_csv",
     "save_trajectory",
 ]
@@ -147,16 +146,11 @@ def export_pgm(path, arr):
 
 
 def format_report(report):
-    """Render an EvalReport (or plain mapping) as key=value lines."""
-    mapping = report.as_dict() if hasattr(report, "as_dict") else dict(report)
+    """Render an EvalReport as key=value lines."""
     lines = []
-    for name, value in mapping.items():
+    for name, value in report.as_dict().items():
         if isinstance(value, float):
             lines.append(f"{name}={value:.12g}")
         else:
             lines.append(f"{name}={value}")
     return "\n".join(lines) + "\n"
-
-
-def save_report(path, report):
-    Path(path).write_text(format_report(report))

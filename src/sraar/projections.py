@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import FrequencyGrid, MotionTrajectory, require_grid_size, require_square_image
+from .core import FrequencyGrid, MotionTrajectory, require_budget, require_grid_size, require_square_image
 from .motion import _line_ramps, invert_translation
 from .transforms import _forward_levels, _inverse_levels, dft2, idft2
 
@@ -81,9 +81,7 @@ def _shrink(coeffs, c):
 def project_sparse(m, c):
     """Project an image onto {m : ||haar(m)||_1 <= c} (full-depth Haar), preserving phases."""
     m = require_square_image(m, "image").astype(np.complex128, copy=False)
-    c = float(c)
-    if not np.isfinite(c) or c < 0:
-        raise ValueError(f"sparsity budget c must be finite and >= 0, got {c}")
+    c = require_budget(c)
     levels = int(np.log2(m.shape[0]))
     coeffs = _forward_levels(m.copy(), levels)
     if np.abs(coeffs).sum() <= c:

@@ -26,7 +26,7 @@ def dataset(tmp_path_factory):
 
 RECON_ARGS = [
     "--max-shift-x", "2", "--max-shift-y", "2",
-    "--iters", "5", "--threads", "1",
+    "--iters", "5",
 ]
 
 
@@ -65,7 +65,25 @@ class TestSimulate:
         rc = main(["simulate", "--input", str(src), "--out-dir", str(tmp_path / "out")])
         assert rc == 0
         stored = load_array(tmp_path / "out" / "ground_truth.srr")
+        assert not np.iscomplexobj(stored)  # a real image stays float32
         assert stored.max() == pytest.approx(1.0, abs=1e-6)  # normalized before use
+
+    def test_complex_input_is_stored_with_its_phase(self, tmp_path, capsys):
+        # evaluate must score against the image that was simulated, not its
+        # real part
+        n = 32
+        ramp = np.exp(2j * np.pi * np.arange(n) / n)
+        gt = shepp_logan(n) * ramp[:, None]
+        src = tmp_path / "gt.srr"
+        save_array(src, gt)
+        assert main(["simulate", "--input", str(src), "--out-dir", str(tmp_path / "out")]) == 0
+        stored = load_array(tmp_path / "out" / "ground_truth.srr")
+        np.testing.assert_allclose(stored, gt, rtol=0.0, atol=1e-6)
+        capsys.readouterr()
+        assert main(["evaluate", "--recon", str(src),
+                     "--gt", str(tmp_path / "out" / "ground_truth.srr")]) == 0
+        values = dict(line.split("=") for line in capsys.readouterr().out.splitlines())
+        assert float(values["rmse_rel"]) < 1e-6
 
     def test_trajectory_centered_on_energy_gauge(self, dataset):
         # simulate centers shifts on the line-energy gauge but keeps the
@@ -130,6 +148,13 @@ class TestSimulate:
 
 
 class TestReconstruct:
+    def test_threads_is_not_a_flag(self, dataset, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["reconstruct", "--kspace", str(dataset / "kspace.srr"), "--threads", "1",
+                  "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 1" in capsys.readouterr().err
+
     def test_pipeline_outputs(self, dataset, tmp_path, capsys):
         out = tmp_path / "rec"
         rc = main(["reconstruct", "--kspace", str(dataset / "kspace.srr"),
@@ -251,7 +276,7 @@ def recon_dir(dataset, tmp_path_factory):
     rc = main(["reconstruct", "--kspace", str(dataset / "kspace.srr"),
                "--c", "282", "--iters", "50",
                "--max-shift-x", "2", "--max-shift-y", "2",
-               "--threads", "1", "--out-dir", str(out)])
+               "--out-dir", str(out)])
     assert rc == 0
     return out
 
@@ -285,6 +310,19 @@ class TestEvaluate:
         assert float(values["rmse_rel"]) < float(values["naive_rmse_rel"])
         assert float(values["traj_rms_x"]) < 0.5
         assert float(values["traj_rms_y"]) < 0.5
+
+    @pytest.mark.parametrize("flag", ["--est-traj", "--true-traj"])
+    def test_one_trajectory_alone_exits_2(self, dataset, recon_dir, tmp_path, capsys, flag):
+        traj = {"--est-traj": recon_dir / "est_trajectory.txt", "--true-traj": dataset / "trajectory.txt"}[flag]
+        report_path = tmp_path / "report.txt"
+        rc = main(["evaluate", "--recon", str(recon_dir / "recon.srr"),
+                   "--gt", str(dataset / "ground_truth.srr"),
+                   flag, str(traj), "--out", str(report_path)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--est-traj and --true-traj go together" in captured.err
+        assert not report_path.exists()
 
     def test_missing_recon_exits_1(self, dataset, tmp_path):
         rc = main(["evaluate", "--recon", str(tmp_path / "nope.srr"),

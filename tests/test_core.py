@@ -58,7 +58,7 @@ class TestMotionTrajectory:
         b = MotionTrajectory.from_components([2.0, 2.0], [0.0, 1.0])
         assert np.array_equal((a + b).shifts, a.shifts + b.shifts)
         assert np.array_equal((-a).shifts, -a.shifts)
-        assert np.all((a - a).shifts == 0)
+        assert np.all((a + -a).shifts == 0)
 
     def test_bad_shapes(self):
         with pytest.raises(ValueError):

@@ -22,7 +22,6 @@ from sraar.fileio import (
     TRAJECTORY_HEADER,
     format_report,
     load_trace_csv,
-    save_report,
     save_trace_csv,
 )
 from sraar.solvers import SolverTrace
@@ -274,8 +273,3 @@ class TestReports:
         assert "psnr_db=inf" in lines
         assert "iterations=40" in lines
         assert text.endswith("\n")
-
-    def test_save_report(self, tmp_path):
-        path = tmp_path / "report.txt"
-        save_report(path, {"alpha": 1.5, "count": 3})
-        assert path.read_text() == "alpha=1.5\ncount=3\n"

@@ -83,32 +83,14 @@ class TestFixedPoint:
         assert rel <= 1e-8
 
 
-class TestThetaOneReduction:
-    def test_matches_composition_of_public_projections(self, rng):
-        # With theta = 1 each update is m <- (R1 R2 + I) m / 2; replay that
-        # recurrence using only the public projections and compare.
-        scenario = make_scenario(16, 5, 1.0, solver_bound=2.0)
-        cfg = ReconConfig(solver="sraar", bounds=MotionBounds(2.0, 2.0), theta=1.0,
-                          c=0.5 * budget_of(naive_reconstruct(scenario.observed)),
-                          iterations=3, threads=1)
-        image, _, _ = solve_sraar(scenario.observed, cfg)
-
-        m = naive_reconstruct(scenario.observed)
-        for _ in range(cfg.iterations):
-            p2, _ = project_fourier(m, scenario.observed, cfg)
-            r2 = 2.0 * p2 - m
-            r1r2 = 2.0 * project_sparse(r2, cfg.c) - r2
-            m = 0.5 * (r1r2 + m)
-        expected, _ = project_fourier(m, scenario.observed, cfg)
-        assert np.abs(image - expected).max() <= 1e-10
-
-
 class TestRelaxedComposition:
-    def test_matches_composition_of_public_projections(self):
-        # theta = 0.9 relaxes towards P2 m; the solver runs on Haar
-        # coefficients, the replay on images through the public projections
+    @pytest.mark.parametrize("theta", [0.9, 1.0])
+    def test_matches_composition_of_public_projections(self, theta):
+        # theta < 1 relaxes towards P2 m, and theta = 1 is the plain average
+        # m <- (R1 R2 + I) m / 2; the solver runs on Haar coefficients, the
+        # replay on images through the public projections
         scenario = make_scenario(16, 5, 1.0, solver_bound=2.0)
-        cfg = ReconConfig(solver="sraar", bounds=MotionBounds(2.0, 2.0), theta=0.9,
+        cfg = ReconConfig(solver="sraar", bounds=MotionBounds(2.0, 2.0), theta=theta,
                           c=0.5 * budget_of(naive_reconstruct(scenario.observed)),
                           iterations=3, threads=1)
         image, _, _ = solve_sraar(scenario.observed, cfg)
