@@ -26,9 +26,10 @@ __all__ = [
 _GAUGE_TOL = 1e-9
 
 
-def _line_ramps(a, b, n):
+def _line_ramps(a, b, n, out=None):
     """Row r of the result is exp(2i*pi*(a[r]*k + b[r])) on the centered grid
-    k = (c - n/2)/n, c = 0..n-1; b may be a scalar.
+    k = (c - n/2)/n, c = 0..n-1; b may be a scalar.  The result goes into
+    ``out``, a contiguous complex (rows, n) array, or a new one.
 
     With c = L*h + l (L a power of two near sqrt(n)), each row is the outer
     product of an n/L-point lead table exp(2i*pi*(b - a/2 + a*L*h/n)) and an
@@ -39,7 +40,9 @@ def _line_ramps(a, b, n):
     tail_len = 1 << (n.bit_length() // 2)
     lead = np.exp(2j * np.pi * (b - a / 2 + a * (np.arange(0, n, tail_len) / n)))
     tail = np.exp(2j * np.pi * a * (np.arange(tail_len) / n))
-    return (lead[:, :, None] * tail[:, None, :]).reshape(-1, n)
+    out = np.empty((lead.shape[0], n), np.complex128) if out is None else out
+    np.multiply(lead[:, :, None], tail[:, None, :], out=out.reshape(-1, n // tail_len, tail_len))
+    return out
 
 
 def apply_translation(ksp, traj):

@@ -21,8 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import FrequencyGrid, MotionTrajectory, require_budget, require_grid_size, require_square_image
-from .motion import _line_ramps, invert_translation
-from .transforms import _forward_levels, _inverse_levels, dft2, idft2
+from .motion import _line_ramps
+from .transforms import _flip_checkerboard, _float_halves, _forward_levels, _inverse_levels, _unitary
 
 __all__ = [
     "LineShiftEstimate",
@@ -58,23 +58,32 @@ def _l1_ball_threshold(moduli, c):
         tau = (active.sum() - c) / active.size
 
 
-def _shrink(coeffs, c):
-    """Nearest point to ``coeffs`` in the l1 ball of radius c, in a new array.
+def _shrink(coeffs, c, out=None, scratch=None, mask=None):
+    """Nearest point to ``coeffs`` in the l1 ball of radius c, written to ``out``.
 
     Moduli are soft-shrunk by the exact threshold and phases are kept: this
-    is P1 on Haar coefficients.
+    is P1 on Haar coefficients.  ``out`` (complex), ``scratch`` (a
+    contiguous complex buffer whose two float halves hold the moduli and the
+    scale factors) and ``mask`` (bool) have the shape of ``coeffs``; each
+    one that is None is made new.  ``out`` may be ``coeffs``.
     """
-    mod = np.abs(coeffs).ravel()
+    out = np.empty_like(coeffs) if out is None else out
+    moduli, scale = _float_halves(np.empty_like(coeffs) if scratch is None else scratch)
+    mod = np.abs(coeffs, out=moduli).ravel()
     if mod.sum() <= c:
-        return coeffs.copy()
-    out = np.zeros_like(coeffs)
+        np.copyto(out, coeffs)
+        return out
     if c == 0.0:
+        out.fill(0.0)
         return out
     tau = _l1_ball_threshold(mod, c)
-    # only the kept coefficients are scaled; the rest stay zero
-    kept = np.flatnonzero(mod > tau)
-    mod = mod[kept]
-    out.reshape(-1)[kept] = coeffs.reshape(-1)[kept] * ((mod - tau) / mod)
+    # every coefficient is scaled, then the ones not above tau, whose scale
+    # may be 0/0, are zeroed; masked ufuncs took twice as long
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(np.subtract(moduli, tau, out=scale), moduli, out=scale)
+        np.multiply(coeffs, scale, out=out)
+    mask = np.greater(moduli, tau, out=np.empty(coeffs.shape, bool) if mask is None else mask)
+    np.putmask(out, np.logical_not(mask, out=mask), 0.0)
     return out
 
 
@@ -83,12 +92,11 @@ def project_sparse(m, c):
     m = require_square_image(m, "image").astype(np.complex128, copy=False)
     c = require_budget(c)
     levels = int(np.log2(m.shape[0]))
-    coeffs = _forward_levels(m.copy(), levels)
+    scratch = np.empty_like(m)
+    coeffs = _forward_levels(m.copy(), levels, scratch)
     if np.abs(coeffs).sum() <= c:
         return m.copy()
-    shrunk = _shrink(coeffs, c)
-    del coeffs
-    return _inverse_levels(shrunk, levels)
+    return _inverse_levels(_shrink(coeffs, c, coeffs, scratch), levels, scratch)
 
 
 # coarse readout-shift search step in pixels; quadratic refinement goes below it
@@ -107,6 +115,9 @@ def _axis_points(bound, step):
     The pad points sit outside the bound and are only ever used as parabola
     neighbours, so refinement works at the edge of the search range.
     """
+    # beyond this (inf included) the point count has no array index
+    if not bound / step < np.iinfo(np.intp).max / 4:
+        raise ValueError(f"max_abs_x={bound:g} px is too large for a {step:g} px readout-shift search grid")
     n = int(np.ceil(bound / step - 1e-12)) if bound > 0 else 0
     pts = step * np.arange(-(n + 1), n + 2)
     inner = np.abs(pts) <= bound + 1e-12
@@ -149,7 +160,7 @@ def _best_phase(s, reach):
     return np.abs(s) * np.cos(a - phi), phi
 
 
-def _estimate_lines(q, k_y, bounds, step):
+def _estimate_lines(q, k_y, bounds, step, scratch=None):
     """Shift estimates for every row of q = observed * conj(reference).
 
     Row r is a readout line at phase-encode frequency k_y[r].  The
@@ -161,7 +172,9 @@ def _estimate_lines(q, k_y, bounds, step):
     b_x is searched on the readout-shift grid with quadratic refinement.
     On the DC line b_y is unidentifiable: the window spans the whole circle,
     so b_x maximizes |s|, and b_y is 0.  Zero-energy lines give (0, 0) with
-    score 0.  Returns the (rows, 2) shifts and the rows' scores.
+    score 0.  Returns the (rows, 2) shifts and the rows' scores.  The
+    refined ramps and then the moduli of q go into ``scratch``, a contiguous
+    complex buffer of q's shape (made new when None).
     """
     rows, n = q.shape
     x_pts, x_inner = _axis_points(bounds.max_abs_x, step)
@@ -169,12 +182,13 @@ def _estimate_lines(q, k_y, bounds, step):
     reach = np.where(k_y == 0.0, np.pi, np.minimum(np.abs(turn) * bounds.max_abs_y, np.pi))
     profile, _ = _best_phase(q @ _coarse_basis(bounds.max_abs_x, step, n).T, reach[:, None])
     bx = np.clip(_peak(profile, x_inner, x_pts, step), -bounds.max_abs_x, bounds.max_abs_x)
-    ramp = _line_ramps(bx, 0.0, n)
+    scratch = np.empty_like(q) if scratch is None else scratch
+    ramp = _line_ramps(bx, 0.0, n, out=scratch)
     corr, phi = _best_phase((q[:, None, :] @ ramp[:, :, None])[:, 0, 0], reach)
     by = np.divide(phi, turn, out=np.zeros(rows), where=k_y != 0.0)
     by = np.clip(by, -bounds.max_abs_y, bounds.max_abs_y)  # phi / turn can round past the bound
 
-    denom = np.abs(q).sum(axis=1)
+    denom = np.abs(q, out=_float_halves(scratch)[0]).sum(axis=1)
     live = denom > 0.0
     scores = np.clip(np.divide(corr, denom, out=np.zeros(rows), where=live), 0.0, 1.0)
     return np.where(live[:, None], np.stack([bx, by], axis=1), 0.0), scores
@@ -218,9 +232,44 @@ class MotionEstimate:
         object.__setattr__(self, "scores", scores)
 
 
-def _matched_filter_input(m, observed, abs_observed):
+class _Workspace:
+    """What P2 derives from one observation, plus the n x n buffers that a
+    solve's phases share; built once per solve.
+
+    With D = (-1)^(r+c) the checkerboard, the centered DFT is D * fft(D * x)
+    and the flips are exact, so P2 works with ``obs_d`` = D * observed: its
+    matched-filter input is obs_d * conj(fft(D * m)) and its output
+    D * ifft(obs_d * ramps), each bit-identical to the dft2/idft2 form with
+    two of the four flips gone.  ``spec`` and ``scratch`` belong to P2 while
+    it runs and are free for the solver between P2 calls; ``scratch`` also
+    serves as two n x n float arrays (:func:`_float_halves`).
+    """
+
+    def __init__(self, observed, bounds):
+        n = observed.shape[0]
+        self.obs_d = _flip_checkerboard(observed.astype(np.complex128, copy=True))
+        self.abs_obs = np.abs(self.obs_d)
+        self.energy = np.sum(self.abs_obs**2, axis=1)
+        self.k_y = FrequencyGrid(n).coords
+        self.bounds = bounds
+        self.levels = int(np.log2(n))
+        self.spec = np.empty((n, n), np.complex128)
+        self.scratch = np.empty_like(self.spec)
+        self.mask = np.empty((n, n), bool)
+
+    @functools.cached_property
+    def shrunk(self):
+        """The SRAAR step's buffer for the shrink's output."""
+        return np.empty_like(self.spec)
+
+    def naive_image(self):
+        """idft2 of the observation, in a new array."""
+        return _flip_checkerboard(_unitary(np.fft.ifftn, self.obs_d.copy()))
+
+
+def _matched_filter_input(work, m):
     """q = observed * conj(reference), the reference carrying the phase of
-    the model spectrum dft2(m) and the observed moduli ``abs_observed``.
+    the model spectrum dft2(m) and the observed moduli; computed in work.spec.
 
     A translation changes only the phase of a line, so the motion-free
     spectrum has the observed moduli and only its phase is unknown: the
@@ -228,11 +277,32 @@ def _matched_filter_input(m, observed, abs_observed):
     Opt. 21 (1982)).  Frequencies where the model vanishes have no phase
     and give q = 0.
     """
-    model = dft2(m)
-    q = observed * np.conj(model, out=model)
-    mod = np.abs(model)
-    q *= np.divide(abs_observed, mod, out=np.zeros_like(mod), where=mod > 0)
+    spec = work.spec
+    np.copyto(spec, m)
+    np.conjugate(_unitary(np.fft.fftn, _flip_checkerboard(spec)), out=spec)
+    ratio = np.abs(spec, out=_float_halves(work.scratch)[0])
+    # in place, so where the model vanishes the ratio keeps the modulus, 0
+    np.divide(work.abs_obs, ratio, out=ratio, where=np.greater(ratio, 0.0, out=work.mask))
+    q = np.multiply(work.obs_d, spec, out=spec)
+    q *= ratio
     return q
+
+
+def _project_fourier(work, m, out):
+    """P2 of the image m into ``out``, with the observation and buffers of
+    the workspace ``work``; returns (out, motion estimate).
+
+    The line estimator's ramps go into ``out`` before the corrected image does.
+    """
+    shifts, scores = _estimate_lines(_matched_filter_input(work, m), work.k_y, work.bounds, _GRID_STEP, out)
+    total = work.energy.sum()
+    if total > 0:
+        shifts -= (work.energy @ shifts) / total
+    traj = MotionTrajectory(work.bounds.clamp(shifts))
+    # invert_translation's ramps: the negated trajectory, negated again
+    corrected = _line_ramps(traj.dx, traj.dy * work.k_y, out.shape[0], out=out)
+    np.multiply(work.obs_d, corrected, out=corrected)
+    return _flip_checkerboard(_unitary(np.fft.ifftn, corrected)), MotionEstimate(traj, scores)
 
 
 def project_fourier(m, observed, cfg):
@@ -250,19 +320,7 @@ def project_fourier(m, observed, cfg):
     effect.
     """
     m = require_square_image(m, "image")
-    observed = require_square_image(observed, "observed k-space").astype(np.complex128, copy=False)
+    observed = require_square_image(observed, "observed k-space")
     if m.shape != observed.shape:
         raise ValueError(f"image shape {m.shape} does not match observation {observed.shape}")
-    abs_observed = np.abs(observed)
-    energy = np.sum(abs_observed**2, axis=1)
-    # q and the spectra behind it die before the translation's temporaries
-    q = _matched_filter_input(m, observed, abs_observed)
-    del abs_observed
-    shifts, scores = _estimate_lines(q, FrequencyGrid(observed.shape[0]).coords, cfg.bounds, _GRID_STEP)
-    del q
-    total = energy.sum()
-    if total > 0:
-        shifts -= (energy @ shifts) / total
-    traj = MotionTrajectory(cfg.bounds.clamp(shifts))
-    corrected = idft2(invert_translation(observed, traj))
-    return corrected, MotionEstimate(traj, scores)
+    return _project_fourier(_Workspace(observed, cfg.bounds), m, np.empty(m.shape, np.complex128))

@@ -21,6 +21,15 @@ inverts the result; ER shrinks them and inverts the shrunk ones.  SRAAR
 measures the misfit between coefficients and ER between images, which
 orthonormality makes equal.
 
+Each solve builds one workspace (:class:`~sraar.projections._Workspace`):
+obs_d = D * observed with D = (-1)^(r+c), its moduli and line energies, and
+n x n buffers that P2, the Haar passes, the shrink and the update share.
+The centered DFT is D * fft(D * x), so P2 forms obs_d * conj(fft(D * m))
+and D * ifft(obs_d * ramps), the same bits as through dft2 and idft2 with
+two fewer sign flips.  No iteration after the first allocates an n x n
+array, so the heap no longer shrinks after each iteration only to fault its
+pages back in.
+
 Every P2 output is a compensated image: the observation with one estimated
 motion undone.  The trace records the wavelet l1 norm of each one.  Budget
 tuning keeps the maximally sparse compensated image: each SRAAR candidate
@@ -40,8 +49,8 @@ import numpy as np
 
 from .core import SOLVER_ER, SOLVER_SRAAR
 from .motion import naive_reconstruct
-from .projections import _shrink, project_fourier
-from .transforms import _inverse_levels, haar_forward, l1_norm
+from .projections import _Workspace, _project_fourier, _shrink
+from .transforms import _float_halves, _forward_levels, _inverse_levels, haar_forward, l1_norm
 
 __all__ = ["SolverTrace", "solve_er", "solve_sraar", "tune_sparsity_budget"]
 
@@ -97,61 +106,79 @@ def _require_finite(observed):
         raise ValueError("observed k-space contains non-finite values (NaN or Inf)")
 
 
-def _image(w):
-    """W^T w, the image of full-depth Haar coefficients, computed in w's buffer."""
-    return _inverse_levels(w, int(np.log2(w.shape[0])))
+def _l1(work, coeffs):
+    """Haar l1 norm of ``coeffs``, with the moduli in the workspace's scratch."""
+    return float(np.abs(coeffs, out=_float_halves(work.scratch)[0]).sum())
 
 
-def _er_step(w, m, observed, cfg, c):
-    sparse = _image(_shrink(w, c))
-    p2, estimate = project_fourier(sparse, observed, cfg)
-    wp2 = haar_forward(p2).data
-    return wp2, p2, p2, estimate, np.linalg.norm(p2 - sparse), l1_norm(wp2)
+def _er_step(work, w, m, out, cfg, c):
+    # the shrunk coefficients and their image take w's buffer, then W of P2's output
+    sparse = _inverse_levels(_shrink(w, c, w, work.scratch, work.mask), work.levels, work.scratch)
+    p2, estimate = _project_fourier(work, sparse, out)
+    misfit = np.linalg.norm(np.subtract(p2, sparse, out=work.scratch))
+    np.copyto(w, p2)
+    wp2 = _forward_levels(w, work.levels, work.scratch)
+    return wp2, p2, p2, estimate, misfit, _l1(work, wp2)
 
 
-def _sraar_step(w, m, observed, cfg, c):
-    p2, estimate = project_fourier(m, observed, cfg)
-    wp2 = haar_forward(p2).data
-    l1 = l1_norm(wp2)
-    wr2 = 2.0 * wp2
+def _sraar_step(work, w, m, out, cfg, c):
+    p2, estimate = _project_fourier(work, m, out)
+    wp2 = work.spec
+    np.copyto(wp2, p2)
+    _forward_levels(wp2, work.levels, work.scratch)
+    l1 = _l1(work, wp2)
+    wr2 = np.multiply(2.0, wp2, out=m)
     wr2 -= w
-    ws = _shrink(wr2, c)
-    misfit = np.linalg.norm(wp2 - ws)
+    ws = _shrink(wr2, c, work.shrunk, work.scratch, work.mask)
+    misfit = np.linalg.norm(np.subtract(wp2, ws, out=work.scratch))
     # (theta/2) * (2 ws - wr2 + w) + (1 - theta) * wp2, built in wr2's buffer
-    # with ws and wp2 scaled in place and dropped before the inverse pass,
-    # which saves the solve n x n arrays at its memory peak; the operations
-    # run in that expression's order, so they round the same
+    # with ws and wp2 scaled in place; the operations run in that
+    # expression's order, so they round the same
     ws *= 2.0
     nxt = np.subtract(ws, wr2, out=wr2)
-    del ws
     nxt += w
     nxt *= 0.5 * cfg.theta
     wp2 *= 1.0 - cfg.theta
     nxt += wp2
-    del wp2
-    return nxt, _image(nxt.copy()), p2, estimate, misfit, l1
+    np.copyto(w, nxt)
+    return nxt, _inverse_levels(w, work.levels, work.scratch), p2, estimate, misfit, l1
+
+
+def _free(buffers, held):
+    """The first of ``buffers`` that is none of ``held``; a new one is added
+    when every one is held."""
+    for buf in buffers:
+        if all(buf is not h for h in held):
+            return buf
+    buffers.append(np.empty_like(buffers[0]))
+    return buffers[-1]
 
 
 def _iterate(observed, cfg, solver, step, patience=None):
     """Run ``step`` up to cfg.iterations times from the naive reconstruction.
 
     The iterate is carried as its Haar coefficients w together with its
-    image m.  ``step`` returns (next w, next m, P2 output, motion estimate,
+    image m.  ``step(work, w, m, out, cfg, c)`` writes the P2 output into
+    ``out``, a buffer nothing else holds, may overwrite w and m unless m is
+    a P2 output, and returns (next w, next m, P2 output, motion estimate,
     misfit, Haar l1 of the P2 output).  Without ``patience`` the last
     iterate is returned, after a terminal P2 pass when it is not a P2
     output.  With ``patience`` the sparsest P2 output (the first of equals)
     is returned with its estimate, and the run stops once that output is
-    ``patience`` iterations old.
+    ``patience`` iterations old; a kept output keeps its buffer.
     """
     c = _require_fixed_budget(cfg, solver)
     _require_finite(observed)
+    work = _Workspace(observed, cfg.bounds)
     trace = SolverTrace()
-    m = naive_reconstruct(observed)
-    w = haar_forward(m).data
+    m = work.naive_image()
+    w = _forward_levels(m.copy(), work.levels, work.scratch)
+    buffers = [m, w]
     kept = None
     for iteration in range(1, cfg.iterations + 1):
+        out = _free(buffers, (w, m, kept[0]) if kept else (w, m))
         start = time.perf_counter()
-        w, m, p2, estimate, misfit, l1 = step(w, m, observed, cfg, c)
+        w, m, p2, estimate, misfit, l1 = step(work, w, m, out, cfg, c)
         trace.append(misfit, l1, time.perf_counter() - start)
         if patience is None:
             continue
@@ -164,7 +191,7 @@ def _iterate(observed, cfg, solver, step, patience=None):
     if m is p2:
         trace.returned = len(trace)
     else:
-        m, estimate = project_fourier(m, observed, cfg)
+        m, estimate = _project_fourier(work, m, _free(buffers, (m,)))
     return m, estimate, trace
 
 
@@ -216,7 +243,8 @@ def tune_sparsity_budget(observed, cfg):
     solver = _SOLVER_FUNCS[cfg.solver]
     patience = _PATIENCE if cfg.solver == SOLVER_SRAAR else None
     best = None
-    for fraction in sorted(cfg.c_grid):
+    # equal fractions would run the same solve again and lose its tie
+    for fraction in sorted(set(cfg.c_grid)):
         candidate = fraction * base
         image, estimate, trace = solver(observed, replace(cfg, c=candidate, c_grid=None), patience)
         l1 = trace.l1[trace.returned - 1]

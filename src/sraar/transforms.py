@@ -29,12 +29,15 @@ def _flip_checkerboard(a):
     return a
 
 
+def _unitary(fft, a):
+    """Unitary ``fft`` (np.fft.fftn or ifftn) of the writable complex array ``a``, in place."""
+    # fftn and ifftn honour out=; numpy's ifft2 drops it
+    return fft(a, norm="ortho", out=a)
+
+
 def _centered(fft, arr):
     """Centered unitary transform of a copy of ``arr``, computed in that copy."""
-    a = _flip_checkerboard(arr.astype(np.complex128, copy=True))
-    # fftn and ifftn honour out=; numpy's ifft2 drops it
-    fft(a, norm="ortho", out=a)
-    return _flip_checkerboard(a)
+    return _flip_checkerboard(_unitary(fft, _flip_checkerboard(arr.astype(np.complex128, copy=True))))
 
 
 def dft2(img):
@@ -56,21 +59,29 @@ def _check_levels(n, levels):
     return int(levels)
 
 
-def _butterfly(a, b, c, d, out):
-    """Orthonormal Haar step on the 2x2 blocks [[a, b], [c, d]]: pair (a, b) and
-    (c, d), then pair the two sums and the two differences.  It is its own inverse.
+def _butterfly(blk, ins, outs, scratch):
+    """Orthonormal Haar step on the 2x2 blocks [[a, b], [c, d]] of ``ins``:
+    pair (a, b) and (c, d), then pair the two sums and the two differences.
+    It is its own inverse.
 
-    The four results go into the four arrays of ``out``, which may overlap
-    the inputs: the inputs are read in full before the first result is written.
+    The four results go into the four arrays of ``outs``, which tile
+    ``blk`` and may overlap the inputs: the pair sums and differences go
+    into the first four a-sized blocks of the contiguous complex buffer
+    ``scratch`` before the first result is written.
     """
-    p, q = (a + b) * _INV_SQRT2, (a - b) * _INV_SQRT2
-    r, t = (c + d) * _INV_SQRT2, (c - d) * _INV_SQRT2
-    np.add(p, r, out=out[0])
-    np.add(q, t, out=out[1])
-    np.subtract(p, r, out=out[2])
-    np.subtract(q, t, out=out[3])
-    for dst in out:
-        dst *= _INV_SQRT2
+    a, b, c, d = ins
+    pairs = scratch.reshape(-1)[: 4 * a.size]
+    p, q, r, t = pairs.reshape(4, *a.shape)
+    np.add(a, b, out=p)
+    np.subtract(a, b, out=q)
+    np.add(c, d, out=r)
+    np.subtract(c, d, out=t)
+    pairs *= _INV_SQRT2
+    np.add(p, r, out=outs[0])
+    np.add(q, t, out=outs[1])
+    np.subtract(p, r, out=outs[2])
+    np.subtract(q, t, out=outs[3])
+    blk *= _INV_SQRT2
 
 
 @dataclass(frozen=True)
@@ -93,17 +104,22 @@ class WaveletCoeffs:
         object.__setattr__(self, "levels", _check_levels(arr.shape[0], self.levels))
 
 
-def _forward_levels(a, levels):
-    """Haar-decompose the writable complex array ``a`` in place; returns ``a``."""
+def _forward_levels(a, levels, scratch=None):
+    """Haar-decompose the writable complex array ``a`` in place; returns ``a``.
+
+    ``scratch`` is a contiguous complex buffer of ``a``'s size for the
+    butterfly's pair sums; a new one is made when it is None.
+    """
+    scratch = np.empty_like(a) if scratch is None else scratch
     for level in range(levels):
         h = a.shape[0] >> (level + 1)
         blk = a[: 2 * h, : 2 * h]
         cells = blk[0::2, 0::2], blk[0::2, 1::2], blk[1::2, 0::2], blk[1::2, 1::2]
-        _butterfly(*cells, (blk[:h, :h], blk[:h, h:], blk[h:, :h], blk[h:, h:]))
+        _butterfly(blk, cells, (blk[:h, :h], blk[:h, h:], blk[h:, :h], blk[h:, h:]), scratch)
     return a
 
 
-def _inverse_levels(a, levels):
+def _inverse_levels(a, levels, scratch=None):
     """Undo :func:`_forward_levels` on the writable array ``a`` in place; returns ``a``.
 
     The butterfly reads the quadrants and writes the cells with the middle
@@ -111,11 +127,12 @@ def _inverse_levels(a, levels):
     undoes the forward's column step before its row step.  Without the swap
     the result would differ only in rounding.
     """
+    scratch = np.empty_like(a) if scratch is None else scratch
     for level in reversed(range(levels)):
         h = a.shape[0] >> (level + 1)
         blk = a[: 2 * h, : 2 * h]
         quads = blk[:h, :h], blk[h:, :h], blk[:h, h:], blk[h:, h:]
-        _butterfly(*quads, (blk[0::2, 0::2], blk[1::2, 0::2], blk[0::2, 1::2], blk[1::2, 1::2]))
+        _butterfly(blk, quads, (blk[0::2, 0::2], blk[1::2, 0::2], blk[0::2, 1::2], blk[1::2, 1::2]), scratch)
     return a
 
 
@@ -137,6 +154,13 @@ def haar_inverse(coeffs):
     if not isinstance(coeffs, WaveletCoeffs):
         raise ValueError("haar_inverse expects WaveletCoeffs")
     return _inverse_levels(coeffs.data.copy(), coeffs.levels)
+
+
+def _float_halves(buf):
+    """The two halves of the contiguous complex buffer ``buf``'s memory, as
+    float64 arrays of its shape."""
+    flat = buf.reshape(-1).view(np.float64)
+    return flat[: buf.size].reshape(buf.shape), flat[buf.size :].reshape(buf.shape)
 
 
 def l1_norm(x):

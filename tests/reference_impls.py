@@ -11,7 +11,10 @@ to theirs bit for bit.  The same holds for the centered DFT built from
 ``np.roll`` shifts around the FFT, which the package used before it moved
 both origins with checkerboard sign flips.  The l1-ball threshold found by
 sorting every modulus is the one the package used before it switched to
-Michelot's algorithm.
+Michelot's algorithm.  P2 in the dft2/idft2 form, with all four
+checkerboard flips and fresh arrays, is the one the package used before it
+ran on a per-solve workspace holding the flipped observation; its output
+must stay equal to the workspace form's bit for bit.
 """
 
 import numpy as np
@@ -19,7 +22,7 @@ import numpy as np
 import sraar as S
 # the search grid defines the estimator rather than implementing it, so the
 # reference walks the same grid points
-from sraar.projections import _axis_points
+from sraar.projections import _GRID_STEP, _axis_points, _estimate_lines
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -53,6 +56,24 @@ def direct_translation(ksp, traj):
     k = S.FrequencyGrid(ksp.shape[0]).coords
     ramp = traj.dx[:, None] * k[None, :] + (traj.dy * k)[:, None]
     return ksp * np.exp(-2j * np.pi * ramp)
+
+
+def dft2_form_project_fourier(m, observed, bounds):
+    """P2 through the public dft2, idft2 and invert_translation, each on a
+    fresh array; the line estimator is the package's.  Returns (image,
+    trajectory, scores)."""
+    observed = np.asarray(observed, dtype=complex)
+    abs_observed = np.abs(observed)
+    model = S.dft2(m)
+    q = observed * np.conj(model, out=model)
+    mod = np.abs(model)
+    q *= np.divide(abs_observed, mod, out=np.zeros_like(mod), where=mod > 0)
+    shifts, scores = _estimate_lines(q, S.FrequencyGrid(observed.shape[0]).coords, bounds, _GRID_STEP)
+    energy = np.sum(abs_observed**2, axis=1)
+    if energy.sum() > 0:
+        shifts -= (energy @ shifts) / energy.sum()
+    traj = S.MotionTrajectory(bounds.clamp(shifts))
+    return S.idft2(S.invert_translation(observed, traj)), traj, scores
 
 
 def loop_haar_forward(img, levels):

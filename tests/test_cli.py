@@ -263,6 +263,17 @@ class TestReconstruct:
         err = capsys.readouterr().err
         assert err.startswith("sraar reconstruct:") and err.count("\n") == 1
 
+    def test_infinite_search_grid_exits_2(self, tmp_path, capsys):
+        # 1e308 / 0.25 px overflows to inf, which has no integer point count
+        assert main(["simulate", "--phantom", "shepp-logan", "--size", "32", "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        rc = main(["reconstruct", "--kspace", str(tmp_path / "kspace.srr"), "--iters", "3",
+                   "--max-shift-x", "1e308", "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sraar reconstruct:") and err.count("\n") == 1
+        assert "max_abs_x=1e+308" in err
+
     def test_missing_kspace_exits_1(self, tmp_path, capsys):
         rc = main(["reconstruct", "--kspace", str(tmp_path / "nope.srr"),
                    "--c", "300", "--out-dir", str(tmp_path)] + RECON_ARGS)

@@ -24,15 +24,18 @@ from sraar import (
 )
 from sraar.motion import _line_ramps
 from sraar.projections import (
+    _Workspace,
     _axis_points,
     _coarse_basis,
     _estimate_lines,
     _l1_ball_threshold,
     _matched_filter_input,
+    _project_fourier,
     _shrink,
 )
 from conftest import random_complex
 from reference_impls import (
+    dft2_form_project_fourier,
     loop_estimate_lines,
     loop_haar_forward,
     scan_l1_projection,
@@ -100,10 +103,11 @@ class TestProjectSparse:
         assert l1_norm(haar_forward(out)) <= c
 
     def test_peak_memory_of_one_call(self, rng):
-        # measured 2.64 n x n complex arrays at 256^2 (2.72 at 512^2): the
-        # coefficients, their moduli and the shrunk copy, which the
-        # coefficients leave before it is inverted in place.  P1 peaked at
-        # 3.56 while it sorted every modulus, and at 6.00 with two copies
+        # measured 2.50 n x n complex arrays at 256^2 and 512^2: the
+        # coefficients, shrunk and inverted in place, and one scratch buffer
+        # for the moduli, the scale factors and the butterfly's pair sums.
+        # P1 peaked at 2.64 with a shrunk copy, at 3.56 while it sorted
+        # every modulus, and at 6.00 with two copies
         n = 256
         m = shepp_logan(n) + 0.01 * random_complex(rng, (n, n))
         c = 0.5 * l1_norm(haar_forward(m))
@@ -363,6 +367,39 @@ class TestMotionEstimate:
             est.scores[0] = 0.9
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    log2_size=st.integers(2, 6),
+    seed=st.integers(0, 2**32 - 1),
+    bound_x=st.floats(0.0, 6.0),
+    bound_y=st.floats(0.0, 6.0),
+    image=st.sampled_from(["complex", "real", "constant", "zero"]),
+)
+def test_workspace_p2_is_bit_identical_to_the_dft2_form(log2_size, seed, bound_x, bound_y, image):
+    """P2 on a workspace whose buffers hold NaN leftovers equals, bit for
+    bit, P2 through dft2, idft2 and invert_translation on fresh arrays, and
+    so does the public project_fourier: the flipped observation only moves
+    exact sign flips.  A constant image's spectrum vanishes off DC and a
+    zero image's everywhere, where q must be 0."""
+    n = 2**log2_size
+    rng = np.random.default_rng(seed)
+    observed = random_complex(rng, (n, n))
+    m = {"complex": random_complex(rng, (n, n)), "real": rng.standard_normal((n, n)),
+         "constant": np.full((n, n), 0.5), "zero": np.zeros((n, n))}[image]
+    bounds = MotionBounds(bound_x, bound_y)
+    work, out = _Workspace(observed, bounds), np.full((n, n), np.nan + 0j)
+    for buf in (work.spec, work.scratch):
+        buf.fill(np.nan)
+    work.mask.fill(True)
+    got, estimate = _project_fourier(work, m, out)
+    want, traj, scores = dft2_form_project_fourier(m, observed, bounds)
+    public, public_estimate = project_fourier(m, observed, ReconConfig(bounds=bounds))
+    for image_, estimate_ in ((got, estimate), (public, public_estimate)):
+        assert np.array_equal(image_, want)
+        assert np.array_equal(estimate_.traj.shifts, traj.shifts)
+        assert np.array_equal(estimate_.scores, scores)
+
+
 class TestProjectFourier:
     def test_fixed_point_on_motion_free_data(self, phantom64):
         observed = dft2(phantom64)
@@ -416,7 +453,7 @@ class TestProjectFourier:
         observed = random_complex(rng, (64, 64))
         model = dft2(phantom64)
         want = observed * np.conj(np.abs(observed) * model / np.abs(model))
-        got = _matched_filter_input(phantom64, observed, np.abs(observed))
+        got = _matched_filter_input(_Workspace(observed, MotionBounds(5.0, 5.0)), phantom64)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("observed_zero", [False, True])
@@ -434,9 +471,11 @@ class TestProjectFourier:
         assert np.abs(corrected - idft2(observed)).max() <= 1e-12
 
     def test_peak_memory_of_one_call(self):
-        # measured 4.02 n x n complex arrays at 256^2 and 512^2: q, the model
-        # spectrum and its moduli are freed before the translation's ramp and
-        # FFT temporaries, which set the peak
+        # measured 5.16 n x n complex arrays at 256^2 (4.86 at 512^2): a
+        # one-shot workspace (the flipped observation, its moduli, the
+        # spectrum, a complex scratch and a mask) and the output, which
+        # holds the ramps and then the translation.  Fresh spectra and ramps
+        # per call peaked at 4.02
         n = 256
         scenario = make_scenario(n, 4, 5.0)
         cfg = ReconConfig(bounds=MotionBounds(5.0, 5.0))

@@ -49,6 +49,7 @@ def parse_seeds(text):
 def replay_seed(sraar, name, seed):
     """Per-candidate records of every P2 output, plus the naive rmse_rel."""
     from sraar.cli import build_parser, reconstruct_config
+    from sraar.projections import _Workspace
     from sraar.solvers import _sraar_step
 
     # generate() only computes; nothing is written under the work directory
@@ -65,13 +66,15 @@ def replay_seed(sraar, name, seed):
         rms_x, rms_y = sraar.trajectory_error(estimate.traj, truth, weights)
         return (sraar.l1_norm(sraar.haar_forward(p2)), sraar.image_metrics(p2, gt)[0], rms_x, rms_y)
 
+    work = _Workspace(observed, cfg.bounds)
     candidates = []
     for fraction in sorted(cfg.c_grid):
         c = fraction * base
-        # the solver's own step, which carries Haar coefficients and image
-        w, m, rows = sraar.haar_forward(naive).data, naive, []
+        # the solver's own step, which carries Haar coefficients and image,
+        # overwrites both buffers and writes each P2 output into p2's
+        w, m, p2, rows = sraar.haar_forward(naive).data, naive.copy(), np.empty_like(naive), []
         for _ in range(cfg.iterations):
-            w, m, p2, estimate, _, _ = _sraar_step(w, m, observed, cfg, c)
+            w, m, _, estimate, _, _ = _sraar_step(work, w, m, p2, cfg, c)
             rows.append(record(p2, estimate))
         terminal = record(*sraar.project_fourier(m, observed, cfg))
         candidates.append((fraction, np.array(rows), terminal))
