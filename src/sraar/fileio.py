@@ -135,6 +135,8 @@ def export_pgm(path, arr):
     arr = np.asarray(arr)
     if arr.ndim != 2:
         raise ValueError(f"only 2-D arrays are exported, got shape {arr.shape}")
+    if arr.size == 0:
+        raise ValueError(f"an empty array of shape {arr.shape} has no image to export")
     mod = np.abs(arr).astype(np.float64)
     lo, hi = mod.min(), mod.max()
     if hi > lo:

@@ -33,8 +33,9 @@ __all__ = [
 ]
 
 
-def _l1_ball_threshold(moduli, c):
-    """Shrink threshold tau with sum(max(moduli - tau, 0)) == c.
+def _l1_ball_threshold(moduli, c, total):
+    """Shrink threshold tau with sum(max(moduli - tau, 0)) == c, where
+    ``total`` is moduli.sum(), which the caller has already computed.
 
     Michelot's finite algorithm (reviewed by Condat, Math. Prog. 158, 2016),
     in place of sorting every modulus: tau starts as the threshold that
@@ -49,7 +50,7 @@ def _l1_ball_threshold(moduli, c):
     summed in another order can fall short of c; tau is then 0, not negative.
     """
     active = moduli
-    tau = (active.sum() - c) / active.size
+    tau = (total - c) / active.size
     while True:
         kept = active[active > tau]
         if kept.size in (0, active.size):
@@ -70,13 +71,14 @@ def _shrink(coeffs, c, out=None, scratch=None, mask=None):
     out = np.empty_like(coeffs) if out is None else out
     moduli, scale = _float_halves(np.empty_like(coeffs) if scratch is None else scratch)
     mod = np.abs(coeffs, out=moduli).ravel()
-    if mod.sum() <= c:
+    total = mod.sum()
+    if total <= c:
         np.copyto(out, coeffs)
         return out
     if c == 0.0:
         out.fill(0.0)
         return out
-    tau = _l1_ball_threshold(mod, c)
+    tau = _l1_ball_threshold(mod, c, total)
     # every coefficient is scaled, then the ones not above tau, whose scale
     # may be 0/0, are zeroed; masked ufuncs took twice as long
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -57,7 +57,8 @@ __all__ = ["SolverTrace", "solve_er", "solve_sraar", "tune_sparsity_budget"]
 # A tuned SRAAR candidate stops once its sparsest P2 output is this many
 # iterations old: the smallest patience whose tuned images equal those of a
 # run without the stop on seeds 11-30 of the 256^2 default benchmark inputs
-# and seeds 11-20 of the 512^2 narrow ones (tools/replay_stop_rule.py).
+# (grid 0.3/0.5/0.7) and seeds 11-20 of the 512^2 narrow ones (grid 0.7)
+# (tools/replay_stop_rule.py).
 _PATIENCE = 30
 
 

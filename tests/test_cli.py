@@ -7,8 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sraar import ReconConfig, MotionBounds, load_array, save_array, shepp_logan, solve_sraar
-from sraar.cli import main
+from sraar.cli import build_parser, main, reconstruct_config
 from sraar.fileio import load_trace_csv
+from sraar.solvers import _SOLVER_FUNCS
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +155,24 @@ class TestReconstruct:
                   "--out-dir", str(tmp_path)])
         assert exc.value.code == 2
         assert "unrecognized arguments: --threads 1" in capsys.readouterr().err
+
+    def test_default_grid_leaves_out_three_tenths(self):
+        args = build_parser().parse_args(["reconstruct", "--kspace", "k.srr", "--out-dir", "out"])
+        assert reconstruct_config(args).c_grid == (0.5, 0.7)
+
+    @pytest.mark.parametrize("grid, calls", [([], 2), (["--c-grid", "0.3,0.5,0.7"], 3)])
+    def test_solver_calls_per_grid(self, dataset, tmp_path, monkeypatch, grid, calls):
+        run, budgets = _SOLVER_FUNCS["sraar"], []
+
+        def counted(observed, cfg, patience):
+            budgets.append(cfg.c)
+            return run(observed, cfg, patience)
+
+        monkeypatch.setitem(_SOLVER_FUNCS, "sraar", counted)
+        rc = main(["reconstruct", "--kspace", str(dataset / "kspace.srr"),
+                   "--out-dir", str(tmp_path)] + grid + RECON_ARGS)
+        assert rc == 0
+        assert len(budgets) == calls
 
     def test_pipeline_outputs(self, dataset, tmp_path, capsys):
         out = tmp_path / "rec"
@@ -348,6 +367,13 @@ class TestExportPgm:
                    "--out", str(out)])
         assert rc == 0
         assert out.read_bytes().startswith(b"P5\n64 64\n65535\n")
+
+    def test_empty_array_exits_2_naming_its_shape(self, tmp_path, capsys):
+        save_array(tmp_path / "empty.srr", np.zeros((0, 5)))
+        rc = main(["export-pgm", "--input", str(tmp_path / "empty.srr"), "--out", str(tmp_path / "e.pgm")])
+        assert rc == 2
+        assert "empty array of shape (0, 5)" in capsys.readouterr().err
+        assert not (tmp_path / "e.pgm").exists()
 
 
 class TestTopLevel:

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sraar import (
@@ -403,3 +403,31 @@ class TestTuneSparsityBudget:
         assert np.array_equal(image, expected)
         assert np.array_equal(estimate.traj.shifts, expected_estimate.traj.shifts)
         assert len(trace) == cfg.iterations == trace.returned
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    n=st.sampled_from([16, 32]),
+    seed=st.integers(0, 7),
+    bound=st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+    grid=st.lists(st.sampled_from([0.005, 0.01, 0.05, 0.1, 0.3, 0.5, 0.7, 0.9]),
+                  min_size=2, max_size=4, unique=True),
+)
+def test_candidate_returning_first_iteration_never_changes_tuned_image(n, seed, bound, grid):
+    """Every SRAAR candidate's first P2 output is P2 of the naive image,
+    whatever its budget, so a candidate that returns it returns the largest
+    l1 any candidate can; dropping it from the grid changes no tuned image
+    or trajectory, at most the budget reported on an exact tie."""
+    scenario = make_scenario(n, seed, 1.0, solver_bound=2.0)
+    cfg = ReconConfig(bounds=MotionBounds(bound, bound), c_grid=tuple(grid), iterations=_PATIENCE + 3)
+    base = budget_of(naive_reconstruct(scenario.observed))
+    first = [f for f in grid
+             if _SOLVER_FUNCS["sraar"](scenario.observed, replace(cfg, c=f * base, c_grid=None),
+                                       _PATIENCE)[2].returned == 1]
+    assume(first)
+    _, image, estimate, _ = tune_sparsity_budget(scenario.observed, cfg)
+    for fraction in first:
+        rest = tuple(f for f in grid if f != fraction)
+        _, got_image, got_estimate, _ = tune_sparsity_budget(scenario.observed, replace(cfg, c_grid=rest))
+        assert np.array_equal(got_image, image)
+        assert np.array_equal(got_estimate.traj.shifts, estimate.traj.shifts)
