@@ -176,9 +176,7 @@ class ReconConfig:
     of the starting image's wavelet l1 norm, each in (0, 1), for budget
     tuning) may be set.  ``theta`` is the relaxation parameter of the
     reflection solver; ``theta == 1`` gives plain averaged alternating
-    reflections.  ``threads`` has no effect: P2 estimates every line in one
-    batched pass.  It is kept, validated, only because the benchmark's traced
-    run replays P2 with ``threads=1``; nothing in the package reads it.
+    reflections.
     """
 
     bounds: MotionBounds = MotionBounds(5.0, 5.0)
@@ -187,7 +185,6 @@ class ReconConfig:
     iterations: int = 100
     c: float | None = None
     c_grid: tuple[float, ...] | None = None
-    threads: int = 0
 
     def __post_init__(self):
         if self.solver not in _SOLVERS:
@@ -210,6 +207,3 @@ class ReconConfig:
             object.__setattr__(self, "c_grid", grid)
         if self.c is not None and self.c_grid is not None:
             raise ValueError("set either c or c_grid, not both")
-        if not isinstance(self.threads, (int, np.integer)) or self.threads < 0:
-            raise ValueError(f"threads must be a non-negative integer, got {self.threads!r}")
-        object.__setattr__(self, "threads", int(self.threads))

@@ -69,15 +69,21 @@ def _shrink(coeffs, c, out=None, scratch=None, mask=None):
     one that is None is made new.  ``out`` may be ``coeffs``.
     """
     out = np.empty_like(coeffs) if out is None else out
-    moduli, scale = _float_halves(np.empty_like(coeffs) if scratch is None else scratch)
+    if not _shrink_outside(coeffs, c, out, np.empty_like(coeffs) if scratch is None else scratch, mask):
+        np.copyto(out, coeffs)
+    return out
+
+
+def _shrink_outside(coeffs, c, out, scratch, mask=None):
+    """:func:`_shrink` when the moduli sum to more than c, else False with ``out`` untouched."""
+    moduli, scale = _float_halves(scratch)
     mod = np.abs(coeffs, out=moduli).ravel()
     total = mod.sum()
     if total <= c:
-        np.copyto(out, coeffs)
-        return out
+        return False
     if c == 0.0:
         out.fill(0.0)
-        return out
+        return True
     tau = _l1_ball_threshold(mod, c, total)
     # every coefficient is scaled, then the ones not above tau, whose scale
     # may be 0/0, are zeroed; masked ufuncs took twice as long
@@ -86,7 +92,7 @@ def _shrink(coeffs, c, out=None, scratch=None, mask=None):
         np.multiply(coeffs, scale, out=out)
     mask = np.greater(moduli, tau, out=np.empty(coeffs.shape, bool) if mask is None else mask)
     np.putmask(out, np.logical_not(mask, out=mask), 0.0)
-    return out
+    return True
 
 
 def project_sparse(m, c):
@@ -96,9 +102,9 @@ def project_sparse(m, c):
     levels = int(np.log2(m.shape[0]))
     scratch = np.empty_like(m)
     coeffs = _forward_levels(m.copy(), levels, scratch)
-    if np.abs(coeffs).sum() <= c:
+    if not _shrink_outside(coeffs, c, coeffs, scratch):
         return m.copy()
-    return _inverse_levels(_shrink(coeffs, c, coeffs, scratch), levels, scratch)
+    return _inverse_levels(coeffs, levels, scratch)
 
 
 # coarse readout-shift search step in pixels; quadratic refinement goes below it
@@ -317,9 +323,6 @@ def project_fourier(m, observed, cfg):
     bounds, and returns the observation with the estimated motion undone,
     back in image space, together with the motion estimate.  Frequencies
     come from the centered grid of the data's side.
-
-    All lines are estimated in one batched pass; ``cfg.threads`` has no
-    effect.
     """
     m = require_square_image(m, "image")
     observed = require_square_image(observed, "observed k-space")

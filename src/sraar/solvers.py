@@ -47,7 +47,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import SOLVER_ER, SOLVER_SRAAR
+from .core import SOLVER_ER, SOLVER_SRAAR, require_square_image
 from .motion import naive_reconstruct
 from .projections import _Workspace, _project_fourier, _shrink
 from .transforms import _float_halves, _forward_levels, _inverse_levels, haar_forward, l1_norm
@@ -102,9 +102,11 @@ def _require_fixed_budget(cfg, expected_solver):
     return cfg.c
 
 
-def _require_finite(observed):
+def _require_observation(observed):
+    observed = require_square_image(observed, "observed k-space")
     if not np.all(np.isfinite(observed)):
         raise ValueError("observed k-space contains non-finite values (NaN or Inf)")
+    return observed
 
 
 def _l1(work, coeffs):
@@ -169,7 +171,7 @@ def _iterate(observed, cfg, solver, step, patience=None):
     ``patience`` iterations old; a kept output keeps its buffer.
     """
     c = _require_fixed_budget(cfg, solver)
-    _require_finite(observed)
+    observed = _require_observation(observed)
     work = _Workspace(observed, cfg.bounds)
     trace = SolverTrace()
     m = work.naive_image()
@@ -239,7 +241,7 @@ def tune_sparsity_budget(observed, cfg):
     """
     if cfg.c_grid is None:
         raise ValueError("tune_sparsity_budget requires c_grid")
-    _require_finite(observed)
+    observed = _require_observation(observed)
     base = l1_norm(haar_forward(naive_reconstruct(observed)))
     solver = _SOLVER_FUNCS[cfg.solver]
     patience = _PATIENCE if cfg.solver == SOLVER_SRAAR else None

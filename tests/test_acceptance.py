@@ -230,8 +230,7 @@ def test_09_motion_free_data_is_a_fixed_point():
     c = l1_norm(haar_forward(gt)) * (1 + 1e-6)
     ok = True
     for solver, solve in (("er", solve_er), ("sraar", solve_sraar)):
-        cfg = ReconConfig(solver=solver, bounds=MotionBounds(5.0, 5.0), c=c,
-                          iterations=20, threads=1)
+        cfg = ReconConfig(solver=solver, bounds=MotionBounds(5.0, 5.0), c=c, iterations=20)
         image, _, _ = solve(observed, cfg)
         ok &= np.linalg.norm(image - gt) / np.linalg.norm(gt) <= 1e-8
     elapsed = time.perf_counter() - start
@@ -246,8 +245,7 @@ def test_10_full_relaxation_matches_reflection_composition():
     for _ in range(5):
         observed = random_complex(rng, (16, 16))
         c = 0.5 * l1_norm(haar_forward(naive_reconstruct(observed)))
-        cfg = ReconConfig(bounds=MotionBounds(2.0, 2.0), theta=1.0, c=c,
-                          iterations=3, threads=1)
+        cfg = ReconConfig(bounds=MotionBounds(2.0, 2.0), theta=1.0, c=c, iterations=3)
         image, _, _ = solve_sraar(observed, cfg)
         m = naive_reconstruct(observed)
         for _ in range(cfg.iterations):
@@ -266,17 +264,14 @@ def test_11_determinism_and_thread_independence():
     start = time.perf_counter()
     scenario = make_scenario(64, 7, 3.5)
     base = dict(bounds=MotionBounds(5.0, 5.0), theta=0.9, iterations=15, c=300.0)
-    cfg_auto = ReconConfig(threads=0, **base)
-    img_a, est_a, _ = solve_sraar(scenario.observed, cfg_auto)
-    img_b, est_b, _ = solve_sraar(scenario.observed, cfg_auto)
+    cfg = ReconConfig(**base)
+    img_a, est_a, _ = solve_sraar(scenario.observed, cfg)
+    img_b, est_b, _ = solve_sraar(scenario.observed, cfg)
     ok = np.array_equal(img_a, img_b)
     ok &= np.array_equal(est_a.traj.shifts, est_b.traj.shifts)
     ok &= np.array_equal(est_a.scores, est_b.scores)
-    img_s, est_s, _ = solve_sraar(scenario.observed, ReconConfig(threads=1, **base))
-    ok &= np.abs(img_s - img_a).max() <= 1e-10
-    ok &= np.abs(est_s.traj.shifts - est_a.traj.shifts).max() <= 1e-10
     elapsed = time.perf_counter() - start
-    _report(11, "determinism and thread independence", ok and elapsed < 300,
+    _report(11, "determinism", ok and elapsed < 300,
             f"(elapsed {elapsed:.1f}s)")
 
 

@@ -212,8 +212,7 @@ class TestReconstruct:
                    "--theta", "1.0", "--c", "250", "--out-dir", str(out)] + RECON_ARGS)
         assert rc == 0
         observed = load_array(dataset / "kspace.srr")
-        cfg = ReconConfig(bounds=MotionBounds(2.0, 2.0), theta=1.0, iterations=5,
-                          c=250.0, threads=1)
+        cfg = ReconConfig(bounds=MotionBounds(2.0, 2.0), theta=1.0, iterations=5, c=250.0)
         image, _, _ = solve_sraar(observed, cfg)
         stored = load_array(out / "recon.srr")
         assert np.abs(stored - image).max() <= 1e-5 * np.abs(image).max()
@@ -251,6 +250,16 @@ class TestReconstruct:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("sraar reconstruct:") and "non-finite" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("budget", [["--c", "10"], []])
+    def test_non_square_kspace_exits_2_naming_its_shape(self, tmp_path, capsys, budget):
+        save_array(tmp_path / "k.srr", np.ones((8, 16), dtype=np.complex128))
+        rc = main(["reconstruct", "--kspace", str(tmp_path / "k.srr"),
+                   "--out-dir", str(tmp_path / "out")] + budget + RECON_ARGS)
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "sraar reconstruct: observed k-space must be square 2-D, got shape (8, 16)\n")
         assert not (tmp_path / "out").exists()
 
     @settings(max_examples=60, deadline=None)

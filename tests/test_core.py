@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,10 @@ class TestReconConfig:
         with pytest.raises(ValueError):
             ReconConfig(solver="gradient")
 
-    def test_bad_threads(self):
-        with pytest.raises(ValueError):
-            ReconConfig(threads=-1)
+    def test_only_the_solver_settings_are_fields(self):
+        # P2 estimates every line in one batched pass, so a thread count is
+        # no setting of the solve
+        with pytest.raises(TypeError):
+            ReconConfig(threads=1)
+        names = [f.name for f in dataclasses.fields(ReconConfig)]
+        assert names == ["bounds", "solver", "theta", "iterations", "c", "c_grid"]

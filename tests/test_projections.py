@@ -403,14 +403,14 @@ def test_workspace_p2_is_bit_identical_to_the_dft2_form(log2_size, seed, bound_x
 class TestProjectFourier:
     def test_fixed_point_on_motion_free_data(self, phantom64):
         observed = dft2(phantom64)
-        cfg = ReconConfig(bounds=MotionBounds(5.0, 5.0), threads=1)
+        cfg = ReconConfig(bounds=MotionBounds(5.0, 5.0))
         corrected, est = project_fourier(phantom64, observed, cfg)
         assert np.abs(est.traj.shifts).max() <= 1e-9
         assert np.abs(corrected - phantom64).max() <= 1e-12
 
     def test_recovers_trajectory_given_true_image(self):
         scenario = make_scenario(128, 0, 3.5)
-        cfg = ReconConfig(bounds=MotionBounds(5.0, 5.0), threads=1)
+        cfg = ReconConfig(bounds=MotionBounds(5.0, 5.0))
         corrected, est = project_fourier(scenario.gt, scenario.observed, cfg)
         err_x, err_y = trajectory_error(est.traj, scenario.truth, scenario.weights)
         assert err_x <= 0.02
@@ -420,28 +420,17 @@ class TestProjectFourier:
 
     def test_output_explains_observation(self, rng, phantom64):
         scenario = make_scenario(64, 1, 3.5)
-        cfg = ReconConfig(bounds=MotionBounds(5.0, 5.0), threads=1)
+        cfg = ReconConfig(bounds=MotionBounds(5.0, 5.0))
         corrected, est = project_fourier(phantom64, scenario.observed, cfg)
         from sraar import apply_translation
 
         back = apply_translation(dft2(corrected), est.traj)
         assert np.abs(back - scenario.observed).max() <= 1e-10 * np.abs(scenario.observed).max()
 
-    def test_thread_count_does_not_change_bits(self, phantom64):
-        scenario = make_scenario(64, 2, 3.5)
-        base = dict(bounds=MotionBounds(5.0, 5.0))
-        one = ReconConfig(threads=1, **base)
-        four = ReconConfig(threads=4, **base)
-        img1, est1 = project_fourier(phantom64, scenario.observed, one)
-        img4, est4 = project_fourier(phantom64, scenario.observed, four)
-        assert np.array_equal(img1, img4)
-        assert np.array_equal(est1.traj.shifts, est4.traj.shifts)
-        assert np.array_equal(est1.scores, est4.scores)
-
     def test_estimated_trajectory_is_in_bounds_and_gauge_free(self, phantom64):
         scenario = make_scenario(64, 3, 3.5)
         bounds = MotionBounds(2.0, 2.0)
-        cfg = ReconConfig(bounds=bounds, threads=1)
+        cfg = ReconConfig(bounds=bounds)
         _, est = project_fourier(phantom64, scenario.observed, cfg)
         assert np.all(np.abs(est.traj.dx) <= bounds.max_abs_x)
         assert np.all(np.abs(est.traj.dy) <= bounds.max_abs_y)

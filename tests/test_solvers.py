@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -71,8 +72,7 @@ class TestFixedPoint:
 
     def test_er_fixed_point(self, sparse_phantom):
         observed = dft2(sparse_phantom)
-        cfg = ReconConfig(solver="er", c=budget_of(sparse_phantom) * (1 + 1e-6),
-                          iterations=20, threads=1)
+        cfg = ReconConfig(solver="er", c=budget_of(sparse_phantom) * (1 + 1e-6), iterations=20)
         image, _, _ = solve_er(observed, cfg)
         rel = np.linalg.norm(image - sparse_phantom) / np.linalg.norm(sparse_phantom)
         assert rel <= 1e-8
@@ -80,7 +80,7 @@ class TestFixedPoint:
     def test_sraar_fixed_point(self, sparse_phantom):
         observed = dft2(sparse_phantom)
         cfg = ReconConfig(solver="sraar", c=budget_of(sparse_phantom) * (1 + 1e-6),
-                          theta=0.9, iterations=20, threads=1)
+                          theta=0.9, iterations=20)
         image, _, _ = solve_sraar(observed, cfg)
         rel = np.linalg.norm(image - sparse_phantom) / np.linalg.norm(sparse_phantom)
         assert rel <= 1e-8
@@ -95,7 +95,7 @@ class TestRelaxedComposition:
         scenario = make_scenario(16, 5, 1.0, solver_bound=2.0)
         cfg = ReconConfig(solver="sraar", bounds=MotionBounds(2.0, 2.0), theta=theta,
                           c=0.5 * budget_of(naive_reconstruct(scenario.observed)),
-                          iterations=3, threads=1)
+                          iterations=3)
         image, _, _ = solve_sraar(scenario.observed, cfg)
 
         m = naive_reconstruct(scenario.observed)
@@ -127,7 +127,7 @@ class TestIterationCost:
         counts = {}
         for k in (3, 6):
             cfg = ReconConfig(solver=solver, bounds=MotionBounds(2.0, 2.0), iterations=k,
-                              c=0.5 * budget_of(naive_reconstruct(scenario.observed)), threads=1)
+                              c=0.5 * budget_of(naive_reconstruct(scenario.observed)))
             passes.clear()
             solve(scenario.observed, cfg)
             counts[k] = len(passes)
@@ -142,7 +142,7 @@ class TestIterationCost:
         n = 256
         scenario = make_scenario(n, 4, 5.0)
         cfg = ReconConfig(solver="sraar", bounds=MotionBounds(5.0, 5.0), iterations=3,
-                          c=0.5 * budget_of(naive_reconstruct(scenario.observed)), threads=1)
+                          c=0.5 * budget_of(naive_reconstruct(scenario.observed)))
         solve_sraar(scenario.observed, cfg)
         tracemalloc.start()
         try:
@@ -221,7 +221,7 @@ class TestSolverBehaviour:
     def test_er_beats_naive_on_small_example(self):
         scenario = make_scenario(64, 0, 1.5, solver_bound=2.0)
         cfg = ReconConfig(solver="er", bounds=MotionBounds(2.0, 2.0),
-                          c=budget_of(scenario.gt), iterations=50, threads=1)
+                          c=budget_of(scenario.gt), iterations=50)
         image, _, trace = solve_er(scenario.observed, cfg)
         gt_mod = np.abs(scenario.gt)
         err = np.linalg.norm(np.abs(image) - gt_mod) / np.linalg.norm(gt_mod)
@@ -233,7 +233,7 @@ class TestSolverBehaviour:
     def test_trace_length(self, phantom64):
         scenario = make_scenario(64, 1, 1.5, solver_bound=2.0)
         cfg = ReconConfig(solver="sraar", bounds=MotionBounds(2.0, 2.0),
-                          c=budget_of(scenario.gt), iterations=7, threads=1)
+                          c=budget_of(scenario.gt), iterations=7)
         _, _, trace = solve_sraar(scenario.observed, cfg)
         assert len(trace) == 7
         assert len(trace.misfit) == len(trace.l1) == len(trace.seconds) == 7
@@ -242,7 +242,7 @@ class TestSolverBehaviour:
     def test_deterministic_rerun(self):
         scenario = make_scenario(64, 2, 1.5, solver_bound=2.0)
         cfg = ReconConfig(solver="sraar", bounds=MotionBounds(2.0, 2.0),
-                          c=budget_of(scenario.gt), iterations=5, threads=1)
+                          c=budget_of(scenario.gt), iterations=5)
         a, est_a, _ = solve_sraar(scenario.observed, cfg)
         b, est_b, _ = solve_sraar(scenario.observed, cfg)
         assert np.array_equal(a, b)
@@ -264,7 +264,7 @@ class TestSharedDriver:
     def config(self, scenario, solver):
         return ReconConfig(solver=solver, bounds=MotionBounds(2.0, 2.0), theta=0.9,
                            c=0.5 * budget_of(naive_reconstruct(scenario.observed)),
-                           iterations=4, threads=1)
+                           iterations=4)
 
     def check(self, result, expected, estimate, misfit, l1, returned):
         image, got_estimate, trace = result
@@ -314,6 +314,28 @@ class TestSharedDriver:
         with pytest.raises(ValueError, match="non-finite"):
             tune_sparsity_budget(observed, ReconConfig(c_grid=(0.5,), iterations=2))
 
+    @pytest.mark.parametrize("observed", [
+        np.ones(64, complex),
+        np.ones((8, 16), complex).tolist(),
+        np.ones((8, 16), complex),
+        np.ones((16, 8), complex),
+        np.ones((8, 8, 2), complex),
+    ], ids=["1-D", "nested-list", "8x16", "16x8", "8x8x2"])
+    def test_non_square_kspace_rejected_naming_its_shape(self, observed, scenario):
+        shape = re.escape(f"got shape {np.shape(observed)}")
+        for solver, run in (("er", solve_er), ("sraar", solve_sraar)):
+            with pytest.raises(ValueError, match=shape):
+                run(observed, self.config(scenario, solver))
+        with pytest.raises(ValueError, match=shape):
+            tune_sparsity_budget(observed, ReconConfig(c_grid=(0.5,), iterations=2))
+
+    def test_nested_list_solves_as_its_array(self, scenario):
+        cfg = self.config(scenario, "sraar")
+        image, estimate, _ = solve_sraar(scenario.observed.tolist(), cfg)
+        want_image, want_estimate, _ = solve_sraar(scenario.observed, cfg)
+        assert np.array_equal(image, want_image)
+        assert np.array_equal(estimate.traj.shifts, want_estimate.traj.shifts)
+
 
 def replay_sraar_candidate(observed, cfg):
     """One tuned SRAAR candidate by hand: the l1 of every P2 output, kept
@@ -343,7 +365,7 @@ class TestTuneSparsityBudget:
         # more iterations than the patience, so candidates stop early
         scenario = make_scenario(32, 3, 1.5, solver_bound=2.0)
         cfg = ReconConfig(solver="sraar", bounds=MotionBounds(2.0, 2.0),
-                          c_grid=(0.2, 0.5, 0.8), iterations=_PATIENCE + 40, threads=1)
+                          c_grid=(0.2, 0.5, 0.8), iterations=_PATIENCE + 40)
         chosen_c, image, estimate, trace = tune_sparsity_budget(scenario.observed, cfg)
 
         base = budget_of(naive_reconstruct(scenario.observed))
@@ -374,7 +396,7 @@ class TestTuneSparsityBudget:
             return run(observed, cfg, patience)
 
         monkeypatch.setitem(_SOLVER_FUNCS, "sraar", counted)
-        cfg = ReconConfig(bounds=MotionBounds(2.0, 2.0), c_grid=(0.5, 0.5), iterations=8, threads=1)
+        cfg = ReconConfig(bounds=MotionBounds(2.0, 2.0), c_grid=(0.5, 0.5), iterations=8)
         chosen_c, image, estimate, trace = tune_sparsity_budget(scenario.observed, cfg)
         assert len(budgets) == 1
         want = tune_sparsity_budget(scenario.observed, replace(cfg, c_grid=(0.5,)))
@@ -386,7 +408,7 @@ class TestTuneSparsityBudget:
     def test_er_keeps_minimum_final_l1(self):
         scenario = make_scenario(32, 4, 1.5, solver_bound=2.0)
         cfg = ReconConfig(solver="er", bounds=MotionBounds(2.0, 2.0),
-                          c_grid=(0.2, 0.5, 0.8), iterations=_PATIENCE + 30, threads=1)
+                          c_grid=(0.2, 0.5, 0.8), iterations=_PATIENCE + 30)
         chosen_c, image, estimate, trace = tune_sparsity_budget(scenario.observed, cfg)
 
         base = budget_of(naive_reconstruct(scenario.observed))

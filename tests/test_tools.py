@@ -1,0 +1,45 @@
+"""The replay tool's copy of the patience stop agrees with the solver driver.
+
+``tools/replay_stop_rule.py`` chose ``_PATIENCE`` by replaying full-length
+candidate runs under its own ``stop``; that choice holds only while ``stop``
+returns what a tuned SRAAR candidate returns.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from sraar import MotionBounds, ReconConfig, haar_forward, l1_norm, naive_reconstruct
+from sraar.solvers import _PATIENCE, _SOLVER_FUNCS
+from scenarios import make_scenario
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "replay_stop_rule.py"
+
+
+@pytest.fixture(scope="module")
+def replay_tool():
+    spec = importlib.util.spec_from_file_location("replay_stop_rule", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def candidate():
+    """A 32^2 SRAAR candidate's observation, config and untruncated trace."""
+    observed = make_scenario(32, 3, 1.5, solver_bound=2.0).observed
+    base = l1_norm(haar_forward(naive_reconstruct(observed)))
+    cfg = ReconConfig(bounds=MotionBounds(2.0, 2.0), c=0.5 * base, iterations=_PATIENCE + 40)
+    return observed, cfg, _SOLVER_FUNCS["sraar"](observed, cfg)[2]
+
+
+@pytest.mark.parametrize("patience", [2, 5, _PATIENCE])
+def test_stop_matches_tuned_candidate(replay_tool, candidate, patience):
+    observed, cfg, full = candidate
+    trace = _SOLVER_FUNCS["sraar"](observed, cfg, patience)[2]
+    assert trace.l1 == full.l1[:len(trace)]
+    assert replay_tool.stop(np.array(full.l1), patience) == (trace.returned - 1, len(trace))
+    if patience < _PATIENCE:
+        assert len(trace) < cfg.iterations
