@@ -19,6 +19,7 @@ __all__ = [
     "MotionTrajectory",
     "ReconConfig",
     "require_budget",
+    "require_finite",
     "require_grid_size",
     "require_square_image",
 ]
@@ -44,6 +45,14 @@ def require_square_image(arr, name="array"):
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square 2-D, got shape {a.shape}")
     require_grid_size(a.shape[0])
+    return a
+
+
+def require_finite(arr, name):
+    """Refuse an array holding NaN or Inf, naming it; return it as ndarray."""
+    a = np.asarray(arr)
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} contains non-finite values (NaN or Inf)")
     return a
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import MotionTrajectory
+from .core import MotionTrajectory, require_finite
 
 __all__ = [
     "MAGIC",
@@ -68,8 +68,7 @@ def load_array(path):
     if len(blob) - 13 != expected:
         raise ValueError(f"{path}: payload has {len(blob) - 13} bytes, expected {expected}")
     data = np.frombuffer(blob, dtype=dtype, offset=13).reshape(rows, cols)
-    if not np.all(np.isfinite(data)):
-        raise ValueError(f"{path}: payload contains non-finite values (NaN or Inf)")
+    require_finite(data, f"{path}: payload")
     return data.astype(np.float64 if code == _DTYPE_REAL else np.complex128)
 
 

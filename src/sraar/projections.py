@@ -20,7 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import FrequencyGrid, MotionTrajectory, require_budget, require_grid_size, require_square_image
+from .core import (FrequencyGrid, MotionTrajectory, require_budget, require_finite, require_grid_size,
+                   require_square_image)
 from .motion import _line_ramps
 from .transforms import _flip_checkerboard, _float_halves, _forward_levels, _inverse_levels, _unitary
 
@@ -97,7 +98,7 @@ def _shrink_outside(coeffs, c, out, scratch, mask=None):
 
 def project_sparse(m, c):
     """Project an image onto {m : ||haar(m)||_1 <= c} (full-depth Haar), preserving phases."""
-    m = require_square_image(m, "image").astype(np.complex128, copy=False)
+    m = require_finite(require_square_image(m, "image"), "image").astype(np.complex128, copy=False)
     c = require_budget(c)
     levels = int(np.log2(m.shape[0]))
     scratch = np.empty_like(m)
@@ -211,8 +212,8 @@ def estimate_line_shift(observed_line, reference_line, k_y, bounds):
     quarter-pixel grid as :func:`project_fourier` uses.  Zero-energy lines
     return (0, 0) with score 0.
     """
-    obs = np.asarray(observed_line, dtype=np.complex128).ravel()
-    ref = np.asarray(reference_line, dtype=np.complex128).ravel()
+    obs = require_finite(np.asarray(observed_line, dtype=np.complex128).ravel(), "observed line")
+    ref = require_finite(np.asarray(reference_line, dtype=np.complex128).ravel(), "reference line")
     if obs.shape != ref.shape:
         raise ValueError(f"lines differ in length: {obs.size} vs {ref.size} samples")
     require_grid_size(obs.size)
@@ -242,7 +243,8 @@ class MotionEstimate:
 
 class _Workspace:
     """What P2 derives from one observation, plus the n x n buffers that a
-    solve's phases share; built once per solve.
+    solve's phases share; built once per solve.  The iterate's buffers are
+    the driver's (:func:`sraar.solvers._iterate`), each in one role.
 
     With D = (-1)^(r+c) the checkerboard, the centered DFT is D * fft(D * x)
     and the flips are exact, so P2 works with ``obs_d`` = D * observed: its
@@ -324,8 +326,8 @@ def project_fourier(m, observed, cfg):
     back in image space, together with the motion estimate.  Frequencies
     come from the centered grid of the data's side.
     """
-    m = require_square_image(m, "image")
-    observed = require_square_image(observed, "observed k-space")
+    m = require_finite(require_square_image(m, "image"), "image")
+    observed = require_finite(require_square_image(observed, "observed k-space"), "observed k-space")
     if m.shape != observed.shape:
         raise ValueError(f"image shape {m.shape} does not match observation {observed.shape}")
     return _project_fourier(_Workspace(observed, cfg.bounds), m, np.empty(m.shape, np.complex128))

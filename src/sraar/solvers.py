@@ -47,7 +47,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import SOLVER_ER, SOLVER_SRAAR, require_square_image
+from .core import SOLVER_ER, SOLVER_SRAAR, require_finite, require_square_image
 from .motion import naive_reconstruct
 from .projections import _Workspace, _project_fourier, _shrink
 from .transforms import _float_halves, _forward_levels, _inverse_levels, haar_forward, l1_norm
@@ -99,14 +99,10 @@ def _require_fixed_budget(cfg, expected_solver):
         raise ValueError(f"config selects solver {cfg.solver!r}, expected {expected_solver!r}")
     if cfg.c is None:
         raise ValueError("a fixed sparsity budget c is required; use tune_sparsity_budget for a grid")
-    return cfg.c
 
 
 def _require_observation(observed):
-    observed = require_square_image(observed, "observed k-space")
-    if not np.all(np.isfinite(observed)):
-        raise ValueError("observed k-space contains non-finite values (NaN or Inf)")
-    return observed
+    return require_finite(require_square_image(observed, "observed k-space"), "observed k-space")
 
 
 def _l1(work, coeffs):
@@ -114,17 +110,16 @@ def _l1(work, coeffs):
     return float(np.abs(coeffs, out=_float_halves(work.scratch)[0]).sum())
 
 
-def _er_step(work, w, m, out, cfg, c):
-    # the shrunk coefficients and their image take w's buffer, then W of P2's output
-    sparse = _inverse_levels(_shrink(w, c, w, work.scratch, work.mask), work.levels, work.scratch)
+def _er_step(work, w, m, out, cfg):
+    # the shrunk coefficients and their image pass through w, which ends holding W of P2's output
+    sparse = _inverse_levels(_shrink(w, cfg.c, w, work.scratch, work.mask), work.levels, work.scratch)
     p2, estimate = _project_fourier(work, sparse, out)
     misfit = np.linalg.norm(np.subtract(p2, sparse, out=work.scratch))
     np.copyto(w, p2)
-    wp2 = _forward_levels(w, work.levels, work.scratch)
-    return wp2, p2, p2, estimate, misfit, _l1(work, wp2)
+    return p2, estimate, misfit, _l1(work, _forward_levels(w, work.levels, work.scratch))
 
 
-def _sraar_step(work, w, m, out, cfg, c):
+def _sraar_step(work, w, m, out, cfg):
     p2, estimate = _project_fourier(work, m, out)
     wp2 = work.spec
     np.copyto(wp2, p2)
@@ -132,11 +127,12 @@ def _sraar_step(work, w, m, out, cfg, c):
     l1 = _l1(work, wp2)
     wr2 = np.multiply(2.0, wp2, out=m)
     wr2 -= w
-    ws = _shrink(wr2, c, work.shrunk, work.scratch, work.mask)
+    ws = _shrink(wr2, cfg.c, work.shrunk, work.scratch, work.mask)
     misfit = np.linalg.norm(np.subtract(wp2, ws, out=work.scratch))
     # (theta/2) * (2 ws - wr2 + w) + (1 - theta) * wp2, built in wr2's buffer
-    # with ws and wp2 scaled in place; the operations run in that
-    # expression's order, so they round the same
+    # (m) with ws and wp2 scaled in place; the operations run in that
+    # expression's order, so they round the same.  w takes a copy, and m
+    # inverts in place to the image
     ws *= 2.0
     nxt = np.subtract(ws, wr2, out=wr2)
     nxt += w
@@ -144,58 +140,48 @@ def _sraar_step(work, w, m, out, cfg, c):
     wp2 *= 1.0 - cfg.theta
     nxt += wp2
     np.copyto(w, nxt)
-    return nxt, _inverse_levels(w, work.levels, work.scratch), p2, estimate, misfit, l1
-
-
-def _free(buffers, held):
-    """The first of ``buffers`` that is none of ``held``; a new one is added
-    when every one is held."""
-    for buf in buffers:
-        if all(buf is not h for h in held):
-            return buf
-    buffers.append(np.empty_like(buffers[0]))
-    return buffers[-1]
+    return _inverse_levels(m, work.levels, work.scratch), estimate, misfit, l1
 
 
 def _iterate(observed, cfg, solver, step, patience=None):
     """Run ``step`` up to cfg.iterations times from the naive reconstruction.
 
-    The iterate is carried as its Haar coefficients w together with its
-    image m.  ``step(work, w, m, out, cfg, c)`` writes the P2 output into
-    ``out``, a buffer nothing else holds, may overwrite w and m unless m is
-    a P2 output, and returns (next w, next m, P2 output, motion estimate,
-    misfit, Haar l1 of the P2 output).  Without ``patience`` the last
-    iterate is returned, after a terminal P2 pass when it is not a P2
-    output.  With ``patience`` the sparsest P2 output (the first of equals)
-    is returned with its estimate, and the run stops once that output is
-    ``patience`` iterations old; a kept output keeps its buffer.
+    Each buffer keeps one role for the whole solve: w holds the iterate's
+    Haar coefficients, m SRAAR's iterate image and ``out`` the P2 output.
+    ``step(work, w, m, out, cfg)`` writes the P2 output into ``out``,
+    updates w and m in place, and returns (iterate image, motion estimate,
+    misfit, Haar l1 of the P2 output); ER's iterate image is ``out``.
+    Without ``patience`` the last iterate is returned, after a terminal P2
+    pass when it is not a P2 output.  With ``patience`` the sparsest P2
+    output (the first of equals) is returned with its estimate, and the run
+    stops once that output is ``patience`` iterations old; a kept output's
+    buffer trades places with a spare one, made on the first keep.
     """
-    c = _require_fixed_budget(cfg, solver)
+    _require_fixed_budget(cfg, solver)
     observed = _require_observation(observed)
     work = _Workspace(observed, cfg.bounds)
     trace = SolverTrace()
     m = work.naive_image()
     w = _forward_levels(m.copy(), work.levels, work.scratch)
-    buffers = [m, w]
-    kept = None
+    out = np.empty_like(m)
+    kept = spare = None
     for iteration in range(1, cfg.iterations + 1):
-        out = _free(buffers, (w, m, kept[0]) if kept else (w, m))
         start = time.perf_counter()
-        w, m, p2, estimate, misfit, l1 = step(work, w, m, out, cfg, c)
+        image, estimate, misfit, l1 = step(work, w, m, out, cfg)
         trace.append(misfit, l1, time.perf_counter() - start)
         if patience is None:
             continue
         if kept is None or l1 < trace.l1[trace.returned - 1]:
-            kept, trace.returned = (p2, estimate), iteration
+            kept, trace.returned = (out, estimate), iteration
+            out, spare = (np.empty_like(out) if spare is None else spare), out
         elif iteration - trace.returned >= patience:
             break
     if kept is not None:
         return (*kept, trace)
-    if m is p2:
+    if image is out:
         trace.returned = len(trace)
-    else:
-        m, estimate = _project_fourier(work, m, _free(buffers, (m,)))
-    return m, estimate, trace
+        return out, estimate, trace
+    return (*_project_fourier(work, m, out), trace)
 
 
 def _run_er(observed, cfg, patience=None):

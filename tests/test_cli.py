@@ -1,5 +1,10 @@
 import contextlib
+import csv
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +15,8 @@ from sraar import ReconConfig, MotionBounds, load_array, save_array, shepp_logan
 from sraar.cli import build_parser, main, reconstruct_config
 from sraar.fileio import load_trace_csv
 from sraar.solvers import _SOLVER_FUNCS
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -206,6 +213,18 @@ class TestReconstruct:
         for name in ("recon.srr", "est_trajectory.txt"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    def test_outputs_do_not_depend_on_blas_thread_count(self, blas_runs):
+        one, two = blas_runs
+        assert one["iter"] == [str(i) for i in range(1, 11)]
+        for key in ("recon.srr", "est_trajectory.txt", "iter", "l1"):
+            assert one[key] == two[key], key
+
+    @pytest.mark.xfail(reason="the misfit is np.linalg.norm, whose BLAS dot sums in an order "
+                                 "that follows the thread count")
+    def test_trace_misfit_does_not_depend_on_blas_thread_count(self, blas_runs):
+        one, two = blas_runs
+        assert one["misfit"] == two["misfit"]
+
     def test_theta_one_matches_library(self, dataset, tmp_path):
         out = tmp_path / "rec"
         rc = main(["reconstruct", "--kspace", str(dataset / "kspace.srr"),
@@ -306,6 +325,28 @@ class TestReconstruct:
         rc = main(["reconstruct", "--kspace", str(tmp_path / "nope.srr"),
                    "--c", "300", "--out-dir", str(tmp_path)] + RECON_ARGS)
         assert rc == 1
+
+
+@pytest.fixture(scope="module")
+def blas_runs(tmp_path_factory):
+    """simulate --size 256, then reconstruct --iters 10, in child processes
+    whose BLAS runs 1 and then 2 threads; the output files' bytes and the
+    trace's columns of each."""
+    runs = []
+    for threads in (1, 2):
+        out = tmp_path_factory.mktemp(f"threads{threads}")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads),
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        for argv in (["simulate", "--phantom", "shepp-logan", "--size", "256", "--out-dir", str(out)],
+                     ["reconstruct", "--kspace", str(out / "kspace.srr"), "--iters", "10",
+                      "--out-dir", str(out / "rec")]):
+            subprocess.run([sys.executable, "-m", "sraar.cli", *argv], env=env, check=True,
+                           capture_output=True, timeout=300)
+        with open(out / "rec" / "trace.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        run = {name: (out / "rec" / name).read_bytes() for name in ("recon.srr", "est_trajectory.txt")}
+        runs.append(run | {column: [row[column] for row in rows] for column in ("iter", "misfit", "l1")})
+    return runs
 
 
 @pytest.fixture(scope="module")

@@ -481,3 +481,32 @@ class TestProjectFourier:
         cfg = ReconConfig(bounds=MotionBounds(5.0, 5.0))
         with pytest.raises(ValueError):
             project_fourier(phantom64, random_complex(rng, (32, 32)), cfg)
+
+
+def _with_bad_sample(arr, bad):
+    arr = arr.copy()
+    arr.flat[5] = bad
+    return arr
+
+
+_IMAGE = np.random.default_rng(7).standard_normal((16, 16))
+_KSPACE = dft2(_IMAGE)
+_LINE = _KSPACE[3]
+_BOUNDS = MotionBounds(2.0, 2.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name, call", [
+    ("image", lambda bad: project_sparse(_with_bad_sample(_IMAGE, bad), 10.0)),
+    ("image", lambda bad: project_fourier(_with_bad_sample(_IMAGE, bad), _KSPACE, ReconConfig(bounds=_BOUNDS))),
+    ("observed k-space",
+     lambda bad: project_fourier(_IMAGE, _with_bad_sample(_KSPACE, bad), ReconConfig(bounds=_BOUNDS))),
+    ("observed line", lambda bad: estimate_line_shift(_with_bad_sample(_LINE, bad), _LINE, 0.1, _BOUNDS)),
+    ("reference line", lambda bad: estimate_line_shift(_LINE, _with_bad_sample(_LINE, bad), 0.1, _BOUNDS)),
+], ids=["project_sparse", "project_fourier-image", "project_fourier-observed", "estimate_line_shift-observed",
+        "estimate_line_shift-reference"])
+def test_non_finite_input_rejected_naming_the_argument(name, call, bad):
+    # a NaN used to give zeros (P1), a NaN image or a motion-free naive
+    # image (P2), or a zero shift (the line estimator), with no error
+    with pytest.raises(ValueError, match=f"^{name} contains non-finite values"):
+        call(bad)

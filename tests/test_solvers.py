@@ -196,7 +196,7 @@ class TestIterationCost:
 def test_repeat_solves_around_another_size_are_identical(log2_size, seed, bound, solver, patience, fraction):
     """Buffer reuse leaks no state: a solve repeated after a solve of
     another size returns the same bits, also when a patience keeps P2
-    outputs in swapped buffers."""
+    outputs in the output's buffer and its spare in turn."""
     n = 2**log2_size
     rng = np.random.default_rng(seed)
     observed = random_complex(rng, (n, n))
@@ -303,6 +303,25 @@ class TestSharedDriver:
             l1.append(budget_of(p2))
         expected, estimate = project_fourier(m, observed, cfg)
         self.check(solve_sraar(observed, cfg), expected, estimate, misfit, l1, None)
+
+    @pytest.mark.parametrize("solver, patience", [("er", None), ("sraar", None), ("er", 2), ("sraar", _PATIENCE)])
+    def test_each_buffer_keeps_one_role(self, monkeypatch, scenario, solver, patience):
+        # w and m are the same arrays in every step; the P2 output takes one
+        # buffer, and under a patience a kept output trades it for a spare
+        name = f"_{solver}_step"
+        step, calls = getattr(solvers, name), []
+
+        def recorded(*args):
+            calls.append(args[1:4])
+            return step(*args)
+
+        monkeypatch.setattr(solvers, name, recorded)
+        cfg = replace(self.config(scenario, solver), iterations=8)
+        _SOLVER_FUNCS[solver](scenario.observed, cfg, patience)
+        w, m, _ = calls[0]
+        assert len(calls) == cfg.iterations
+        assert all(call[0] is w and call[1] is m for call in calls)
+        assert len({id(call[2]) for call in calls}) == (1 if patience is None else 2)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_kspace_rejected(self, scenario, bad):

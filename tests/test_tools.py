@@ -1,17 +1,20 @@
-"""The replay tool's copy of the patience stop agrees with the solver driver.
+"""The replay tool agrees with the solver driver.
 
 ``tools/replay_stop_rule.py`` chose ``_PATIENCE`` by replaying full-length
-candidate runs under its own ``stop``; that choice holds only while ``stop``
-returns what a tuned SRAAR candidate returns.
+candidate runs with the driver's own SRAAR step under its own ``stop``;
+that choice holds only while the replayed candidates are the driver's and
+``stop`` returns what a tuned SRAAR candidate returns.
 """
 
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sraar import MotionBounds, ReconConfig, haar_forward, l1_norm, naive_reconstruct
+from sraar.cli import build_parser, reconstruct_config
 from sraar.solvers import _PATIENCE, _SOLVER_FUNCS
 from scenarios import make_scenario
 
@@ -43,3 +46,19 @@ def test_stop_matches_tuned_candidate(replay_tool, candidate, patience):
     assert replay_tool.stop(np.array(full.l1), patience) == (trace.returned - 1, len(trace))
     if patience < _PATIENCE:
         assert len(trace) < cfg.iterations
+
+
+def test_replay_runs_the_drivers_sraar_step(replay_tool, tmp_path):
+    # every candidate's l1 column is the trace of the driver's own solve at
+    # that budget, run for the full iteration count
+    sraar = replay_tool.import_sraar()
+    candidates, _ = replay_tool.replay_seed(sraar, "default-256", 1)
+    run = replay_tool.Run(sraar, "default-256", 1, tmp_path, smoke=False)
+    observed = run.generate()[2]
+    args = build_parser().parse_args(["reconstruct", "--kspace", "-", "--out-dir", "-", *run.recon_args])
+    cfg = reconstruct_config(args)
+    base = l1_norm(haar_forward(naive_reconstruct(observed)))
+    assert [fraction for fraction, _, _ in candidates] == sorted(cfg.c_grid)
+    for fraction, rows, _ in candidates:
+        trace = _SOLVER_FUNCS["sraar"](observed, replace(cfg, c=fraction * base, c_grid=None))[2]
+        assert rows[:, 0].tolist() == trace.l1

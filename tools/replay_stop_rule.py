@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import statistics
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -69,12 +70,12 @@ def replay_seed(sraar, name, seed):
     work = _Workspace(observed, cfg.bounds)
     candidates = []
     for fraction in sorted(cfg.c_grid):
-        c = fraction * base
-        # the solver's own step, which carries Haar coefficients and image,
-        # overwrites both buffers and writes each P2 output into p2's
+        candidate = replace(cfg, c=fraction * base, c_grid=None)
+        # the solver's own step, which updates the Haar coefficients w and
+        # the image m in place and writes each P2 output into p2
         w, m, p2, rows = sraar.haar_forward(naive).data, naive.copy(), np.empty_like(naive), []
         for _ in range(cfg.iterations):
-            w, m, _, estimate, _, _ = _sraar_step(work, w, m, p2, cfg, c)
+            estimate = _sraar_step(work, w, m, p2, candidate)[1]
             rows.append(record(p2, estimate))
         terminal = record(*sraar.project_fourier(m, observed, cfg))
         candidates.append((fraction, np.array(rows), terminal))
