@@ -56,9 +56,17 @@ def require_finite(arr, name):
     return a
 
 
+def _real(value, name):
+    """``value`` as a float; a value float() refuses is a ValueError naming ``name``."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a real number, got {value!r}") from None
+
+
 def require_budget(c):
     """Validate a wavelet-l1 budget: finite and non-negative; returns a float."""
-    c = float(c)
+    c = _real(c, "sparsity budget c")
     if not np.isfinite(c) or c < 0:
         raise ValueError(f"sparsity budget c must be finite and >= 0, got {c}")
     return c
@@ -115,7 +123,7 @@ class MotionBounds:
 
     def __post_init__(self):
         for name in ("max_abs_x", "max_abs_y"):
-            v = float(getattr(self, name))
+            v = _real(getattr(self, name), name)
             if not np.isfinite(v) or v < 0:
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
             object.__setattr__(self, name, v)
@@ -196,9 +204,11 @@ class ReconConfig:
     c_grid: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        if not isinstance(self.bounds, MotionBounds):
+            raise ValueError(f"bounds must be a MotionBounds, got {self.bounds!r}")
         if self.solver not in _SOLVERS:
             raise ValueError(f"solver must be one of {_SOLVERS}, got {self.solver!r}")
-        theta = float(self.theta)
+        theta = _real(self.theta, "theta")
         if not (0.0 < theta <= 1.0):
             raise ValueError(f"theta must lie in (0, 1], got {theta}")
         object.__setattr__(self, "theta", theta)
@@ -208,7 +218,9 @@ class ReconConfig:
         if self.c is not None:
             object.__setattr__(self, "c", require_budget(self.c))
         if self.c_grid is not None:
-            grid = tuple(float(f) for f in self.c_grid)
+            if isinstance(self.c_grid, str) or not np.iterable(self.c_grid):
+                raise ValueError(f"c_grid must be a sequence of fractions, got {self.c_grid!r}")
+            grid = tuple(_real(f, "c_grid fraction") for f in self.c_grid)
             if len(grid) == 0:
                 raise ValueError("c_grid must not be empty")
             if any(not (0.0 < f < 1.0) for f in grid):

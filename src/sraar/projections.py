@@ -243,16 +243,21 @@ class MotionEstimate:
 
 class _Workspace:
     """What P2 derives from one observation, plus the n x n buffers that a
-    solve's phases share; built once per solve.  The iterate's buffers are
-    the driver's (:func:`sraar.solvers._iterate`), each in one role.
+    solve's phases share; built once per solve or budget tuning.  The
+    iterate's buffers are the driver's (:func:`sraar.solvers._iterate`),
+    each in one role.
 
     With D = (-1)^(r+c) the checkerboard, the centered DFT is D * fft(D * x)
     and the flips are exact, so P2 works with ``obs_d`` = D * observed: its
     matched-filter input is obs_d * conj(fft(D * m)) and its output
     D * ifft(obs_d * ramps), each bit-identical to the dft2/idft2 form with
-    two of the four flips gone.  ``spec`` and ``scratch`` belong to P2 while
-    it runs and are free for the solver between P2 calls; ``scratch`` also
-    serves as two n x n float arrays (:func:`_float_halves`).
+    two of the four flips gone.  ``spec`` holds the matched-filter input
+    while P2 runs and the SRAAR step's shrunk coefficients after it.
+    ``scratch`` is every phase's temporary, never alive across a call: the
+    matched filter's ratio, the Haar butterflies' pair sums, the shrink's
+    moduli and scale, and the moduli of the l1 norm and the squared
+    difference of the misfit; it also serves as two n x n float arrays
+    (:func:`_float_halves`).
     """
 
     def __init__(self, observed, bounds):
@@ -266,11 +271,6 @@ class _Workspace:
         self.spec = np.empty((n, n), np.complex128)
         self.scratch = np.empty_like(self.spec)
         self.mask = np.empty((n, n), bool)
-
-    @functools.cached_property
-    def shrunk(self):
-        """The SRAAR step's buffer for the shrink's output."""
-        return np.empty_like(self.spec)
 
     def naive_image(self):
         """idft2 of the observation, in a new array."""
@@ -298,21 +298,30 @@ def _matched_filter_input(work, m):
     return q
 
 
-def _project_fourier(work, m, out):
-    """P2 of the image m into ``out``, with the observation and buffers of
-    the workspace ``work``; returns (out, motion estimate).
-
-    The line estimator's ramps go into ``out`` before the corrected image does.
-    """
-    shifts, scores = _estimate_lines(_matched_filter_input(work, m), work.k_y, work.bounds, _GRID_STEP, out)
+def _estimate_motion(work, m, ramps):
+    """P2's motion estimate for the image m, with the observation and buffers
+    of the workspace ``work``; the line estimator's ramps go into ``ramps``."""
+    shifts, scores = _estimate_lines(_matched_filter_input(work, m), work.k_y, work.bounds, _GRID_STEP, ramps)
     total = work.energy.sum()
     if total > 0:
         shifts -= (work.energy @ shifts) / total
-    traj = MotionTrajectory(work.bounds.clamp(shifts))
+    return MotionEstimate(MotionTrajectory(work.bounds.clamp(shifts)), scores)
+
+
+def _compensate(work, traj, out):
+    """The observation of ``work`` with the motion ``traj`` undone, in image
+    space, written to ``out``; the same trajectory gives the same bits."""
     # invert_translation's ramps: the negated trajectory, negated again
     corrected = _line_ramps(traj.dx, traj.dy * work.k_y, out.shape[0], out=out)
     np.multiply(work.obs_d, corrected, out=corrected)
-    return _flip_checkerboard(_unitary(np.fft.ifftn, corrected)), MotionEstimate(traj, scores)
+    return _flip_checkerboard(_unitary(np.fft.ifftn, corrected))
+
+
+def _project_fourier(work, m, out):
+    """P2 of the image m into ``out``: the motion estimate, then the
+    compensated image; returns (out, motion estimate)."""
+    estimate = _estimate_motion(work, m, out)
+    return _compensate(work, estimate.traj, out), estimate
 
 
 def project_fourier(m, observed, cfg):

@@ -21,7 +21,8 @@ inverts the result; ER shrinks them and inverts the shrunk ones.  SRAAR
 measures the misfit between coefficients and ER between images, which
 orthonormality makes equal.
 
-Each solve builds one workspace (:class:`~sraar.projections._Workspace`):
+Each solve, and each budget tuning, builds one workspace
+(:class:`~sraar.projections._Workspace`):
 obs_d = D * observed with D = (-1)^(r+c), its moduli and line energies, and
 n x n buffers that P2, the Haar passes, the shrink and the update share.
 The centered DFT is D * fft(D * x), so P2 forms obs_d * conj(fft(D * m))
@@ -31,7 +32,9 @@ array, so the heap no longer shrinks after each iteration only to fault its
 pages back in.
 
 Every P2 output is a compensated image: the observation with one estimated
-motion undone.  The trace records the wavelet l1 norm of each one.  Budget
+motion undone, so a solve keeps motion estimates and computes its returned
+image from the chosen one at the end.  The trace records the wavelet l1
+norm of each P2 output.  Budget
 tuning keeps the maximally sparse compensated image: each SRAAR candidate
 returns its sparsest P2 output and stops once that output is ``_PATIENCE``
 iterations old, because the reflection iterates of an inconsistent problem
@@ -48,9 +51,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import SOLVER_ER, SOLVER_SRAAR, require_finite, require_square_image
-from .motion import naive_reconstruct
-from .projections import _Workspace, _project_fourier, _shrink
-from .transforms import _float_halves, _forward_levels, _inverse_levels, haar_forward, l1_norm
+from .projections import _Workspace, _compensate, _estimate_motion, _project_fourier, _shrink
+from .transforms import _float_halves, _forward_levels, _inverse_levels
 
 __all__ = ["SolverTrace", "solve_er", "solve_sraar", "tune_sparsity_budget"]
 
@@ -94,11 +96,9 @@ class SolverTrace:
         return len(self.misfit)
 
 
-def _require_fixed_budget(cfg, expected_solver):
+def _require_solver(cfg, expected_solver):
     if cfg.solver != expected_solver:
         raise ValueError(f"config selects solver {cfg.solver!r}, expected {expected_solver!r}")
-    if cfg.c is None:
-        raise ValueError("a fixed sparsity budget c is required; use tune_sparsity_budget for a grid")
 
 
 def _require_observation(observed):
@@ -110,25 +110,34 @@ def _l1(work, coeffs):
     return float(np.abs(coeffs, out=_float_halves(work.scratch)[0]).sum())
 
 
+def _distance(work, a, b):
+    """Frobenius distance between ``a`` and ``b``, squared in the workspace's scratch.
+
+    numpy's pairwise sum adds in one order whatever the BLAS thread count,
+    where np.linalg.norm's BLAS dot splits its sum by thread.
+    """
+    squares = np.subtract(a, b, out=work.scratch).reshape(-1).view(np.float64)
+    return float(np.sqrt(np.square(squares, out=squares).sum()))
+
+
 def _er_step(work, w, m, out, cfg):
     # the shrunk coefficients and their image pass through w, which ends holding W of P2's output
     sparse = _inverse_levels(_shrink(w, cfg.c, w, work.scratch, work.mask), work.levels, work.scratch)
     p2, estimate = _project_fourier(work, sparse, out)
-    misfit = np.linalg.norm(np.subtract(p2, sparse, out=work.scratch))
+    misfit = _distance(work, p2, sparse)
     np.copyto(w, p2)
-    return p2, estimate, misfit, _l1(work, _forward_levels(w, work.levels, work.scratch))
+    return estimate, misfit, _l1(work, _forward_levels(w, work.levels, work.scratch))
 
 
 def _sraar_step(work, w, m, out, cfg):
-    p2, estimate = _project_fourier(work, m, out)
-    wp2 = work.spec
-    np.copyto(wp2, p2)
+    wp2, estimate = _project_fourier(work, m, out)
+    # W of the P2 output, in out's buffer: nothing reads the image again
     _forward_levels(wp2, work.levels, work.scratch)
     l1 = _l1(work, wp2)
     wr2 = np.multiply(2.0, wp2, out=m)
     wr2 -= w
-    ws = _shrink(wr2, cfg.c, work.shrunk, work.scratch, work.mask)
-    misfit = np.linalg.norm(np.subtract(wp2, ws, out=work.scratch))
+    ws = _shrink(wr2, cfg.c, work.spec, work.scratch, work.mask)
+    misfit = _distance(work, wp2, ws)
     # (theta/2) * (2 ws - wr2 + w) + (1 - theta) * wp2, built in wr2's buffer
     # (m) with ws and wp2 scaled in place; the operations run in that
     # expression's order, so they round the same.  w takes a copy, and m
@@ -140,56 +149,62 @@ def _sraar_step(work, w, m, out, cfg):
     wp2 *= 1.0 - cfg.theta
     nxt += wp2
     np.copyto(w, nxt)
-    return _inverse_levels(m, work.levels, work.scratch), estimate, misfit, l1
+    _inverse_levels(m, work.levels, work.scratch)
+    return estimate, misfit, l1
 
 
-def _iterate(observed, cfg, solver, step, patience=None):
-    """Run ``step`` up to cfg.iterations times from the naive reconstruction.
+def _iterate(work, cfg, patience=None):
+    """Run cfg.solver's step up to cfg.iterations times at the budget cfg.c,
+    from the naive reconstruction of the workspace ``work``'s observation.
 
-    Each buffer keeps one role for the whole solve: w holds the iterate's
-    Haar coefficients, m SRAAR's iterate image and ``out`` the P2 output.
-    ``step(work, w, m, out, cfg)`` writes the P2 output into ``out``,
-    updates w and m in place, and returns (iterate image, motion estimate,
-    misfit, Haar l1 of the P2 output); ER's iterate image is ``out``.
-    Without ``patience`` the last iterate is returned, after a terminal P2
-    pass when it is not a P2 output.  With ``patience`` the sparsest P2
-    output (the first of equals) is returned with its estimate, and the run
-    stops once that output is ``patience`` iterations old; a kept output's
-    buffer trades places with a spare one, made on the first keep.
+    Returns (motion estimate, trace).  The solve's image is the observation
+    compensated by that estimate, which the caller recomputes with
+    :func:`~sraar.projections._compensate`, so no image is kept.  Each
+    buffer keeps one role for the whole solve: w holds the iterate's Haar
+    coefficients, m SRAAR's iterate image and ``out`` the P2 output, which
+    the SRAAR step turns into scaled Haar coefficients.
+    ``step(work, w, m, out, cfg)`` updates w and m in place and returns
+    (motion estimate, misfit, Haar l1 of the P2 output); the steps are
+    module globals, looked up here.  Without ``patience`` the image is ER's
+    last P2 output, or SRAAR's terminal P2 pass over its last iterate.  With
+    ``patience`` it is the sparsest P2 output (the first of equals), and the
+    run stops once that output is ``patience`` iterations old.
     """
-    _require_fixed_budget(cfg, solver)
-    observed = _require_observation(observed)
-    work = _Workspace(observed, cfg.bounds)
+    step = _er_step if cfg.solver == SOLVER_ER else _sraar_step
     trace = SolverTrace()
     m = work.naive_image()
     w = _forward_levels(m.copy(), work.levels, work.scratch)
     out = np.empty_like(m)
-    kept = spare = None
+    kept = None
     for iteration in range(1, cfg.iterations + 1):
         start = time.perf_counter()
-        image, estimate, misfit, l1 = step(work, w, m, out, cfg)
+        estimate, misfit, l1 = step(work, w, m, out, cfg)
         trace.append(misfit, l1, time.perf_counter() - start)
         if patience is None:
             continue
         if kept is None or l1 < trace.l1[trace.returned - 1]:
-            kept, trace.returned = (out, estimate), iteration
-            out, spare = (np.empty_like(out) if spare is None else spare), out
+            kept, trace.returned = estimate, iteration
         elif iteration - trace.returned >= patience:
             break
     if kept is not None:
-        return (*kept, trace)
-    if image is out:
+        return kept, trace
+    if cfg.solver == SOLVER_ER:
         trace.returned = len(trace)
-        return out, estimate, trace
-    return (*_project_fourier(work, m, out), trace)
+        return estimate, trace
+    return _estimate_motion(work, m, out), trace
 
 
-def _run_er(observed, cfg, patience=None):
-    return _iterate(observed, cfg, SOLVER_ER, _er_step, patience)
-
-
-def _run_sraar(observed, cfg, patience=None):
-    return _iterate(observed, cfg, SOLVER_SRAAR, _sraar_step, patience)
+def _run(observed, cfg, patience=None):
+    """Solve at the fixed budget cfg.c with cfg.solver's step; returns
+    (image, motion estimate, trace).  See :func:`_iterate` for ``patience``."""
+    if cfg.c is None:
+        raise ValueError("a fixed sparsity budget c is required; use tune_sparsity_budget for a grid")
+    work = _Workspace(_require_observation(observed), cfg.bounds)
+    # the workspace holds D * observed; on CPython >= 3.11 a caller that
+    # passes its only reference (the CLI) lets this free the observation
+    del observed
+    estimate, trace = _iterate(work, cfg, patience)
+    return _compensate(work, estimate.traj, np.empty_like(work.spec)), estimate, trace
 
 
 def solve_er(observed, cfg):
@@ -198,17 +213,20 @@ def solve_er(observed, cfg):
     Returns (image, motion estimate, trace); the image is the output of the
     final Fourier projection and therefore data-consistent.
     """
-    return _run_er(observed, cfg)
+    _require_solver(cfg, SOLVER_ER)
+    return _run(observed, cfg)
 
 
 def solve_sraar(observed, cfg):
     """Run the relaxed reflection iteration followed by a terminal P2 pass."""
-    return _run_sraar(observed, cfg)
+    _require_solver(cfg, SOLVER_SRAAR)
+    return _run(observed, cfg)
 
 
-# The CLI and budget tuning reach the solvers through this table; only
-# tuning passes a patience.
-_SOLVER_FUNCS = {SOLVER_ER: _run_er, SOLVER_SRAAR: _run_sraar}
+# The CLI reaches the fixed-budget solves through this table, one entry per
+# solver, so that a tracer can wrap each; tuning runs its candidates through
+# _iterate on one shared workspace.
+_SOLVER_FUNCS = {SOLVER_ER: _run, SOLVER_SRAAR: _run}
 
 
 def tune_sparsity_budget(observed, cfg):
@@ -222,22 +240,24 @@ def tune_sparsity_budget(observed, cfg):
     runs.  An ER candidate runs every iteration and returns its last image,
     its sparsest P2 output as a rule; stopping it with a patience of 20
     raised the median rmse_rel of ER's 128^2 benchmark inputs from 0.083 to
-    0.255.  Returns (chosen c, image, motion estimate, trace of the chosen
+    0.255.  Every candidate runs on one workspace, and tuning keeps only the
+    best candidate's estimate: the chosen image is compensated once, at the
+    end.  Returns (chosen c, image, motion estimate, trace of the chosen
     run).
     """
     if cfg.c_grid is None:
         raise ValueError("tune_sparsity_budget requires c_grid")
-    observed = _require_observation(observed)
-    base = l1_norm(haar_forward(naive_reconstruct(observed)))
-    solver = _SOLVER_FUNCS[cfg.solver]
+    work = _Workspace(_require_observation(observed), cfg.bounds)
+    del observed  # as in _run
+    base = _l1(work, _forward_levels(work.naive_image(), work.levels, work.scratch))
     patience = _PATIENCE if cfg.solver == SOLVER_SRAAR else None
     best = None
     # equal fractions would run the same solve again and lose its tie
     for fraction in sorted(set(cfg.c_grid)):
         candidate = fraction * base
-        image, estimate, trace = solver(observed, replace(cfg, c=candidate, c_grid=None), patience)
+        estimate, trace = _iterate(work, replace(cfg, c=candidate, c_grid=None), patience)
         l1 = trace.l1[trace.returned - 1]
         if best is None or l1 < best[0]:
-            best = (l1, candidate, image, estimate, trace)
-    _, c, image, estimate, trace = best
-    return c, image, estimate, trace
+            best = (l1, candidate, estimate, trace)
+    _, c, estimate, trace = best
+    return c, _compensate(work, estimate.traj, np.empty_like(work.spec)), estimate, trace

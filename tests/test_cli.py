@@ -12,9 +12,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sraar import ReconConfig, MotionBounds, load_array, save_array, shepp_logan, solve_sraar
+from sraar import solvers
 from sraar.cli import build_parser, main, reconstruct_config
 from sraar.fileio import load_trace_csv
-from sraar.solvers import _SOLVER_FUNCS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -169,13 +169,13 @@ class TestReconstruct:
 
     @pytest.mark.parametrize("grid, calls", [([], 2), (["--c-grid", "0.3,0.5,0.7"], 3)])
     def test_solver_calls_per_grid(self, dataset, tmp_path, monkeypatch, grid, calls):
-        run, budgets = _SOLVER_FUNCS["sraar"], []
+        run, budgets = solvers._iterate, []
 
-        def counted(observed, cfg, patience):
+        def counted(work, cfg, patience):
             budgets.append(cfg.c)
-            return run(observed, cfg, patience)
+            return run(work, cfg, patience)
 
-        monkeypatch.setitem(_SOLVER_FUNCS, "sraar", counted)
+        monkeypatch.setattr(solvers, "_iterate", counted)
         rc = main(["reconstruct", "--kspace", str(dataset / "kspace.srr"),
                    "--out-dir", str(tmp_path)] + grid + RECON_ARGS)
         assert rc == 0
@@ -219,8 +219,6 @@ class TestReconstruct:
         for key in ("recon.srr", "est_trajectory.txt", "iter", "l1"):
             assert one[key] == two[key], key
 
-    @pytest.mark.xfail(reason="the misfit is np.linalg.norm, whose BLAS dot sums in an order "
-                                 "that follows the thread count")
     def test_trace_misfit_does_not_depend_on_blas_thread_count(self, blas_runs):
         one, two = blas_runs
         assert one["misfit"] == two["misfit"]
@@ -325,6 +323,12 @@ class TestReconstruct:
         rc = main(["reconstruct", "--kspace", str(tmp_path / "nope.srr"),
                    "--c", "300", "--out-dir", str(tmp_path)] + RECON_ARGS)
         assert rc == 1
+
+    def test_bad_flag_is_reported_before_the_kspace_is_read(self, tmp_path, capsys):
+        rc = main(["reconstruct", "--kspace", str(tmp_path / "nope.srr"),
+                   "--theta", "1.5", "--c", "300", "--out-dir", str(tmp_path)] + RECON_ARGS)
+        assert rc == 2
+        assert "theta must lie in (0, 1]" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

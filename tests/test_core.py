@@ -132,6 +132,21 @@ class TestReconConfig:
         with pytest.raises(ValueError):
             ReconConfig(solver="gradient")
 
+    @pytest.mark.parametrize("make, name", [
+        (lambda: ReconConfig(bounds=(1.0, 1.0)), "bounds"),
+        (lambda: ReconConfig(c_grid=0.5), "c_grid"),
+        (lambda: ReconConfig(c_grid="0.5,0.7"), "c_grid"),
+        (lambda: ReconConfig(c_grid=(0.5, None)), "c_grid"),
+        (lambda: ReconConfig(theta=None), "theta"),
+        (lambda: ReconConfig(c=[1.0, 2.0]), "sparsity budget c"),
+        (lambda: MotionBounds(None, 1), "max_abs_x"),
+        (lambda: MotionBounds(1, 1j), "max_abs_y"),
+    ], ids=["bounds-tuple", "c_grid-float", "c_grid-str", "c_grid-None", "theta-None", "c-list",
+            "max_abs_x-None", "max_abs_y-complex"])
+    def test_argument_of_wrong_type_rejected_naming_it(self, make, name):
+        with pytest.raises(ValueError, match=f"^{name} "):
+            make()
+
     def test_only_the_solver_settings_are_fields(self):
         # P2 estimates every line in one batched pass, so a thread count is
         # no setting of the solve

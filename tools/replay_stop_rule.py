@@ -50,7 +50,7 @@ def parse_seeds(text):
 def replay_seed(sraar, name, seed):
     """Per-candidate records of every P2 output, plus the naive rmse_rel."""
     from sraar.cli import build_parser, reconstruct_config
-    from sraar.projections import _Workspace
+    from sraar.projections import _Workspace, _compensate
     from sraar.solvers import _sraar_step
 
     # generate() only computes; nothing is written under the work directory
@@ -72,11 +72,12 @@ def replay_seed(sraar, name, seed):
     for fraction in sorted(cfg.c_grid):
         candidate = replace(cfg, c=fraction * base, c_grid=None)
         # the solver's own step, which updates the Haar coefficients w and
-        # the image m in place and writes each P2 output into p2
-        w, m, p2, rows = sraar.haar_forward(naive).data, naive.copy(), np.empty_like(naive), []
+        # the image m in place; it leaves scaled Haar coefficients of the P2
+        # output in out, so the output is recomputed from its estimate
+        w, m, out, rows = sraar.haar_forward(naive).data, naive.copy(), np.empty_like(naive), []
         for _ in range(cfg.iterations):
-            estimate = _sraar_step(work, w, m, p2, candidate)[1]
-            rows.append(record(p2, estimate))
+            estimate = _sraar_step(work, w, m, out, candidate)[0]
+            rows.append(record(_compensate(work, estimate.traj, out), estimate))
         terminal = record(*sraar.project_fourier(m, observed, cfg))
         candidates.append((fraction, np.array(rows), terminal))
     return candidates, sraar.image_metrics(naive, gt)[0]
