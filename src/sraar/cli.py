@@ -23,7 +23,7 @@ from .fileio import (
 from .metrics import EvalReport, image_metrics, trajectory_error
 from .motion import gauge_aligned, naive_reconstruct
 from .simulate import TrajectoryGenConfig, corrupt, generate_trajectory, load_ground_truth, shepp_logan
-from .solvers import _SOLVER_FUNCS, tune_sparsity_budget
+from .solvers import _solve
 from .transforms import dft2, haar_forward, l1_norm
 
 # 0.3 is below the truth's Haar l1 share on every benchmark input measured,
@@ -148,11 +148,7 @@ def cmd_reconstruct(args):
     # the k-space is passed, not bound to a name: on CPython >= 3.11 the
     # callee owns that argument and drops it once its workspace holds a
     # flipped copy, so this process holds one complex copy, not two
-    if cfg.c_grid is not None:
-        chosen_c, image, estimate, trace = tune_sparsity_budget(load_array(args.kspace), cfg)
-    else:
-        chosen_c = cfg.c
-        image, estimate, trace = _SOLVER_FUNCS[cfg.solver](load_array(args.kspace), cfg)
+    chosen_c, image, estimate, trace = _solve(load_array(args.kspace), cfg)
     elapsed = time.perf_counter() - start
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

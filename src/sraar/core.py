@@ -49,8 +49,11 @@ def require_square_image(arr, name="array"):
 
 
 def require_finite(arr, name):
-    """Refuse an array holding NaN or Inf, naming it; return it as ndarray."""
+    """Refuse an array that is not numeric or holds NaN or Inf, naming it;
+    return it as ndarray."""
     a = np.asarray(arr)
+    if a.dtype.kind not in "biufc":
+        raise ValueError(f"{name} must be bool, int, float or complex, got dtype {a.dtype}")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite values (NaN or Inf)")
     return a
@@ -77,7 +80,10 @@ def normalized_line_weights(weights, n_lines):
     if weights is None:
         return np.full(n_lines, 1.0 / n_lines)
     w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (n_lines,) or np.any(w < 0) or w.sum() <= 0:
+    if w.shape != (n_lines,):
+        got = f"{w.size} weights" if w.ndim == 1 else f"weights of shape {w.shape}"
+        raise ValueError(f"weights must hold one value per line: {n_lines} lines, {got}")
+    if np.any(w < 0) or w.sum() <= 0:
         raise ValueError("weights must be non-negative per line with positive sum")
     return w / w.sum()
 

@@ -45,7 +45,7 @@ def trajectory_error(est, true_traj, weights=None):
     uniform.
     """
     if len(est) != len(true_traj):
-        raise ValueError("trajectories must have the same number of lines")
+        raise ValueError(f"trajectories must have the same number of lines, got {len(est)} and {len(true_traj)}")
     d = est.shifts - true_traj.shifts
     w = normalized_line_weights(weights, len(est))
     d = d - w @ d

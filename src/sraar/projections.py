@@ -243,9 +243,10 @@ class MotionEstimate:
 
 class _Workspace:
     """What P2 derives from one observation, plus the n x n buffers that a
-    solve's phases share; built once per solve or budget tuning.  The
-    iterate's buffers are the driver's (:func:`sraar.solvers._iterate`),
-    each in one role.
+    solve's phases share; :func:`sraar.solvers._solve` builds the one
+    workspace of each solve, whatever its number of budgets.  The iterate's
+    buffers are the driver's (:func:`sraar.solvers._iterate`), each in one
+    role.
 
     With D = (-1)^(r+c) the checkerboard, the centered DFT is D * fft(D * x)
     and the flips are exact, so P2 works with ``obs_d`` = D * observed: its

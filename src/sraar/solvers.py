@@ -21,7 +21,7 @@ inverts the result; ER shrinks them and inverts the shrunk ones.  SRAAR
 measures the misfit between coefficients and ER between images, which
 orthonormality makes equal.
 
-Each solve, and each budget tuning, builds one workspace
+Each solve, fixed or tuned, builds one workspace in ``_solve``
 (:class:`~sraar.projections._Workspace`):
 obs_d = D * observed with D = (-1)^(r+c), its moduli and line energies, and
 n x n buffers that P2, the Haar passes, the shrink and the update share.
@@ -34,13 +34,13 @@ pages back in.
 Every P2 output is a compensated image: the observation with one estimated
 motion undone, so a solve keeps motion estimates and computes its returned
 image from the chosen one at the end.  The trace records the wavelet l1
-norm of each P2 output.  Budget
-tuning keeps the maximally sparse compensated image: each SRAAR candidate
-returns its sparsest P2 output and stops once that output is ``_PATIENCE``
-iterations old, because the reflection iterates of an inconsistent problem
-drift while their P2 outputs first get sparser and then drift back (the
-shadow sequence of Bauschke, Combettes & Luke, J. Approx. Theory 127, 2004).
-ER candidates run every iteration and keep their last image.
+norm of each P2 output.  A fixed budget is a grid of one without the
+stop; tuning keeps the maximally sparse compensated image: each SRAAR
+candidate returns its sparsest P2 output and stops once that output is
+``_PATIENCE`` iterations old, because the reflection iterates of an
+inconsistent problem drift while their P2 outputs first get sparser and
+then drift back (the shadow sequence of Bauschke, Combettes & Luke,
+J. Approx. Theory 127, 2004).  ER candidates keep their last image.
 """
 
 from __future__ import annotations
@@ -96,15 +96,6 @@ class SolverTrace:
         return len(self.misfit)
 
 
-def _require_solver(cfg, expected_solver):
-    if cfg.solver != expected_solver:
-        raise ValueError(f"config selects solver {cfg.solver!r}, expected {expected_solver!r}")
-
-
-def _require_observation(observed):
-    return require_finite(require_square_image(observed, "observed k-space"), "observed k-space")
-
-
 def _l1(work, coeffs):
     """Haar l1 norm of ``coeffs``, with the moduli in the workspace's scratch."""
     return float(np.abs(coeffs, out=_float_halves(work.scratch)[0]).sum())
@@ -158,11 +149,11 @@ def _iterate(work, cfg, patience=None):
     from the naive reconstruction of the workspace ``work``'s observation.
 
     Returns (motion estimate, trace).  The solve's image is the observation
-    compensated by that estimate, which the caller recomputes with
-    :func:`~sraar.projections._compensate`, so no image is kept.  Each
-    buffer keeps one role for the whole solve: w holds the iterate's Haar
-    coefficients, m SRAAR's iterate image and ``out`` the P2 output, which
-    the SRAAR step turns into scaled Haar coefficients.
+    compensated by that estimate, which :func:`_solve`, the one builder of
+    ``work``, recomputes with :func:`~sraar.projections._compensate`, so no
+    image is kept.  Each buffer keeps one role for the whole solve: w holds
+    the iterate's Haar coefficients, m SRAAR's iterate image and ``out`` the
+    P2 output, which the SRAAR step turns into scaled Haar coefficients.
     ``step(work, w, m, out, cfg)`` updates w and m in place and returns
     (motion estimate, misfit, Haar l1 of the P2 output); the steps are
     module globals, looked up here.  Without ``patience`` the image is ER's
@@ -194,17 +185,38 @@ def _iterate(work, cfg, patience=None):
     return _estimate_motion(work, m, out), trace
 
 
-def _run(observed, cfg, patience=None):
-    """Solve at the fixed budget cfg.c with cfg.solver's step; returns
-    (image, motion estimate, trace).  See :func:`_iterate` for ``patience``."""
+def _solve(observed, cfg):
+    """Run cfg.solver on one workspace at cfg.c, or at each distinct cfg.c_grid
+    fraction as :func:`tune_sparsity_budget` states, and keep the budget whose
+    returned image is sparsest; returns its (c, image, estimate, trace).
+    """
+    name = "observed k-space"
+    work = _Workspace(require_finite(require_square_image(observed, name), name), cfg.bounds)
+    # the workspace holds D * observed; on CPython >= 3.11 a caller that
+    # passes its only reference lets this free the observation: the CLI
+    # passes a temporary, and each entry point gives up its own reference
+    del observed
+    if cfg.c_grid is None:
+        budgets, patience = [cfg.c], None
+    else:
+        base = _l1(work, _forward_levels(work.naive_image(), work.levels, work.scratch))
+        # equal fractions would run the same solve again and lose its tie
+        budgets = [fraction * base for fraction in sorted(set(cfg.c_grid))]
+        patience = _PATIENCE if cfg.solver == SOLVER_SRAAR else None
+    best = None
+    for c in budgets:
+        estimate, trace = _iterate(work, replace(cfg, c=c, c_grid=None), patience)
+        if best is None or trace.l1[trace.returned - 1] < best[2].l1[best[2].returned - 1]:
+            best = (c, estimate, trace)
+    c, estimate, trace = best
+    return c, _compensate(work, estimate.traj, np.empty_like(work.spec)), estimate, trace
+
+
+def _require_fixed_budget(cfg, solver):
+    if cfg.solver != solver:
+        raise ValueError(f"config selects solver {cfg.solver!r}, expected {solver!r}")
     if cfg.c is None:
         raise ValueError("a fixed sparsity budget c is required; use tune_sparsity_budget for a grid")
-    work = _Workspace(_require_observation(observed), cfg.bounds)
-    # the workspace holds D * observed; on CPython >= 3.11 a caller that
-    # passes its only reference (the CLI) lets this free the observation
-    del observed
-    estimate, trace = _iterate(work, cfg, patience)
-    return _compensate(work, estimate.traj, np.empty_like(work.spec)), estimate, trace
 
 
 def solve_er(observed, cfg):
@@ -213,20 +225,16 @@ def solve_er(observed, cfg):
     Returns (image, motion estimate, trace); the image is the output of the
     final Fourier projection and therefore data-consistent.
     """
-    _require_solver(cfg, SOLVER_ER)
-    return _run(observed, cfg)
+    _require_fixed_budget(cfg, SOLVER_ER)
+    held, observed = [observed], None  # _solve gets the only reference
+    return _solve(held.pop(), cfg)[1:]
 
 
 def solve_sraar(observed, cfg):
     """Run the relaxed reflection iteration followed by a terminal P2 pass."""
-    _require_solver(cfg, SOLVER_SRAAR)
-    return _run(observed, cfg)
-
-
-# The CLI reaches the fixed-budget solves through this table, one entry per
-# solver, so that a tracer can wrap each; tuning runs its candidates through
-# _iterate on one shared workspace.
-_SOLVER_FUNCS = {SOLVER_ER: _run, SOLVER_SRAAR: _run}
+    _require_fixed_budget(cfg, SOLVER_SRAAR)
+    held, observed = [observed], None  # _solve gets the only reference
+    return _solve(held.pop(), cfg)[1:]
 
 
 def tune_sparsity_budget(observed, cfg):
@@ -240,24 +248,10 @@ def tune_sparsity_budget(observed, cfg):
     runs.  An ER candidate runs every iteration and returns its last image,
     its sparsest P2 output as a rule; stopping it with a patience of 20
     raised the median rmse_rel of ER's 128^2 benchmark inputs from 0.083 to
-    0.255.  Every candidate runs on one workspace, and tuning keeps only the
-    best candidate's estimate: the chosen image is compensated once, at the
-    end.  Returns (chosen c, image, motion estimate, trace of the chosen
+    0.255.  Returns (chosen c, image, motion estimate, trace of the chosen
     run).
     """
     if cfg.c_grid is None:
         raise ValueError("tune_sparsity_budget requires c_grid")
-    work = _Workspace(_require_observation(observed), cfg.bounds)
-    del observed  # as in _run
-    base = _l1(work, _forward_levels(work.naive_image(), work.levels, work.scratch))
-    patience = _PATIENCE if cfg.solver == SOLVER_SRAAR else None
-    best = None
-    # equal fractions would run the same solve again and lose its tie
-    for fraction in sorted(set(cfg.c_grid)):
-        candidate = fraction * base
-        estimate, trace = _iterate(work, replace(cfg, c=candidate, c_grid=None), patience)
-        l1 = trace.l1[trace.returned - 1]
-        if best is None or l1 < best[0]:
-            best = (l1, candidate, estimate, trace)
-    _, c, estimate, trace = best
-    return c, _compensate(work, estimate.traj, np.empty_like(work.spec)), estimate, trace
+    held, observed = [observed], None  # _solve gets the only reference
+    return _solve(held.pop(), cfg)

@@ -11,7 +11,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sraar import ReconConfig, MotionBounds, load_array, save_array, shepp_logan, solve_sraar
+from sraar import (
+    MotionBounds,
+    MotionTrajectory,
+    ReconConfig,
+    load_array,
+    save_array,
+    save_trajectory,
+    shepp_logan,
+    solve_sraar,
+)
 from sraar import solvers
 from sraar.cli import build_parser, main, reconstruct_config
 from sraar.fileio import load_trace_csv
@@ -167,7 +176,8 @@ class TestReconstruct:
         args = build_parser().parse_args(["reconstruct", "--kspace", "k.srr", "--out-dir", "out"])
         assert reconstruct_config(args).c_grid == (0.5, 0.7)
 
-    @pytest.mark.parametrize("grid, calls", [([], 2), (["--c-grid", "0.3,0.5,0.7"], 3)])
+    @pytest.mark.parametrize("grid, calls", [([], 2), (["--c-grid", "0.3,0.5,0.7"], 3), (["--c", "300"], 1),
+                                             (["--solver", "er", "--c-grid", "0.3,0.5"], 2)])
     def test_solver_calls_per_grid(self, dataset, tmp_path, monkeypatch, grid, calls):
         run, budgets = solvers._iterate, []
 
@@ -407,6 +417,16 @@ class TestEvaluate:
         assert captured.out == ""
         assert "--est-traj and --true-traj go together" in captured.err
         assert not report_path.exists()
+
+    def test_line_count_mismatch_exits_2_naming_both_counts(self, tmp_path, capsys):
+        save_array(tmp_path / "image.srr", np.ones((4, 4)))
+        save_array(tmp_path / "kspace.srr", np.ones((4, 4), complex))
+        save_trajectory(tmp_path / "traj.txt", MotionTrajectory.zero(8))
+        rc = main(["evaluate", "--recon", str(tmp_path / "image.srr"), "--gt", str(tmp_path / "image.srr"),
+                   "--kspace", str(tmp_path / "kspace.srr"),
+                   "--est-traj", str(tmp_path / "traj.txt"), "--true-traj", str(tmp_path / "traj.txt")])
+        assert rc == 2
+        assert "8 lines, 4 weights" in capsys.readouterr().err
 
     def test_missing_recon_exits_1(self, dataset, tmp_path):
         rc = main(["evaluate", "--recon", str(tmp_path / "nope.srr"),

@@ -81,6 +81,13 @@ class TestTrajectoryError:
         with pytest.raises(ValueError):
             trajectory_error(a, a, -np.ones(8))
 
+    def test_line_count_mismatch_names_both_counts(self):
+        a = MotionTrajectory.zero(4)
+        with pytest.raises(ValueError, match="4 lines, 3 weights"):
+            trajectory_error(a, a, np.ones(3))
+        with pytest.raises(ValueError, match="got 4 and 8"):
+            trajectory_error(a, MotionTrajectory.zero(8))
+
 
 class TestEvalReport:
     def test_keyword_only(self):

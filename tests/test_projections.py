@@ -510,3 +510,15 @@ def test_non_finite_input_rejected_naming_the_argument(name, call, bad):
     # image (P2), or a zero shift (the line estimator), with no error
     with pytest.raises(ValueError, match=f"^{name} contains non-finite values"):
         call(bad)
+
+
+@pytest.mark.parametrize("bad", [_IMAGE.astype(object), np.full(_IMAGE.shape, "a")], ids=["object", "str"])
+@pytest.mark.parametrize("name, call", [
+    ("image", lambda bad: project_sparse(bad, 10.0)),
+    ("image", lambda bad: project_fourier(bad, _KSPACE, ReconConfig(bounds=_BOUNDS))),
+    ("observed k-space", lambda bad: project_fourier(_IMAGE, bad, ReconConfig(bounds=_BOUNDS))),
+], ids=["project_sparse", "project_fourier-image", "project_fourier-observed"])
+def test_non_numeric_input_rejected_naming_the_argument(name, call, bad):
+    # numpy's isfinite raised TypeError on an object or str array
+    with pytest.raises(ValueError, match=f"^{name} must be bool, int, float or complex, got dtype {bad.dtype}$"):
+        call(bad)

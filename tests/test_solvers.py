@@ -24,15 +24,25 @@ from sraar import (
     tune_sparsity_budget,
 )
 from sraar import projections, solvers, transforms
-from sraar.projections import _shrink
-from sraar.solvers import _PATIENCE, _SOLVER_FUNCS, SolverTrace
+from sraar.projections import _Workspace, _compensate, _shrink
+from sraar.solvers import _PATIENCE, SolverTrace
 from sraar.transforms import _inverse_levels
 from conftest import random_complex
 from scenarios import make_scenario
 
 
+SOLVES = {"er": solve_er, "sraar": solve_sraar}
+
+
 def budget_of(img):
     return l1_norm(haar_forward(img))
+
+
+def solve_with_patience(observed, cfg, patience):
+    """A fixed-budget solve under a patience no entry point uses."""
+    work = _Workspace(observed, cfg.bounds)
+    estimate, trace = solvers._iterate(work, cfg, patience)
+    return _compensate(work, estimate.traj, np.empty_like(work.spec)), estimate, trace
 
 
 def image_of(w):
@@ -199,7 +209,10 @@ class TestIterationCost:
                           c=0.5 * budget_of(naive_reconstruct(scenario.observed)))
         tracemalloc.start()
         try:
-            _SOLVER_FUNCS[solver](scenario.observed, cfg, patience)
+            if patience is None:
+                SOLVES[solver](scenario.observed, cfg)
+            else:
+                tune_sparsity_budget(scenario.observed, replace(cfg, c=None, c_grid=(0.5,)))
         finally:
             tracemalloc.stop()
         assert len(peaks) == cfg.iterations
@@ -223,7 +236,11 @@ def test_repeat_solves_around_another_size_are_identical(log2_size, seed, bound,
     rng = np.random.default_rng(seed)
     observed = random_complex(rng, (n, n))
     other = random_complex(rng, (2 * n, 2 * n) if n < 64 else (n // 2, n // 2))
-    run = _SOLVER_FUNCS[solver]
+
+    def run(obs, cfg, patience):
+        if patience is None:
+            return SOLVES[solver](obs, cfg)
+        return solve_with_patience(obs, cfg, patience)
 
     def config(obs):
         return ReconConfig(solver=solver, bounds=MotionBounds(bound, bound), iterations=6,
@@ -339,7 +356,12 @@ class TestSharedDriver:
 
         monkeypatch.setattr(solvers, name, recorded)
         cfg = replace(self.config(scenario, solver), iterations=8)
-        _SOLVER_FUNCS[solver](scenario.observed, cfg, patience)
+        if patience is None:
+            SOLVES[solver](scenario.observed, cfg)
+        elif patience == _PATIENCE:
+            tune_sparsity_budget(scenario.observed, replace(cfg, c=None, c_grid=(0.5,)))
+        else:
+            solve_with_patience(scenario.observed, cfg, patience)
         w, m, _ = calls[0]
         assert len(calls) == cfg.iterations
         assert all(call[0] is w and call[1] is m for call in calls)
@@ -353,6 +375,16 @@ class TestSharedDriver:
             with pytest.raises(ValueError, match="non-finite"):
                 run(observed, self.config(scenario, solver))
         with pytest.raises(ValueError, match="non-finite"):
+            tune_sparsity_budget(observed, ReconConfig(c_grid=(0.5,), iterations=2))
+
+    @pytest.mark.parametrize("dtype", [object, str])
+    def test_non_numeric_kspace_rejected_naming_its_dtype(self, scenario, dtype):
+        observed = scenario.observed.astype(dtype)
+        match = f"observed k-space must be bool, int, float or complex, got dtype {observed.dtype}"
+        for solver, run in (("er", solve_er), ("sraar", solve_sraar)):
+            with pytest.raises(ValueError, match=match):
+                run(observed, self.config(scenario, solver))
+        with pytest.raises(ValueError, match=match):
             tune_sparsity_budget(observed, ReconConfig(c_grid=(0.5,), iterations=2))
 
     @pytest.mark.parametrize("observed", [
@@ -414,7 +446,8 @@ class TestTuneSparsityBudget:
         for fraction in sorted(cfg.c_grid):
             run_cfg = replace(cfg, c=fraction * base, c_grid=None)
             runs[run_cfg.c] = replay = replay_sraar_candidate(scenario.observed, run_cfg)
-            got_image, got_estimate, got_trace = _SOLVER_FUNCS["sraar"](scenario.observed, run_cfg, _PATIENCE)
+            _, got_image, got_estimate, got_trace = tune_sparsity_budget(scenario.observed,
+                                                                         replace(cfg, c_grid=(fraction,)))
             assert np.array_equal(got_image, replay[1])
             assert np.array_equal(got_estimate.traj.shifts, replay[2].traj.shifts)
             assert (got_trace.returned, len(got_trace)) == replay[3:]
@@ -483,10 +516,7 @@ def test_candidate_returning_first_iteration_never_changes_tuned_image(n, seed, 
     or trajectory, at most the budget reported on an exact tie."""
     scenario = make_scenario(n, seed, 1.0, solver_bound=2.0)
     cfg = ReconConfig(bounds=MotionBounds(bound, bound), c_grid=tuple(grid), iterations=_PATIENCE + 3)
-    base = budget_of(naive_reconstruct(scenario.observed))
-    first = [f for f in grid
-             if _SOLVER_FUNCS["sraar"](scenario.observed, replace(cfg, c=f * base, c_grid=None),
-                                       _PATIENCE)[2].returned == 1]
+    first = [f for f in grid if tune_sparsity_budget(scenario.observed, replace(cfg, c_grid=(f,)))[3].returned == 1]
     assume(first)
     _, image, estimate, _ = tune_sparsity_budget(scenario.observed, cfg)
     for fraction in first:

@@ -13,9 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sraar import MotionBounds, ReconConfig, haar_forward, l1_norm, naive_reconstruct
+from sraar import MotionBounds, ReconConfig, haar_forward, l1_norm, naive_reconstruct, solve_sraar, solvers
 from sraar.cli import build_parser, reconstruct_config
-from sraar.solvers import _PATIENCE, _SOLVER_FUNCS
+from sraar.projections import _Workspace
+from sraar.solvers import _PATIENCE
 from scenarios import make_scenario
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "replay_stop_rule.py"
@@ -35,13 +36,13 @@ def candidate():
     observed = make_scenario(32, 3, 1.5, solver_bound=2.0).observed
     base = l1_norm(haar_forward(naive_reconstruct(observed)))
     cfg = ReconConfig(bounds=MotionBounds(2.0, 2.0), c=0.5 * base, iterations=_PATIENCE + 40)
-    return observed, cfg, _SOLVER_FUNCS["sraar"](observed, cfg)[2]
+    return observed, cfg, solve_sraar(observed, cfg)[2]
 
 
 @pytest.mark.parametrize("patience", [2, 5, _PATIENCE])
 def test_stop_matches_tuned_candidate(replay_tool, candidate, patience):
     observed, cfg, full = candidate
-    trace = _SOLVER_FUNCS["sraar"](observed, cfg, patience)[2]
+    trace = solvers._iterate(_Workspace(observed, cfg.bounds), cfg, patience)[1]
     assert trace.l1 == full.l1[:len(trace)]
     assert replay_tool.stop(np.array(full.l1), patience) == (trace.returned - 1, len(trace))
     if patience < _PATIENCE:
@@ -58,7 +59,7 @@ def test_replay_runs_the_drivers_sraar_step(replay_tool, tmp_path):
     args = build_parser().parse_args(["reconstruct", "--kspace", "-", "--out-dir", "-", *run.recon_args])
     cfg = reconstruct_config(args)
     base = l1_norm(haar_forward(naive_reconstruct(observed)))
-    assert [fraction for fraction, _, _ in candidates] == sorted(cfg.c_grid)
+    assert [fraction for fraction, _, _ in candidates] == sorted(set(cfg.c_grid))
     for fraction, rows, _ in candidates:
-        trace = _SOLVER_FUNCS["sraar"](observed, replace(cfg, c=fraction * base, c_grid=None))[2]
+        trace = solve_sraar(observed, replace(cfg, c=fraction * base, c_grid=None))[2]
         assert rows[:, 0].tolist() == trace.l1

@@ -69,7 +69,8 @@ def replay_seed(sraar, name, seed):
 
     work = _Workspace(observed, cfg.bounds)
     candidates = []
-    for fraction in sorted(cfg.c_grid):
+    # the fractions the solver runs: a repeated one runs once
+    for fraction in sorted(set(cfg.c_grid)):
         candidate = replace(cfg, c=fraction * base, c_grid=None)
         # the solver's own step, which updates the Haar coefficients w and
         # the image m in place; it leaves scaled Haar coefficients of the P2
