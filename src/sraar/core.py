@@ -83,6 +83,7 @@ def normalized_line_weights(weights, n_lines):
     if w.shape != (n_lines,):
         got = f"{w.size} weights" if w.ndim == 1 else f"weights of shape {w.shape}"
         raise ValueError(f"weights must hold one value per line: {n_lines} lines, {got}")
+    require_finite(w, "weights")
     if np.any(w < 0) or w.sum() <= 0:
         raise ValueError("weights must be non-negative per line with positive sum")
     return w / w.sum()

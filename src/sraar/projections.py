@@ -253,7 +253,9 @@ class _Workspace:
     matched-filter input is obs_d * conj(fft(D * m)) and its output
     D * ifft(obs_d * ramps), each bit-identical to the dft2/idft2 form with
     two of the four flips gone.  ``spec`` holds the matched-filter input
-    while P2 runs and the SRAAR step's shrunk coefficients after it.
+    while P2 runs; a SRAAR solve keeps its iterate image there between P2
+    calls, and its step builds the reflected, shrunk and relaxed
+    coefficients there before inverting them to the next image.
     ``scratch`` is every phase's temporary, never alive across a call: the
     matched filter's ratio, the Haar butterflies' pair sums, the shrink's
     moduli and scale, and the moduli of the l1 norm and the squared
@@ -280,7 +282,8 @@ class _Workspace:
 
 def _matched_filter_input(work, m):
     """q = observed * conj(reference), the reference carrying the phase of
-    the model spectrum dft2(m) and the observed moduli; computed in work.spec.
+    the model spectrum dft2(m) and the observed moduli; computed in work.spec,
+    which m may already be (SRAAR keeps its iterate image there).
 
     A translation changes only the phase of a line, so the motion-free
     spectrum has the observed moduli and only its phase is unknown: the
@@ -289,7 +292,8 @@ def _matched_filter_input(work, m):
     and give q = 0.
     """
     spec = work.spec
-    np.copyto(spec, m)
+    if m is not spec:
+        np.copyto(spec, m)
     np.conjugate(_unitary(np.fft.fftn, _flip_checkerboard(spec)), out=spec)
     ratio = np.abs(spec, out=_float_halves(work.scratch)[0])
     # in place, so where the model vanishes the ratio keeps the modulus, 0

@@ -25,11 +25,14 @@ Each solve, fixed or tuned, builds one workspace in ``_solve``
 (:class:`~sraar.projections._Workspace`):
 obs_d = D * observed with D = (-1)^(r+c), its moduli and line energies, and
 n x n buffers that P2, the Haar passes, the shrink and the update share.
-The centered DFT is D * fft(D * x), so P2 forms obs_d * conj(fft(D * m))
-and D * ifft(obs_d * ramps), the same bits as through dft2 and idft2 with
-two fewer sign flips.  No iteration after the first allocates an n x n
-array, so the heap no longer shrinks after each iteration only to fault its
-pages back in.
+Besides them a solve holds two iterate buffers, the Haar coefficients and
+the P2 output; SRAAR's iterate image lives in the workspace buffer where
+P2's matched filter reads it, at the price of forming the reflection twice
+per iteration.  The centered DFT is D * fft(D * x), so P2 forms
+obs_d * conj(fft(D * m)) and D * ifft(obs_d * ramps), the same bits as
+through dft2 and idft2 with two fewer sign flips.  No iteration after the
+first allocates an n x n array, so the heap no longer shrinks after each
+iteration only to fault its pages back in.
 
 Every P2 output is a compensated image: the observation with one estimated
 motion undone, so a solve keeps motion estimates and computes its returned
@@ -111,7 +114,7 @@ def _distance(work, a, b):
     return float(np.sqrt(np.square(squares, out=squares).sum()))
 
 
-def _er_step(work, w, m, out, cfg):
+def _er_step(work, w, out, cfg):
     # the shrunk coefficients and their image pass through w, which ends holding W of P2's output
     sparse = _inverse_levels(_shrink(w, cfg.c, w, work.scratch, work.mask), work.levels, work.scratch)
     p2, estimate = _project_fourier(work, sparse, out)
@@ -120,27 +123,32 @@ def _er_step(work, w, m, out, cfg):
     return estimate, misfit, _l1(work, _forward_levels(w, work.levels, work.scratch))
 
 
-def _sraar_step(work, w, m, out, cfg):
-    wp2, estimate = _project_fourier(work, m, out)
+def _sraar_step(work, w, out, cfg):
+    wp2, estimate = _project_fourier(work, work.spec, out)
     # W of the P2 output, in out's buffer: nothing reads the image again
     _forward_levels(wp2, work.levels, work.scratch)
     l1 = _l1(work, wp2)
-    wr2 = np.multiply(2.0, wp2, out=m)
-    wr2 -= w
-    ws = _shrink(wr2, cfg.c, work.spec, work.scratch, work.mask)
+    # wr2 = 2 wp2 - w, shrunk in place in the image's buffer (spec), which
+    # P2 has read; the misfit takes scratch, then wr2 is formed again there
+    # by the same two operations, so it has the same bits
+    ws = np.multiply(2.0, wp2, out=work.spec)
+    ws -= w
+    _shrink(ws, cfg.c, ws, work.scratch, work.mask)
     misfit = _distance(work, wp2, ws)
-    # (theta/2) * (2 ws - wr2 + w) + (1 - theta) * wp2, built in wr2's buffer
-    # (m) with ws and wp2 scaled in place; the operations run in that
-    # expression's order, so they round the same.  w takes a copy, and m
-    # inverts in place to the image
+    wr2 = np.multiply(2.0, wp2, out=work.scratch)
+    wr2 -= w
+    # (theta/2) * (2 ws - wr2 + w) + (1 - theta) * wp2, built in spec with
+    # ws and wp2 scaled in place; the operations run in that expression's
+    # order, so they round the same.  w takes a copy, and spec inverts in
+    # place to the image that P2 reads next
     ws *= 2.0
-    nxt = np.subtract(ws, wr2, out=wr2)
+    nxt = np.subtract(ws, wr2, out=ws)
     nxt += w
     nxt *= 0.5 * cfg.theta
     wp2 *= 1.0 - cfg.theta
     nxt += wp2
     np.copyto(w, nxt)
-    _inverse_levels(m, work.levels, work.scratch)
+    _inverse_levels(nxt, work.levels, work.scratch)
     return estimate, misfit, l1
 
 
@@ -152,24 +160,26 @@ def _iterate(work, cfg, patience=None):
     compensated by that estimate, which :func:`_solve`, the one builder of
     ``work``, recomputes with :func:`~sraar.projections._compensate`, so no
     image is kept.  Each buffer keeps one role for the whole solve: w holds
-    the iterate's Haar coefficients, m SRAAR's iterate image and ``out`` the
-    P2 output, which the SRAAR step turns into scaled Haar coefficients.
-    ``step(work, w, m, out, cfg)`` updates w and m in place and returns
-    (motion estimate, misfit, Haar l1 of the P2 output); the steps are
-    module globals, looked up here.  Without ``patience`` the image is ER's
-    last P2 output, or SRAAR's terminal P2 pass over its last iterate.  With
-    ``patience`` it is the sparsest P2 output (the first of equals), and the
-    run stops once that output is ``patience`` iterations old.
+    the iterate's Haar coefficients and ``out`` the P2 output, which the
+    SRAAR step turns into scaled Haar coefficients; SRAAR's iterate image
+    lives in ``work.spec``, where P2's matched filter reads it.
+    ``step(work, w, out, cfg)`` updates w (and SRAAR's image) in place and
+    returns (motion estimate, misfit, Haar l1 of the P2 output); the steps
+    are module globals, looked up here.  Without ``patience`` the image is
+    ER's last P2 output, or SRAAR's terminal P2 pass over its last iterate.
+    With ``patience`` it is the sparsest P2 output (the first of equals),
+    and the run stops once that output is ``patience`` iterations old.
     """
     step = _er_step if cfg.solver == SOLVER_ER else _sraar_step
     trace = SolverTrace()
-    m = work.naive_image()
-    w = _forward_levels(m.copy(), work.levels, work.scratch)
-    out = np.empty_like(m)
+    w = work.naive_image()
+    np.copyto(work.spec, w)
+    _forward_levels(w, work.levels, work.scratch)
+    out = np.empty_like(w)
     kept = None
     for iteration in range(1, cfg.iterations + 1):
         start = time.perf_counter()
-        estimate, misfit, l1 = step(work, w, m, out, cfg)
+        estimate, misfit, l1 = step(work, w, out, cfg)
         trace.append(misfit, l1, time.perf_counter() - start)
         if patience is None:
             continue
@@ -182,7 +192,7 @@ def _iterate(work, cfg, patience=None):
     if cfg.solver == SOLVER_ER:
         trace.returned = len(trace)
         return estimate, trace
-    return _estimate_motion(work, m, out), trace
+    return _estimate_motion(work, work.spec, out), trace
 
 
 def _solve(observed, cfg):

@@ -4,6 +4,7 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from sraar import (
 from sraar import solvers
 from sraar.cli import build_parser, main, reconstruct_config
 from sraar.fileio import load_trace_csv
+from scenarios import make_scenario
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -232,6 +234,27 @@ class TestReconstruct:
     def test_trace_misfit_does_not_depend_on_blas_thread_count(self, blas_runs):
         one, two = blas_runs
         assert one["misfit"] == two["misfit"]
+
+    def test_peak_memory_of_one_reconstruct(self, tmp_path):
+        # measured 6.22 n x n complex arrays at 256^2 with the default grid:
+        # the CLI passes the loaded k-space as a temporary, which the solve
+        # drops once its workspace holds D * observed, and SRAAR keeps its
+        # iterate image in the workspace.  It was 7.22 with an image buffer
+        # of its own
+        n = 256
+        save_array(tmp_path / "k.srr", make_scenario(n, 4, 5.0).observed)
+        args = ["reconstruct", "--kspace", str(tmp_path / "k.srr"), "--out-dir", str(tmp_path / "rec"),
+                "--max-shift-x", "5", "--max-shift-y", "5", "--iters", "5"]
+        assert main(args) == 0
+        tracemalloc.start()
+        try:
+            assert main(args) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # before CPython 3.11 the caller's stack holds the argument until the call returns
+        held = 0 if sys.version_info >= (3, 11) else 1
+        assert peak < (6.22 + held + 0.5) * n * n * 16
 
     def test_theta_one_matches_library(self, dataset, tmp_path):
         out = tmp_path / "rec"

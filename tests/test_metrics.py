@@ -81,6 +81,13 @@ class TestTrajectoryError:
         with pytest.raises(ValueError):
             trajectory_error(a, a, -np.ones(8))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        # a NaN weight once gave (nan, nan)
+        a = MotionTrajectory.zero(4)
+        with pytest.raises(ValueError, match="weights contains non-finite values"):
+            trajectory_error(a, a, [bad, 1.0, 1.0, 1.0])
+
     def test_line_count_mismatch_names_both_counts(self):
         a = MotionTrajectory.zero(4)
         with pytest.raises(ValueError, match="4 lines, 3 weights"):

@@ -207,6 +207,14 @@ class TestGaugeAligned:
         with pytest.raises(ValueError):
             gauge_aligned(random_traj(rng, 16, 1.0), grid, np.zeros(16))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_rejected_naming_the_weights(self, rng, bad):
+        # a NaN weight was once blamed on the trajectory
+        weights = np.ones(16)
+        weights[3] = bad
+        with pytest.raises(ValueError, match="weights contains non-finite values"):
+            gauge_aligned(random_traj(rng, 16, 1.0), FrequencyGrid(16), weights)
+
 
 @settings(max_examples=200, deadline=None)
 @given(

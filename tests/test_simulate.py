@@ -151,6 +151,13 @@ class TestGenerateTrajectory:
         with pytest.raises(ValueError):
             generate_trajectory(cfg, 64, gauge_weights=np.ones(32))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gauge_weights_rejected(self, bad):
+        # a NaN weight once gave an all-zero trajectory: its peak was NaN
+        cfg = TrajectoryGenConfig(MotionBounds(5.0, 5.0), 8, 0)
+        with pytest.raises(ValueError, match="weights contains non-finite values"):
+            generate_trajectory(cfg, 4, gauge_weights=[bad, 1.0, 1.0, 1.0])
+
     def test_bad_smoothness(self):
         for bad in (0, -1, 1.5):
             with pytest.raises(ValueError):

@@ -146,11 +146,11 @@ class TestIterationCost:
         assert counts[3] <= 2 * 3 + 2
 
     def test_peak_memory_of_one_sraar_solve(self):
-        # measured 7.17 n x n complex arrays at 256^2: the workspace and the
-        # iterate's buffers, 6.56 arrays, plus numpy's fixed-size ufunc
-        # buffers.  It was 8.17 (7.86 at 512^2) with a shrink output buffer
-        # of its own, 8.02 with per-iteration transients, and 8.58 when P1
-        # ran on images
+        # measured 6.17 n x n complex arrays at 256^2: the workspace and the
+        # iterate's buffers, 5.56 arrays, plus numpy's fixed-size ufunc
+        # buffers.  It was 7.17 with SRAAR's iterate image in a buffer of its
+        # own, 8.17 (7.86 at 512^2) with a shrink output buffer of its own,
+        # 8.02 with per-iteration transients, and 8.58 when P1 ran on images
         n = 256
         scenario = make_scenario(n, 4, 5.0)
         cfg = ReconConfig(solver="sraar", bounds=MotionBounds(5.0, 5.0), iterations=3,
@@ -162,14 +162,15 @@ class TestIterationCost:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < (8.02 + 0.5) * n * n * 16
+        assert peak < (6.17 + 0.5) * n * n * 16
 
     def test_peak_memory_of_one_budget_tuning(self):
-        # measured 7.18 n x n complex arrays at 256^2: both candidates run on
+        # measured 6.18 n x n complex arrays at 256^2: both candidates run on
         # one workspace, tuning keeps only the best candidate's estimate,
         # and the caller's only reference to the observation is the
         # argument, which tuning drops once its workspace holds D * observed.
-        # With a workspace and a kept image per candidate it was 11.18
+        # It was 7.18 with SRAAR's iterate image in a buffer of its own, and
+        # 11.18 with a workspace and a kept image per candidate
         n = 256
         scenario = make_scenario(n, 4, 5.0)
         cfg = ReconConfig(bounds=MotionBounds(5.0, 5.0), c_grid=(0.5, 0.7), iterations=8)
@@ -182,7 +183,7 @@ class TestIterationCost:
             tracemalloc.stop()
         # before CPython 3.11 the caller's stack holds the argument until the call returns
         held = 0 if sys.version_info >= (3, 11) else 1
-        assert peak < (7.18 + held + 0.5) * n * n * 16
+        assert peak < (6.18 + held + 0.5) * n * n * 16
 
     @pytest.mark.parametrize("solver, patience", [("er", None), ("sraar", None), ("sraar", _PATIENCE)])
     def test_steady_state_step_allocates_under_one_array(self, monkeypatch, solver, patience):
@@ -345,14 +346,17 @@ class TestSharedDriver:
 
     @pytest.mark.parametrize("solver, patience", [("er", None), ("sraar", None), ("er", 2), ("sraar", _PATIENCE)])
     def test_each_buffer_keeps_one_role(self, monkeypatch, scenario, solver, patience):
-        # w, m and the P2 output's buffer are the same arrays in every step,
-        # also under a patience, which keeps estimates, not images
+        # the workspace, w and the P2 output's buffer are the same arrays in
+        # every step, also under a patience, which keeps estimates, not
+        # images; SRAAR's iterate image is the workspace's spec, which holds
+        # the naive image on entry to the first step and the image of w on
+        # entry to every later one
         name = f"_{solver}_step"
         step, calls = getattr(solvers, name), []
 
-        def recorded(*args):
-            calls.append(args[1:4])
-            return step(*args)
+        def recorded(work, w, out, cfg):
+            calls.append((work, w, out, work.spec.copy(), image_of(w)))
+            return step(work, w, out, cfg)
 
         monkeypatch.setattr(solvers, name, recorded)
         cfg = replace(self.config(scenario, solver), iterations=8)
@@ -362,10 +366,13 @@ class TestSharedDriver:
             tune_sparsity_budget(scenario.observed, replace(cfg, c=None, c_grid=(0.5,)))
         else:
             solve_with_patience(scenario.observed, cfg, patience)
-        w, m, _ = calls[0]
+        work, w, out = calls[0][:3]
         assert len(calls) == cfg.iterations
-        assert all(call[0] is w and call[1] is m for call in calls)
-        assert len({id(call[2]) for call in calls}) == 1
+        assert all(call[0] is work and call[1] is w and call[2] is out for call in calls)
+        assert len({id(work), id(w), id(out), id(work.spec), id(work.scratch)}) == 5
+        if solver == "sraar":
+            assert np.array_equal(calls[0][3], naive_reconstruct(scenario.observed))
+            assert all(np.array_equal(spec, image) for *_, spec, image in calls[1:])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_kspace_rejected(self, scenario, bad):

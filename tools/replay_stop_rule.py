@@ -73,13 +73,14 @@ def replay_seed(sraar, name, seed):
     for fraction in sorted(set(cfg.c_grid)):
         candidate = replace(cfg, c=fraction * base, c_grid=None)
         # the solver's own step, which updates the Haar coefficients w and
-        # the image m in place; it leaves scaled Haar coefficients of the P2
-        # output in out, so the output is recomputed from its estimate
-        w, m, out, rows = sraar.haar_forward(naive).data, naive.copy(), np.empty_like(naive), []
+        # the image in work.spec in place; it leaves scaled Haar coefficients
+        # of the P2 output in out, so the output is recomputed from its estimate
+        w, out, rows = sraar.haar_forward(naive).data, np.empty_like(naive), []
+        np.copyto(work.spec, naive)
         for _ in range(cfg.iterations):
-            estimate = _sraar_step(work, w, m, out, candidate)[0]
+            estimate = _sraar_step(work, w, out, candidate)[0]
             rows.append(record(_compensate(work, estimate.traj, out), estimate))
-        terminal = record(*sraar.project_fourier(m, observed, cfg))
+        terminal = record(*sraar.project_fourier(work.spec, observed, cfg))
         candidates.append((fraction, np.array(rows), terminal))
     return candidates, sraar.image_metrics(naive, gt)[0]
 
