@@ -276,14 +276,15 @@ class _Workspace:
         self.mask = np.empty((n, n), bool)
 
     def naive_image(self):
-        """idft2 of the observation, in a new array."""
-        return _flip_checkerboard(_unitary(np.fft.ifftn, self.obs_d.copy()))
+        """D * idft2 of the observation, in a new array."""
+        return _unitary(np.fft.ifftn, self.obs_d.copy())
 
 
-def _matched_filter_input(work, m):
+def _matched_filter_input(work, md):
     """q = observed * conj(reference), the reference carrying the phase of
-    the model spectrum dft2(m) and the observed moduli; computed in work.spec,
-    which m may already be (SRAAR keeps its iterate image there).
+    the model spectrum dft2(m) and the observed moduli, from md = D * m;
+    computed in work.spec, which md may already be (SRAAR keeps its iterate
+    image there).
 
     A translation changes only the phase of a line, so the motion-free
     spectrum has the observed moduli and only its phase is unknown: the
@@ -292,9 +293,9 @@ def _matched_filter_input(work, m):
     and give q = 0.
     """
     spec = work.spec
-    if m is not spec:
-        np.copyto(spec, m)
-    np.conjugate(_unitary(np.fft.fftn, _flip_checkerboard(spec)), out=spec)
+    if md is not spec:
+        np.copyto(spec, md)
+    np.conjugate(_unitary(np.fft.fftn, spec), out=spec)
     ratio = np.abs(spec, out=_float_halves(work.scratch)[0])
     # in place, so where the model vanishes the ratio keeps the modulus, 0
     np.divide(work.abs_obs, ratio, out=ratio, where=np.greater(ratio, 0.0, out=work.mask))
@@ -303,10 +304,11 @@ def _matched_filter_input(work, m):
     return q
 
 
-def _estimate_motion(work, m, ramps):
-    """P2's motion estimate for the image m, with the observation and buffers
-    of the workspace ``work``; the line estimator's ramps go into ``ramps``."""
-    shifts, scores = _estimate_lines(_matched_filter_input(work, m), work.k_y, work.bounds, _GRID_STEP, ramps)
+def _estimate_motion(work, md, ramps):
+    """P2's motion estimate for the image m, given as md = D * m, with the
+    observation and buffers of the workspace ``work``; the line estimator's
+    ramps go into ``ramps``."""
+    shifts, scores = _estimate_lines(_matched_filter_input(work, md), work.k_y, work.bounds, _GRID_STEP, ramps)
     total = work.energy.sum()
     if total > 0:
         shifts -= (work.energy @ shifts) / total
@@ -314,18 +316,19 @@ def _estimate_motion(work, m, ramps):
 
 
 def _compensate(work, traj, out):
-    """The observation of ``work`` with the motion ``traj`` undone, in image
-    space, written to ``out``; the same trajectory gives the same bits."""
+    """D times the observation of ``work`` with the motion ``traj`` undone,
+    in image space, written to ``out``; the same trajectory gives the same
+    bits, and flipping ``out`` gives the image."""
     # invert_translation's ramps: the negated trajectory, negated again
     corrected = _line_ramps(traj.dx, traj.dy * work.k_y, out.shape[0], out=out)
     np.multiply(work.obs_d, corrected, out=corrected)
-    return _flip_checkerboard(_unitary(np.fft.ifftn, corrected))
+    return _unitary(np.fft.ifftn, corrected)
 
 
-def _project_fourier(work, m, out):
-    """P2 of the image m into ``out``: the motion estimate, then the
+def _project_fourier(work, md, out):
+    """P2 of the image m, given as md = D * m, into ``out`` as D times the
     compensated image; returns (out, motion estimate)."""
-    estimate = _estimate_motion(work, m, out)
+    estimate = _estimate_motion(work, md, out)
     return _compensate(work, estimate.traj, out), estimate
 
 
@@ -344,4 +347,7 @@ def project_fourier(m, observed, cfg):
     observed = require_finite(require_square_image(observed, "observed k-space"), "observed k-space")
     if m.shape != observed.shape:
         raise ValueError(f"image shape {m.shape} does not match observation {observed.shape}")
-    return _project_fourier(_Workspace(observed, cfg.bounds), m, np.empty(m.shape, np.complex128))
+    work = _Workspace(observed, cfg.bounds)
+    np.copyto(work.spec, m)
+    p2, estimate = _project_fourier(work, _flip_checkerboard(work.spec), np.empty(m.shape, np.complex128))
+    return _flip_checkerboard(p2), estimate

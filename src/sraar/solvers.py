@@ -55,7 +55,7 @@ import numpy as np
 
 from .core import SOLVER_ER, SOLVER_SRAAR, require_finite, require_square_image
 from .projections import _Workspace, _compensate, _estimate_motion, _project_fourier, _shrink
-from .transforms import _float_halves, _forward_levels, _inverse_levels
+from .transforms import _flip_checkerboard, _float_halves, _forward_levels, _inverse_levels
 
 __all__ = ["SolverTrace", "solve_er", "solve_sraar", "tune_sparsity_budget"]
 
@@ -116,17 +116,17 @@ def _distance(work, a, b):
 
 def _er_step(work, w, out, cfg):
     # the shrunk coefficients and their image pass through w, which ends holding W of P2's output
-    sparse = _inverse_levels(_shrink(w, cfg.c, w, work.scratch, work.mask), work.levels, work.scratch)
+    sparse = _inverse_levels(_shrink(w, cfg.c, w, work.scratch, work.mask), work.levels, work.scratch, flipped=True)
     p2, estimate = _project_fourier(work, sparse, out)
     misfit = _distance(work, p2, sparse)
     np.copyto(w, p2)
-    return estimate, misfit, _l1(work, _forward_levels(w, work.levels, work.scratch))
+    return estimate, misfit, _l1(work, _forward_levels(w, work.levels, work.scratch, flipped=True))
 
 
 def _sraar_step(work, w, out, cfg):
     wp2, estimate = _project_fourier(work, work.spec, out)
     # W of the P2 output, in out's buffer: nothing reads the image again
-    _forward_levels(wp2, work.levels, work.scratch)
+    _forward_levels(wp2, work.levels, work.scratch, flipped=True)
     l1 = _l1(work, wp2)
     # wr2 = 2 wp2 - w, shrunk in place in the image's buffer (spec), which
     # P2 has read; the misfit takes scratch, then wr2 is formed again there
@@ -142,13 +142,12 @@ def _sraar_step(work, w, out, cfg):
     # order, so they round the same.  w takes a copy, and spec inverts in
     # place to the image that P2 reads next
     ws *= 2.0
-    nxt = np.subtract(ws, wr2, out=ws)
-    nxt += w
-    nxt *= 0.5 * cfg.theta
+    ws -= wr2
+    w += ws
+    w *= 0.5 * cfg.theta
     wp2 *= 1.0 - cfg.theta
-    nxt += wp2
-    np.copyto(w, nxt)
-    _inverse_levels(nxt, work.levels, work.scratch)
+    w += wp2
+    _inverse_levels(w, work.levels, work.scratch, flipped=True, out=work.spec)
     return estimate, misfit, l1
 
 
@@ -174,7 +173,7 @@ def _iterate(work, cfg, patience=None):
     trace = SolverTrace()
     w = work.naive_image()
     np.copyto(work.spec, w)
-    _forward_levels(w, work.levels, work.scratch)
+    _forward_levels(w, work.levels, work.scratch, flipped=True)
     out = np.empty_like(w)
     kept = None
     for iteration in range(1, cfg.iterations + 1):
@@ -209,7 +208,7 @@ def _solve(observed, cfg):
     if cfg.c_grid is None:
         budgets, patience = [cfg.c], None
     else:
-        base = _l1(work, _forward_levels(work.naive_image(), work.levels, work.scratch))
+        base = _l1(work, _forward_levels(work.naive_image(), work.levels, work.scratch, flipped=True))
         # equal fractions would run the same solve again and lose its tie
         budgets = [fraction * base for fraction in sorted(set(cfg.c_grid))]
         patience = _PATIENCE if cfg.solver == SOLVER_SRAAR else None
@@ -219,7 +218,7 @@ def _solve(observed, cfg):
         if best is None or trace.l1[trace.returned - 1] < best[2].l1[best[2].returned - 1]:
             best = (c, estimate, trace)
     c, estimate, trace = best
-    return c, _compensate(work, estimate.traj, np.empty_like(work.spec)), estimate, trace
+    return c, _flip_checkerboard(_compensate(work, estimate.traj, np.empty_like(work.spec))), estimate, trace
 
 
 def _require_fixed_budget(cfg, solver):

@@ -104,36 +104,51 @@ class WaveletCoeffs:
         object.__setattr__(self, "levels", _check_levels(arr.shape[0], self.levels))
 
 
-def _forward_levels(a, levels, scratch=None):
+def _forward_levels(a, levels, scratch=None, flipped=False):
     """Haar-decompose the writable complex array ``a`` in place; returns ``a``.
 
     ``scratch`` is a contiguous complex buffer of ``a``'s size for the
-    butterfly's pair sums; a new one is made when it is None.
+    butterfly's pair sums; a new one is made when it is None.  With
+    ``flipped``, ``a`` holds D * x, D = (-1)^(r+c) the checkerboard, and the
+    result is the decomposition of x: level 0 of W(D * x) is level 0 of W(x)
+    with its quadrants in reverse order (top-left <-> bottom-right,
+    top-right <-> bottom-left), so level 0 writes them reversed.  The flips
+    are exact, so the bits are those of flipping first.
     """
     scratch = np.empty_like(a) if scratch is None else scratch
     for level in range(levels):
         h = a.shape[0] >> (level + 1)
         blk = a[: 2 * h, : 2 * h]
         cells = blk[0::2, 0::2], blk[0::2, 1::2], blk[1::2, 0::2], blk[1::2, 1::2]
-        _butterfly(blk, cells, (blk[:h, :h], blk[:h, h:], blk[h:, :h], blk[h:, h:]), scratch)
+        quads = blk[:h, :h], blk[:h, h:], blk[h:, :h], blk[h:, h:]
+        _butterfly(blk, cells, quads[::-1] if flipped and level == 0 else quads, scratch)
     return a
 
 
-def _inverse_levels(a, levels, scratch=None):
-    """Undo :func:`_forward_levels` on the writable array ``a`` in place; returns ``a``.
+def _inverse_levels(a, levels, scratch=None, flipped=False, out=None):
+    """Undo :func:`_forward_levels` on the array ``a``; returns the image.
 
-    The butterfly reads the quadrants and writes the cells with the middle
-    pair swapped (top-left, bottom-left, top-right, bottom-right), so it
-    undoes the forward's column step before its row step.  Without the swap
-    the result would differ only in rounding.
+    The image goes into ``out``, a writable complex array of ``a``'s shape,
+    or into ``a`` in place when ``out`` is None; each level reads its
+    detail quadrants from ``a``, so ``a`` keeps them.  The butterfly reads
+    the quadrants and writes the cells with the middle pair swapped
+    (top-left, bottom-left, top-right, bottom-right), so it undoes the
+    forward's column step before its row step.  Without the swap the result
+    would differ only in rounding.  With ``flipped`` the image is D * x, as
+    in :func:`_forward_levels`: level 0 reads its quadrants in reverse order.
     """
     scratch = np.empty_like(a) if scratch is None else scratch
+    out = a if out is None else out
+    side = a.shape[0] >> levels
+    out[:side, :side] = a[:side, :side]
     for level in reversed(range(levels)):
         h = a.shape[0] >> (level + 1)
-        blk = a[: 2 * h, : 2 * h]
-        quads = blk[:h, :h], blk[h:, :h], blk[:h, h:], blk[h:, h:]
-        _butterfly(blk, quads, (blk[0::2, 0::2], blk[1::2, 0::2], blk[0::2, 1::2], blk[1::2, 1::2]), scratch)
-    return a
+        src, blk = a[: 2 * h, : 2 * h], out[: 2 * h, : 2 * h]
+        # the approximation is the deeper level's output, in out
+        quads = blk[:h, :h], src[h:, :h], src[:h, h:], src[h:, h:]
+        cells = blk[0::2, 0::2], blk[1::2, 0::2], blk[0::2, 1::2], blk[1::2, 1::2]
+        _butterfly(blk, quads[::-1] if flipped and level == 0 else quads, cells, scratch)
+    return out
 
 
 def haar_forward(img, levels=None):

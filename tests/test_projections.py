@@ -33,6 +33,7 @@ from sraar.projections import (
     _project_fourier,
     _shrink,
 )
+from sraar.transforms import _flip_checkerboard
 from conftest import random_complex
 from reference_impls import (
     dft2_form_project_fourier,
@@ -378,8 +379,8 @@ class TestMotionEstimate:
 def test_workspace_p2_is_bit_identical_to_the_dft2_form(log2_size, seed, bound_x, bound_y, image):
     """P2 on a workspace whose buffers hold NaN leftovers equals, bit for
     bit, P2 through dft2, idft2 and invert_translation on fresh arrays, and
-    so does the public project_fourier: the flipped observation only moves
-    exact sign flips.  A constant image's spectrum vanishes off DC and a
+    so does the public project_fourier: the flipped observation and the
+    workspace's D * m in and D * P2 out only move exact sign flips.  A constant image's spectrum vanishes off DC and a
     zero image's everywhere, where q must be 0."""
     n = 2**log2_size
     rng = np.random.default_rng(seed)
@@ -391,7 +392,8 @@ def test_workspace_p2_is_bit_identical_to_the_dft2_form(log2_size, seed, bound_x
     for buf in (work.spec, work.scratch):
         buf.fill(np.nan)
     work.mask.fill(True)
-    got, estimate = _project_fourier(work, m, out)
+    got, estimate = _project_fourier(work, _flip_checkerboard(np.array(m, np.complex128)), out)
+    got = _flip_checkerboard(got)
     want, traj, scores = dft2_form_project_fourier(m, observed, bounds)
     public, public_estimate = project_fourier(m, observed, ReconConfig(bounds=bounds))
     for image_, estimate_ in ((got, estimate), (public, public_estimate)):
@@ -438,11 +440,12 @@ class TestProjectFourier:
 
     def test_matched_filter_input_matches_reference_chain(self, rng, phantom64):
         """q is observed * conj(reference), the reference carrying the model's
-        phase and the observed moduli."""
+        phase and the observed moduli; the model arrives as D * image."""
         observed = random_complex(rng, (64, 64))
         model = dft2(phantom64)
         want = observed * np.conj(np.abs(observed) * model / np.abs(model))
-        got = _matched_filter_input(_Workspace(observed, MotionBounds(5.0, 5.0)), phantom64)
+        flipped = _flip_checkerboard(phantom64.astype(np.complex128))
+        got = _matched_filter_input(_Workspace(observed, MotionBounds(5.0, 5.0)), flipped)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("observed_zero", [False, True])

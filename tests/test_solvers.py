@@ -26,7 +26,7 @@ from sraar import (
 from sraar import projections, solvers, transforms
 from sraar.projections import _Workspace, _compensate, _shrink
 from sraar.solvers import _PATIENCE, SolverTrace
-from sraar.transforms import _inverse_levels
+from sraar.transforms import _flip_checkerboard, _inverse_levels
 from conftest import random_complex
 from scenarios import make_scenario
 
@@ -128,9 +128,9 @@ class TestIterationCost:
         for name in ("_forward_levels", "_inverse_levels"):
             levels_fn = getattr(transforms, name)
 
-            def counted(a, levels, scratch=None, levels_fn=levels_fn):
+            def counted(a, levels, scratch=None, levels_fn=levels_fn, **kwargs):
                 passes.append(levels)
-                return levels_fn(a, levels, scratch)
+                return levels_fn(a, levels, scratch, **kwargs)
 
             for module in (transforms, projections, solvers):
                 monkeypatch.setattr(module, name, counted, raising=False)
@@ -144,6 +144,37 @@ class TestIterationCost:
             counts[k] = len(passes)
         assert counts[6] - counts[3] == 2 * 3
         assert counts[3] <= 2 * 3 + 2
+
+    @pytest.mark.parametrize("solver, solve", [("er", solve_er), ("sraar", solve_sraar)])
+    def test_no_checkerboard_flip_per_iteration(self, monkeypatch, solver, solve):
+        # the iterate's images are kept as D * image, D = (-1)^(r+c), and
+        # the Haar passes fold D into level 0, so only the start and the
+        # returned image flip; P2 of an image flipped twice per iteration
+        flips, per_step = [], []
+        flip = transforms._flip_checkerboard
+
+        def counted(a):
+            flips.append(a.shape)
+            return flip(a)
+
+        for module in (transforms, projections, solvers):
+            monkeypatch.setattr(module, "_flip_checkerboard", counted, raising=False)
+        name = f"_{solver}_step"
+        step = getattr(solvers, name)
+
+        def measured(*args):
+            before = len(flips)
+            result = step(*args)
+            per_step.append(len(flips) - before)
+            return result
+
+        monkeypatch.setattr(solvers, name, measured)
+        scenario = make_scenario(16, 6, 1.0, solver_bound=2.0)
+        cfg = ReconConfig(solver=solver, bounds=MotionBounds(2.0, 2.0), iterations=4,
+                          c=0.5 * budget_of(naive_reconstruct(scenario.observed)))
+        solve(scenario.observed, cfg)
+        assert per_step == [0] * cfg.iterations
+        assert flips
 
     def test_peak_memory_of_one_sraar_solve(self):
         # measured 6.17 n x n complex arrays at 256^2: the workspace and the
@@ -349,8 +380,8 @@ class TestSharedDriver:
         # the workspace, w and the P2 output's buffer are the same arrays in
         # every step, also under a patience, which keeps estimates, not
         # images; SRAAR's iterate image is the workspace's spec, which holds
-        # the naive image on entry to the first step and the image of w on
-        # entry to every later one
+        # D * the naive image on entry to the first step and D * the image of
+        # w on entry to every later one, D = (-1)^(r+c)
         name = f"_{solver}_step"
         step, calls = getattr(solvers, name), []
 
@@ -371,8 +402,8 @@ class TestSharedDriver:
         assert all(call[0] is work and call[1] is w and call[2] is out for call in calls)
         assert len({id(work), id(w), id(out), id(work.spec), id(work.scratch)}) == 5
         if solver == "sraar":
-            assert np.array_equal(calls[0][3], naive_reconstruct(scenario.observed))
-            assert all(np.array_equal(spec, image) for *_, spec, image in calls[1:])
+            assert np.array_equal(calls[0][3], _flip_checkerboard(naive_reconstruct(scenario.observed)))
+            assert all(np.array_equal(spec, _flip_checkerboard(image)) for *_, spec, image in calls[1:])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_kspace_rejected(self, scenario, bad):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sraar import WaveletCoeffs, dft2, haar_forward, haar_inverse, idft2, l1_norm
+from sraar.transforms import _flip_checkerboard, _forward_levels, _inverse_levels
 from conftest import random_complex
 from reference_impls import (
     concat_haar_forward,
@@ -111,6 +112,34 @@ class TestHaar:
         coeffs = haar_forward(img, levels)
         assert np.array_equal(coeffs.data, concat_haar_forward(img, levels))
         assert np.array_equal(haar_inverse(coeffs), scratch_haar_inverse(coeffs.data, levels))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        log2_size=st.integers(1, 8),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+        log10_scale=st.floats(-8.0, 8.0),
+    )
+    def test_flipped_level_zero_is_bit_identical_to_flipping(self, log2_size, data, seed, log10_scale):
+        """With D = (-1)^(r+c), the forward pass of D * x that stores level
+        0's quadrants reversed is the forward pass of x, and the inverse that
+        reads them reversed is D times the inverse, byte for byte, in place
+        and into another array; the out-of-place inverse leaves its input
+        alone and rounds like the in-place one."""
+        n = 2**log2_size
+        levels = data.draw(st.integers(1, log2_size), label="levels")
+        x = 10.0**log10_scale * random_complex(np.random.default_rng(seed), (n, n))
+        want = _forward_levels(x.copy(), levels)
+        assert _forward_levels(_flip_checkerboard(x.copy()), levels, flipped=True).tobytes() == want.tobytes()
+        plain = _inverse_levels(x.copy(), levels)
+        want = _flip_checkerboard(plain.copy())
+        kept = x.copy()
+        assert _inverse_levels(x.copy(), levels, flipped=True).tobytes() == want.tobytes()
+        out = np.full_like(x, np.nan)
+        assert _inverse_levels(kept, levels, flipped=True, out=out) is out
+        assert out.tobytes() == want.tobytes()
+        assert _inverse_levels(kept, levels, out=out).tobytes() == plain.tobytes()
+        assert kept.tobytes() == x.tobytes()
 
     @pytest.mark.parametrize("n", [256, 512])
     def test_peak_memory_of_one_pass(self, rng, n):

@@ -52,6 +52,7 @@ def replay_seed(sraar, name, seed):
     from sraar.cli import build_parser, reconstruct_config
     from sraar.projections import _Workspace, _compensate
     from sraar.solvers import _sraar_step
+    from sraar.transforms import _flip_checkerboard
 
     # generate() only computes; nothing is written under the work directory
     run = Run(sraar, name, seed, ROOT / ".bench_work", smoke=False)
@@ -73,14 +74,16 @@ def replay_seed(sraar, name, seed):
     for fraction in sorted(set(cfg.c_grid)):
         candidate = replace(cfg, c=fraction * base, c_grid=None)
         # the solver's own step, which updates the Haar coefficients w and
-        # the image in work.spec in place; it leaves scaled Haar coefficients
-        # of the P2 output in out, so the output is recomputed from its estimate
+        # D * the image in work.spec in place, D = (-1)^(r+c); it leaves
+        # scaled Haar coefficients of the P2 output in out, so the output is
+        # recomputed from its estimate, and unflipped
         w, out, rows = sraar.haar_forward(naive).data, np.empty_like(naive), []
         np.copyto(work.spec, naive)
+        _flip_checkerboard(work.spec)
         for _ in range(cfg.iterations):
             estimate = _sraar_step(work, w, out, candidate)[0]
-            rows.append(record(_compensate(work, estimate.traj, out), estimate))
-        terminal = record(*sraar.project_fourier(work.spec, observed, cfg))
+            rows.append(record(_flip_checkerboard(_compensate(work, estimate.traj, out)), estimate))
+        terminal = record(*sraar.project_fourier(_flip_checkerboard(work.spec), observed, cfg))
         candidates.append((fraction, np.array(rows), terminal))
     return candidates, sraar.image_metrics(naive, gt)[0]
 
