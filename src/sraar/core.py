@@ -84,9 +84,15 @@ def normalized_line_weights(weights, n_lines):
         got = f"{w.size} weights" if w.ndim == 1 else f"weights of shape {w.shape}"
         raise ValueError(f"weights must hold one value per line: {n_lines} lines, {got}")
     require_finite(w, "weights")
-    if np.any(w < 0) or w.sum() <= 0:
+    with np.errstate(over="ignore"):
+        total = w.sum()
+    if np.any(w < 0) or total <= 0:
         raise ValueError("weights must be non-negative per line with positive sum")
-    return w / w.sum()
+    if not np.isfinite(total):
+        # finite weights whose sum overflows; a finite sum keeps its bits
+        w = w / w.max()
+        total = w.sum()
+    return w / total
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import (FrequencyGrid, MotionTrajectory, require_budget, require_finite, require_grid_size,
                    require_square_image)
-from .motion import _line_ramps
+from .motion import _line_ramps, _ramp_tables
 from .transforms import _flip_checkerboard, _float_halves, _forward_levels, _inverse_levels, _unitary
 
 __all__ = [
@@ -60,22 +60,22 @@ def _l1_ball_threshold(moduli, c, total):
         tau = (active.sum() - c) / active.size
 
 
-def _shrink(coeffs, c, out=None, scratch=None, mask=None):
+def _shrink(coeffs, c, out=None, scratch=None):
     """Nearest point to ``coeffs`` in the l1 ball of radius c, written to ``out``.
 
     Moduli are soft-shrunk by the exact threshold and phases are kept: this
-    is P1 on Haar coefficients.  ``out`` (complex), ``scratch`` (a
+    is P1 on Haar coefficients.  ``out`` (complex) and ``scratch`` (a
     contiguous complex buffer whose two float halves hold the moduli and the
-    scale factors) and ``mask`` (bool) have the shape of ``coeffs``; each
-    one that is None is made new.  ``out`` may be ``coeffs``.
+    scale factors) have the shape of ``coeffs``; each one that is None is
+    made new.  ``out`` may be ``coeffs``.
     """
     out = np.empty_like(coeffs) if out is None else out
-    if not _shrink_outside(coeffs, c, out, np.empty_like(coeffs) if scratch is None else scratch, mask):
+    if not _shrink_outside(coeffs, c, out, np.empty_like(coeffs) if scratch is None else scratch):
         np.copyto(out, coeffs)
     return out
 
 
-def _shrink_outside(coeffs, c, out, scratch, mask=None):
+def _shrink_outside(coeffs, c, out, scratch):
     """:func:`_shrink` when the moduli sum to more than c, else False with ``out`` untouched."""
     moduli, scale = _float_halves(scratch)
     mod = np.abs(coeffs, out=moduli).ravel()
@@ -86,13 +86,13 @@ def _shrink_outside(coeffs, c, out, scratch, mask=None):
         out.fill(0.0)
         return True
     tau = _l1_ball_threshold(mod, c, total)
-    # every coefficient is scaled, then the ones not above tau, whose scale
-    # may be 0/0, are zeroed; masked ufuncs took twice as long
+    # the scale max((|x| - tau) / |x|, 0) is 0 for every modulus not above
+    # tau, also where it is 0/0 or -tau/0, whose NaN or -inf fmax drops;
+    # a dropped coefficient becomes a signed zero
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(np.subtract(moduli, tau, out=scale), moduli, out=scale)
-        np.multiply(coeffs, scale, out=out)
-    mask = np.greater(moduli, tau, out=np.empty(coeffs.shape, bool) if mask is None else mask)
-    np.putmask(out, np.logical_not(mask, out=mask), 0.0)
+        np.fmax(scale, 0.0, out=scale)
+    np.multiply(coeffs, scale, out=out)
     return True
 
 
@@ -169,7 +169,7 @@ def _best_phase(s, reach):
     return np.abs(s) * np.cos(a - phi), phi
 
 
-def _estimate_lines(q, k_y, bounds, step, scratch=None):
+def _estimate_lines(q, k_y, bounds, step, moduli=None):
     """Shift estimates for every row of q = observed * conj(reference).
 
     Row r is a readout line at phase-encode frequency k_y[r].  The
@@ -182,8 +182,8 @@ def _estimate_lines(q, k_y, bounds, step, scratch=None):
     On the DC line b_y is unidentifiable: the window spans the whole circle,
     so b_x maximizes |s|, and b_y is 0.  Zero-energy lines give (0, 0) with
     score 0.  Returns the (rows, 2) shifts and the rows' scores.  The
-    refined ramps and then the moduli of q go into ``scratch``, a contiguous
-    complex buffer of q's shape (made new when None).
+    moduli of q go into ``moduli``, a float array of q's shape (made new
+    when None).
     """
     rows, n = q.shape
     x_pts, x_inner = _axis_points(bounds.max_abs_x, step)
@@ -191,13 +191,15 @@ def _estimate_lines(q, k_y, bounds, step, scratch=None):
     reach = np.where(k_y == 0.0, np.pi, np.minimum(np.abs(turn) * bounds.max_abs_y, np.pi))
     profile, _ = _best_phase(q @ _coarse_basis(bounds.max_abs_x, step, n).T, reach[:, None])
     bx = np.clip(_peak(profile, x_inner, x_pts, step), -bounds.max_abs_x, bounds.max_abs_x)
-    scratch = np.empty_like(q) if scratch is None else scratch
-    ramp = _line_ramps(bx, 0.0, n, out=scratch)
-    corr, phi = _best_phase((q[:, None, :] @ ramp[:, :, None])[:, 0, 0], reach)
+    # s(b_x) through the ramps' tables: each block of L samples of a row
+    # meets the tail, then the n/L block sums meet the lead
+    lead, tail = _ramp_tables(bx, 0.0, n)
+    blocks = q.reshape(lead.shape + tail.shape[1:]) @ tail[:, :, None]
+    corr, phi = _best_phase((lead[:, None, :] @ blocks)[:, 0, 0], reach)
     by = np.divide(phi, turn, out=np.zeros(rows), where=k_y != 0.0)
     by = np.clip(by, -bounds.max_abs_y, bounds.max_abs_y)  # phi / turn can round past the bound
 
-    denom = np.abs(q, out=_float_halves(scratch)[0]).sum(axis=1)
+    denom = np.abs(q, out=moduli).sum(axis=1)
     live = denom > 0.0
     scores = np.clip(np.divide(corr, denom, out=np.zeros(rows), where=live), 0.0, 1.0)
     return np.where(live[:, None], np.stack([bx, by], axis=1), 0.0), scores
@@ -304,11 +306,11 @@ def _matched_filter_input(work, md):
     return q
 
 
-def _estimate_motion(work, md, ramps):
+def _estimate_motion(work, md):
     """P2's motion estimate for the image m, given as md = D * m, with the
-    observation and buffers of the workspace ``work``; the line estimator's
-    ramps go into ``ramps``."""
-    shifts, scores = _estimate_lines(_matched_filter_input(work, md), work.k_y, work.bounds, _GRID_STEP, ramps)
+    observation and buffers of the workspace ``work``."""
+    q = _matched_filter_input(work, md)
+    shifts, scores = _estimate_lines(q, work.k_y, work.bounds, _GRID_STEP, _float_halves(work.scratch)[0])
     total = work.energy.sum()
     if total > 0:
         shifts -= (work.energy @ shifts) / total
@@ -328,7 +330,7 @@ def _compensate(work, traj, out):
 def _project_fourier(work, md, out):
     """P2 of the image m, given as md = D * m, into ``out`` as D times the
     compensated image; returns (out, motion estimate)."""
-    estimate = _estimate_motion(work, md, out)
+    estimate = _estimate_motion(work, md)
     return _compensate(work, estimate.traj, out), estimate
 
 

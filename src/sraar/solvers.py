@@ -116,7 +116,7 @@ def _distance(work, a, b):
 
 def _er_step(work, w, out, cfg):
     # the shrunk coefficients and their image pass through w, which ends holding W of P2's output
-    sparse = _inverse_levels(_shrink(w, cfg.c, w, work.scratch, work.mask), work.levels, work.scratch, flipped=True)
+    sparse = _inverse_levels(_shrink(w, cfg.c, w, work.scratch), work.levels, work.scratch, flipped=True)
     p2, estimate = _project_fourier(work, sparse, out)
     misfit = _distance(work, p2, sparse)
     np.copyto(w, p2)
@@ -128,24 +128,18 @@ def _sraar_step(work, w, out, cfg):
     # W of the P2 output, in out's buffer: nothing reads the image again
     _forward_levels(wp2, work.levels, work.scratch, flipped=True)
     l1 = _l1(work, wp2)
-    # wr2 = 2 wp2 - w, shrunk in place in the image's buffer (spec), which
-    # P2 has read; the misfit takes scratch, then wr2 is formed again there
-    # by the same two operations, so it has the same bits
+    # ws = P1 of the reflection wr2 = 2 wp2 - w, shrunk in place in spec,
+    # which P2 has read
     ws = np.multiply(2.0, wp2, out=work.spec)
     ws -= w
-    _shrink(ws, cfg.c, ws, work.scratch, work.mask)
+    _shrink(ws, cfg.c, ws, work.scratch)
     misfit = _distance(work, wp2, ws)
-    wr2 = np.multiply(2.0, wp2, out=work.scratch)
-    wr2 -= w
-    # (theta/2) * (2 ws - wr2 + w) + (1 - theta) * wp2, built in spec with
-    # ws and wp2 scaled in place; the operations run in that expression's
-    # order, so they round the same.  w takes a copy, and spec inverts in
-    # place to the image that P2 reads next
-    ws *= 2.0
-    ws -= wr2
+    # (theta/2) (2 ws - wr2 + w) + (1 - theta) wp2 = theta (ws + w) +
+    # (1 - 2 theta) wp2, built in w; spec then takes D * the image of w,
+    # the next P2's input
     w += ws
-    w *= 0.5 * cfg.theta
-    wp2 *= 1.0 - cfg.theta
+    w *= cfg.theta
+    wp2 *= 1.0 - 2.0 * cfg.theta
     w += wp2
     _inverse_levels(w, work.levels, work.scratch, flipped=True, out=work.spec)
     return estimate, misfit, l1
@@ -191,7 +185,7 @@ def _iterate(work, cfg, patience=None):
     if cfg.solver == SOLVER_ER:
         trace.returned = len(trace)
         return estimate, trace
-    return _estimate_motion(work, work.spec, out), trace
+    return _estimate_motion(work, work.spec), trace
 
 
 def _solve(observed, cfg):

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from sraar import EvalReport, MotionTrajectory, image_metrics, trajectory_error
+from sraar import EvalReport, MotionEstimate, MotionTrajectory, image_metrics, trajectory_error
+from sraar.core import normalized_line_weights
 from conftest import random_complex
 from reference_impls import loop_rmse_metrics
 
@@ -87,6 +90,31 @@ class TestTrajectoryError:
         a = MotionTrajectory.zero(4)
         with pytest.raises(ValueError, match="weights contains non-finite values"):
             trajectory_error(a, a, [bad, 1.0, 1.0, 1.0])
+
+    def test_weights_whose_sum_overflows(self):
+        # finite weights summing past the float range once normalized to all
+        # zeros and gave (0, 0) after an overflow warning
+        a = MotionTrajectory.zero(4)
+        shifts = np.zeros((4, 2))
+        shifts[0, 0] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ex, ey = trajectory_error(MotionTrajectory(shifts), a, [1e308, 1e308, 1.0, 1.0])
+        assert ex == pytest.approx(0.5, rel=1e-12)
+        assert ey == 0.0
+
+    def test_finite_weight_sum_keeps_its_bits(self, rng):
+        w = rng.uniform(0.0, 1e300, 16)
+        assert np.array_equal(normalized_line_weights(w, 16), w / w.sum())
+
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_motion_estimate_for_a_trajectory_is_named(self, position):
+        traj = MotionTrajectory.zero(4)
+        args = [traj, traj]
+        args[position] = MotionEstimate(traj, np.ones(4))
+        name = ("est", "true_traj")[position]
+        with pytest.raises(ValueError, match=f"{name} must be a MotionTrajectory, got MotionEstimate"):
+            trajectory_error(*args)
 
     def test_line_count_mismatch_names_both_counts(self):
         a = MotionTrajectory.zero(4)

@@ -366,14 +366,33 @@ class TestSharedDriver:
         for _ in range(cfg.iterations):
             p2, estimate = project_fourier(m, observed, cfg)
             wp2 = haar_forward(p2).data
-            wr2 = 2.0 * wp2 - w
-            ws = _shrink(wr2, cfg.c)
-            w = 0.5 * cfg.theta * (2.0 * ws - wr2 + w) + (1.0 - cfg.theta) * wp2
+            ws = _shrink(2.0 * wp2 - w, cfg.c)
+            w = cfg.theta * (ws + w) + (1.0 - 2.0 * cfg.theta) * wp2
             m = image_of(w)
             misfit.append(old_misfit(observed, image_of(ws), estimate))
             l1.append(budget_of(p2))
         expected, estimate = project_fourier(m, observed, cfg)
         self.check(solve_sraar(observed, cfg), expected, estimate, misfit, l1, None)
+
+    @pytest.mark.parametrize("theta", [0.3, 0.9, 1.0])
+    def test_sraar_step_is_the_relaxed_reflection_update(self, scenario, theta):
+        # the step builds theta (ws + w) + (1 - 2 theta) wp2, the relaxed
+        # update (theta/2) (2 ws - wr2 + w) + (1 - theta) wp2 with the
+        # reflection wr2 = 2 wp2 - w substituted; the two round differently
+        cfg = replace(self.config(scenario, "sraar"), theta=theta)
+        work = _Workspace(scenario.observed, cfg.bounds)
+        naive = naive_reconstruct(scenario.observed)
+        w = haar_forward(naive).data
+        np.copyto(work.spec, _flip_checkerboard(naive.copy()))
+        start = w.copy()
+        estimate = solvers._sraar_step(work, w, np.empty_like(w), cfg)[0]
+        p2, want_estimate = project_fourier(naive, scenario.observed, cfg)
+        assert np.array_equal(estimate.traj.shifts, want_estimate.traj.shifts)
+        wp2 = haar_forward(p2).data
+        wr2 = 2.0 * wp2 - start
+        old = 0.5 * theta * (2.0 * _shrink(wr2, cfg.c) - wr2 + start) + (1.0 - theta) * wp2
+        assert np.abs(w - old).max() <= 1e-12 * np.abs(old).max()
+        assert np.array_equal(work.spec, _flip_checkerboard(image_of(w)))
 
     @pytest.mark.parametrize("solver, patience", [("er", None), ("sraar", None), ("er", 2), ("sraar", _PATIENCE)])
     def test_each_buffer_keeps_one_role(self, monkeypatch, scenario, solver, patience):
@@ -465,8 +484,7 @@ def replay_sraar_candidate(observed, cfg):
             best = (l1, p2, estimate, iteration)
         elif iteration - best[3] >= _PATIENCE:
             return (*best, iteration)
-        wr2 = 2.0 * wp2 - w
-        w = 0.5 * cfg.theta * (2.0 * _shrink(wr2, cfg.c) - wr2 + w) + (1.0 - cfg.theta) * wp2
+        w = cfg.theta * (_shrink(2.0 * wp2 - w, cfg.c) + w) + (1.0 - 2.0 * cfg.theta) * wp2
         m = image_of(w)
     return (*best, cfg.iterations)
 
