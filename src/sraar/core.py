@@ -88,8 +88,7 @@ def normalized_line_weights(weights, n_lines):
         total = w.sum()
     if np.any(w < 0) or total <= 0:
         raise ValueError("weights must be non-negative per line with positive sum")
-    if not np.isfinite(total):
-        # finite weights whose sum overflows; a finite sum keeps its bits
+    if not np.isfinite(total):  # finite weights whose sum overflows
         w = w / w.max()
         total = w.sum()
     return w / total

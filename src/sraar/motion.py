@@ -27,10 +27,9 @@ _GAUGE_TOL = 1e-9
 
 
 def _ramp_tables(a, b, n):
-    """The (lead, tail) tables of :func:`_line_ramps`: with c = L*h + l (L a
-    power of two near sqrt(n)), row r of the ramps is the outer product of
-    lead[r, h] = exp(2i*pi*(b - a/2 + a*L*h/n)) and tail[r, l] =
-    exp(2i*pi*a*l/n), of n/L and L points."""
+    """(lead, tail): with c = L*h + l (L a power of two near sqrt(n)), row r
+    of :func:`_line_ramps` is the outer product of lead[r, h] =
+    exp(2i*pi*(b - a/2 + a*L*h/n)) and tail[r, l] = exp(2i*pi*a*l/n)."""
     a = np.asarray(a, dtype=np.float64).reshape(-1, 1)
     b = np.asarray(b, dtype=np.float64).reshape(-1, 1)
     tail_len = 1 << (n.bit_length() // 2)
@@ -42,8 +41,7 @@ def _ramp_tables(a, b, n):
 def _line_ramps(a, b, n, out=None):
     """Row r of the result is exp(2i*pi*(a[r]*k + b[r])) on the centered grid
     k = (c - n/2)/n, c = 0..n-1; b may be a scalar.  The result goes into
-    ``out``, a contiguous complex (rows, n) array, or a new one; it is
-    built from the tables of :func:`_ramp_tables`.
+    ``out``, a contiguous complex (rows, n) array, or a new one.
     """
     lead, tail = _ramp_tables(a, b, n)
     out = np.empty((lead.shape[0], n), np.complex128) if out is None else out

@@ -87,8 +87,7 @@ def _shrink_outside(coeffs, c, out, scratch):
         return True
     tau = _l1_ball_threshold(mod, c, total)
     # the scale max((|x| - tau) / |x|, 0) is 0 for every modulus not above
-    # tau, also where it is 0/0 or -tau/0, whose NaN or -inf fmax drops;
-    # a dropped coefficient becomes a signed zero
+    # tau, also for the NaN of 0/0 and the -inf of -tau/0
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(np.subtract(moduli, tau, out=scale), moduli, out=scale)
         np.fmax(scale, 0.0, out=scale)
@@ -191,8 +190,7 @@ def _estimate_lines(q, k_y, bounds, step, moduli=None):
     reach = np.where(k_y == 0.0, np.pi, np.minimum(np.abs(turn) * bounds.max_abs_y, np.pi))
     profile, _ = _best_phase(q @ _coarse_basis(bounds.max_abs_x, step, n).T, reach[:, None])
     bx = np.clip(_peak(profile, x_inner, x_pts, step), -bounds.max_abs_x, bounds.max_abs_x)
-    # s(b_x) through the ramps' tables: each block of L samples of a row
-    # meets the tail, then the n/L block sums meet the lead
+    # s(b_x) from the ramps' tables, with no n x n ramp
     lead, tail = _ramp_tables(bx, 0.0, n)
     blocks = q.reshape(lead.shape + tail.shape[1:]) @ tail[:, :, None]
     corr, phi = _best_phase((lead[:, None, :] @ blocks)[:, 0, 0], reach)
@@ -251,18 +249,17 @@ class _Workspace:
     role.
 
     With D = (-1)^(r+c) the checkerboard, the centered DFT is D * fft(D * x)
-    and the flips are exact, so P2 works with ``obs_d`` = D * observed: its
-    matched-filter input is obs_d * conj(fft(D * m)) and its output
-    D * ifft(obs_d * ramps), each bit-identical to the dft2/idft2 form with
-    two of the four flips gone.  ``spec`` holds the matched-filter input
-    while P2 runs; a SRAAR solve keeps its iterate image there between P2
-    calls, and its step builds the reflected, shrunk and relaxed
-    coefficients there before inverting them to the next image.
+    and the flips are exact, so P2 works with ``obs_d`` = D * observed and
+    images as D * m: its matched-filter input is obs_d * conj(fft(D * m))
+    and D times its output is ifft(obs_d * ramps), both with the bits of the
+    dft2/idft2 form and no flip.  ``spec`` holds the matched-filter input
+    while P2 runs; a SRAAR solve keeps D times its iterate image there
+    between P2 calls, and its step shrinks the reflection there.
     ``scratch`` is every phase's temporary, never alive across a call: the
-    matched filter's ratio, the Haar butterflies' pair sums, the shrink's
-    moduli and scale, and the moduli of the l1 norm and the squared
-    difference of the misfit; it also serves as two n x n float arrays
-    (:func:`_float_halves`).
+    matched filter's ratio, the line estimator's moduli, the Haar
+    butterflies' pair sums, the shrink's moduli and scale, and the moduli
+    of the l1 norm and the squared difference of the misfit; it also serves
+    as two n x n float arrays (:func:`_float_halves`).
     """
 
     def __init__(self, observed, bounds):
@@ -285,8 +282,7 @@ class _Workspace:
 def _matched_filter_input(work, md):
     """q = observed * conj(reference), the reference carrying the phase of
     the model spectrum dft2(m) and the observed moduli, from md = D * m;
-    computed in work.spec, which md may already be (SRAAR keeps its iterate
-    image there).
+    computed in work.spec, which md may already be (SRAAR keeps it there).
 
     A translation changes only the phase of a line, so the motion-free
     spectrum has the observed moduli and only its phase is unknown: the
@@ -319,8 +315,7 @@ def _estimate_motion(work, md):
 
 def _compensate(work, traj, out):
     """D times the observation of ``work`` with the motion ``traj`` undone,
-    in image space, written to ``out``; the same trajectory gives the same
-    bits, and flipping ``out`` gives the image."""
+    in image space, written to ``out``; the same trajectory gives the same bits."""
     # invert_translation's ramps: the negated trajectory, negated again
     corrected = _line_ramps(traj.dx, traj.dy * work.k_y, out.shape[0], out=out)
     np.multiply(work.obs_d, corrected, out=corrected)

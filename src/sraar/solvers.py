@@ -7,10 +7,12 @@ alternating reflections update
 
     m <- (theta/2) * (R1 R2 + I) m + (1 - theta) * P2 m
 
-with reflectors R = 2P - I; the Fourier projection P2 m is evaluated once
-per iteration and shared between both terms, and a terminal P2 pass makes
-the returned image data-consistent.  The DFT and the translations are
-unitary, so the data misfit equals ||P2 output - P1 output|| in image space.
+with reflectors R = 2P - I (the RAAR step of Luke, Inverse Problems 21,
+2005), which is theta * (P1 R2 m + m) + (1 - 2 theta) * P2 m.  The Fourier
+projection P2 m is evaluated once per iteration and shared between the
+terms, and a terminal P2 pass makes the returned image data-consistent.
+The DFT and the translations are unitary, so the data misfit equals
+||P2 output - P1 output|| in image space.
 
 The full-depth Haar transform W is orthonormal, so W P1 W^T is the shrink
 of Haar coefficients onto the l1 ball, and both solvers iterate on
@@ -22,17 +24,13 @@ measures the misfit between coefficients and ER between images, which
 orthonormality makes equal.
 
 Each solve, fixed or tuned, builds one workspace in ``_solve``
-(:class:`~sraar.projections._Workspace`):
-obs_d = D * observed with D = (-1)^(r+c), its moduli and line energies, and
-n x n buffers that P2, the Haar passes, the shrink and the update share.
-Besides them a solve holds two iterate buffers, the Haar coefficients and
-the P2 output; SRAAR's iterate image lives in the workspace buffer where
-P2's matched filter reads it, at the price of forming the reflection twice
-per iteration.  The centered DFT is D * fft(D * x), so P2 forms
-obs_d * conj(fft(D * m)) and D * ifft(obs_d * ramps), the same bits as
-through dft2 and idft2 with two fewer sign flips.  No iteration after the
-first allocates an n x n array, so the heap no longer shrinks after each
-iteration only to fault its pages back in.
+(:class:`~sraar.projections._Workspace`) and two iterate buffers, the Haar
+coefficients and the P2 output.  Its images stay in the workspace's D
+domain, D = (-1)^(r+c): P2 reads and writes D * m, and the Haar passes fold
+D into level 0, so only the start and the returned image flip signs; the
+flips are exact, so the bits are those of dft2 and idft2.  No iteration
+after the first allocates an n x n array, so the heap no longer shrinks
+after each iteration only to fault its pages back in.
 
 Every P2 output is a compensated image: the observation with one estimated
 motion undone, so a solve keeps motion estimates and computes its returned
@@ -115,7 +113,8 @@ def _distance(work, a, b):
 
 
 def _er_step(work, w, out, cfg):
-    # the shrunk coefficients and their image pass through w, which ends holding W of P2's output
+    # D times the shrunk image, then W of P2's output, pass through w; the
+    # flips D move no bit of the misfit
     sparse = _inverse_levels(_shrink(w, cfg.c, w, work.scratch), work.levels, work.scratch, flipped=True)
     p2, estimate = _project_fourier(work, sparse, out)
     misfit = _distance(work, p2, sparse)
@@ -153,9 +152,9 @@ def _iterate(work, cfg, patience=None):
     compensated by that estimate, which :func:`_solve`, the one builder of
     ``work``, recomputes with :func:`~sraar.projections._compensate`, so no
     image is kept.  Each buffer keeps one role for the whole solve: w holds
-    the iterate's Haar coefficients and ``out`` the P2 output, which the
-    SRAAR step turns into scaled Haar coefficients; SRAAR's iterate image
-    lives in ``work.spec``, where P2's matched filter reads it.
+    the iterate's Haar coefficients and ``out`` D times the P2 output, which
+    the SRAAR step turns into scaled Haar coefficients; SRAAR keeps D times
+    its iterate image in ``work.spec``, where P2's matched filter reads it.
     ``step(work, w, out, cfg)`` updates w (and SRAAR's image) in place and
     returns (motion estimate, misfit, Haar l1 of the P2 output); the steps
     are module globals, looked up here.  Without ``patience`` the image is

@@ -109,11 +109,9 @@ def _forward_levels(a, levels, scratch=None, flipped=False):
 
     ``scratch`` is a contiguous complex buffer of ``a``'s size for the
     butterfly's pair sums; a new one is made when it is None.  With
-    ``flipped``, ``a`` holds D * x, D = (-1)^(r+c) the checkerboard, and the
-    result is the decomposition of x: level 0 of W(D * x) is level 0 of W(x)
-    with its quadrants in reverse order (top-left <-> bottom-right,
-    top-right <-> bottom-left), so level 0 writes them reversed.  The flips
-    are exact, so the bits are those of flipping first.
+    ``flipped``, ``a`` holds D * x, D = (-1)^(r+c), and the result is W(x):
+    level 0 of W(D * x) is level 0 of W(x) with its quadrants in reverse
+    order, bit for bit, so level 0 writes them reversed.
     """
     scratch = np.empty_like(a) if scratch is None else scratch
     for level in range(levels):
@@ -128,14 +126,13 @@ def _forward_levels(a, levels, scratch=None, flipped=False):
 def _inverse_levels(a, levels, scratch=None, flipped=False, out=None):
     """Undo :func:`_forward_levels` on the array ``a``; returns the image.
 
-    The image goes into ``out``, a writable complex array of ``a``'s shape,
-    or into ``a`` in place when ``out`` is None; each level reads its
-    detail quadrants from ``a``, so ``a`` keeps them.  The butterfly reads
-    the quadrants and writes the cells with the middle pair swapped
-    (top-left, bottom-left, top-right, bottom-right), so it undoes the
-    forward's column step before its row step.  Without the swap the result
-    would differ only in rounding.  With ``flipped`` the image is D * x, as
-    in :func:`_forward_levels`: level 0 reads its quadrants in reverse order.
+    The image goes into ``out``, or into ``a`` when ``out`` is None; ``a``
+    keeps its detail quadrants.  The butterfly reads the quadrants and
+    writes the cells with the middle pair swapped (top-left, bottom-left,
+    top-right, bottom-right), so it undoes the forward's column step before
+    its row step.  Without the swap the result would differ only in
+    rounding.  With ``flipped`` level 0 reads its quadrants in reverse
+    order, and the image is D * x (see :func:`_forward_levels`).
     """
     scratch = np.empty_like(a) if scratch is None else scratch
     out = a if out is None else out
