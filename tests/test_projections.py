@@ -380,8 +380,9 @@ def test_workspace_p2_is_bit_identical_to_the_dft2_form(log2_size, seed, bound_x
     """P2 on a workspace whose buffers hold NaN leftovers equals, bit for
     bit, P2 through dft2, idft2 and invert_translation on fresh arrays, and
     so does the public project_fourier: the flipped observation and the
-    workspace's D * m in and D * P2 out only move exact sign flips.  A constant image's spectrum vanishes off DC and a
-    zero image's everywhere, where q must be 0."""
+    workspace's D * m in and D * P2 out only move exact sign flips.  A
+    constant image's spectrum vanishes off DC and a zero image's everywhere,
+    where q must be 0."""
     n = 2**log2_size
     rng = np.random.default_rng(seed)
     observed = random_complex(rng, (n, n))

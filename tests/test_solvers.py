@@ -42,7 +42,7 @@ def solve_with_patience(observed, cfg, patience):
     """A fixed-budget solve under a patience no entry point uses."""
     work = _Workspace(observed, cfg.bounds)
     estimate, trace = solvers._iterate(work, cfg, patience)
-    return _compensate(work, estimate.traj, np.empty_like(work.spec)), estimate, trace
+    return _flip_checkerboard(_compensate(work, estimate.traj, np.empty_like(work.spec))), estimate, trace
 
 
 def image_of(w):
@@ -149,7 +149,7 @@ class TestIterationCost:
     def test_no_checkerboard_flip_per_iteration(self, monkeypatch, solver, solve):
         # the iterate's images are kept as D * image, D = (-1)^(r+c), and
         # the Haar passes fold D into level 0, so only the start and the
-        # returned image flip; P2 of an image flipped twice per iteration
+        # returned image flip, never a step
         flips, per_step = [], []
         flip = transforms._flip_checkerboard
 
