@@ -64,35 +64,40 @@ def _shrink(coeffs, c, out=None, scratch=None):
     """Nearest point to ``coeffs`` in the l1 ball of radius c, written to ``out``.
 
     Moduli are soft-shrunk by the exact threshold and phases are kept: this
-    is P1 on Haar coefficients.  ``out`` (complex) and ``scratch`` (a
-    contiguous complex buffer whose two float halves hold the moduli and the
-    scale factors) have the shape of ``coeffs``; each one that is None is
-    made new.  ``out`` may be ``coeffs``.
+    is P1 on Haar coefficients.  ``out`` (complex) and ``scratch`` (see
+    :func:`_shrink_scale`) have the shape of ``coeffs``; each one that is
+    None is made new.  ``out`` may be ``coeffs``.
     """
     out = np.empty_like(coeffs) if out is None else out
-    if not _shrink_outside(coeffs, c, out, np.empty_like(coeffs) if scratch is None else scratch):
+    scale = _shrink_scale(coeffs, c, np.empty_like(coeffs) if scratch is None else scratch)
+    if scale is None:
         np.copyto(out, coeffs)
+    else:
+        np.multiply(coeffs, scale, out=out)
     return out
 
 
-def _shrink_outside(coeffs, c, out, scratch):
-    """:func:`_shrink` when the moduli sum to more than c, else False with ``out`` untouched."""
+def _shrink_scale(coeffs, c, scratch):
+    """The shrink's factors max((|x| - tau) / |x|, 0), so that P1(coeffs) =
+    scale * coeffs, in the second float half of the contiguous complex
+    buffer ``scratch`` (:func:`_float_halves`), after the moduli in its
+    first; None, with the scale 1, when the moduli sum to at most c.
+    """
     moduli, scale = _float_halves(scratch)
     mod = np.abs(coeffs, out=moduli).ravel()
     total = mod.sum()
     if total <= c:
-        return False
+        return None
     if c == 0.0:
-        out.fill(0.0)
-        return True
+        scale.fill(0.0)
+        return scale
     tau = _l1_ball_threshold(mod, c, total)
-    # the scale max((|x| - tau) / |x|, 0) is 0 for every modulus not above
-    # tau, also for the NaN of 0/0 and the -inf of -tau/0
+    # the scale is 0 for every modulus not above tau, also for the NaN of
+    # 0/0 and the -inf of -tau/0
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(np.subtract(moduli, tau, out=scale), moduli, out=scale)
         np.fmax(scale, 0.0, out=scale)
-    np.multiply(coeffs, scale, out=out)
-    return True
+    return scale
 
 
 def project_sparse(m, c):
@@ -102,8 +107,10 @@ def project_sparse(m, c):
     levels = int(np.log2(m.shape[0]))
     scratch = np.empty_like(m)
     coeffs = _forward_levels(m.copy(), levels, scratch)
-    if not _shrink_outside(coeffs, c, coeffs, scratch):
+    scale = _shrink_scale(coeffs, c, scratch)
+    if scale is None:
         return m.copy()
+    coeffs *= scale
     return _inverse_levels(coeffs, levels, scratch)
 
 
@@ -241,48 +248,60 @@ class MotionEstimate:
         object.__setattr__(self, "scores", scores)
 
 
+# an observation's peak modulus lies in [2^-this, 2^this / n] (see _Workspace)
+_PEAK_EXPONENT = 480
+
+
 class _Workspace:
     """What P2 derives from one observation, plus the n x n buffers that a
     solve's phases share; :func:`sraar.solvers._solve` builds the one
     workspace of each solve, whatever its number of budgets.  The iterate's
-    buffers are the driver's (:func:`sraar.solvers._iterate`), each in one
-    role.
+    Haar coefficients are the driver's (:func:`sraar.solvers._iterate`).
 
     With D = (-1)^(r+c) the checkerboard, the centered DFT is D * fft(D * x)
     and the flips are exact, so P2 works with ``obs_d`` = D * observed and
     images as D * m: its matched-filter input is obs_d * conj(fft(D * m))
     and D times its output is ifft(obs_d * ramps), both with the bits of the
-    dft2/idft2 form and no flip.  ``spec`` holds the matched-filter input
-    while P2 runs; a SRAAR solve keeps D times its iterate image there
-    between P2 calls, and its step shrinks the reflection there.
-    ``scratch`` is every phase's temporary, never alive across a call: the
-    matched filter's ratio, the line estimator's moduli, the Haar
-    butterflies' pair sums, the shrink's moduli and scale, and the moduli
-    of the l1 norm and the squared difference of the misfit; it also serves
-    as two n x n float arrays (:func:`_float_halves`).
+    dft2/idft2 form and no flip.  ``spec`` holds D * m, P2's input, then the
+    matched-filter input, and then D times P2's output, which the solvers
+    turn into its Haar coefficients there.  ``scratch`` is every phase's
+    temporary, never alive across a call: the matched filter's ratio and its
+    "model != 0" mask, the line estimator's moduli, the Haar butterflies'
+    pair sums, the shrink's moduli and scale, and the moduli of the l1 norm
+    and the squared difference of the misfit; it also serves as two n x n
+    float arrays (:func:`_float_halves`).
+
+    The peak modulus p of a nonzero observation must lie in [2^-480,
+    2^480 / n]: a solve squares moduli in q = |obs|^2 e^(i phase), in the
+    line energies and in the misfit, and sums up to 2 n^2 such squares.
+    The sums are at most a few (n p)^2 <= 2^962, about 2^60 below overflow,
+    and the squares of samples down to 2^-31 p stay normal floats.
     """
 
     def __init__(self, observed, bounds):
         n = observed.shape[0]
         self.obs_d = _flip_checkerboard(observed.astype(np.complex128, copy=True))
         self.abs_obs = np.abs(self.obs_d)
+        peak, low, high = self.abs_obs.max(), 2.0**-_PEAK_EXPONENT, 2.0**_PEAK_EXPONENT / n
+        if peak and not low <= peak <= high:
+            raise ValueError(f"observed k-space has peak modulus {peak:.3g}, outside [{low:.3g}, {high:.3g}] "
+                             f"for side {n}, where its squares neither overflow nor underflow; rescale it")
         self.energy = np.sum(self.abs_obs**2, axis=1)
         self.k_y = FrequencyGrid(n).coords
         self.bounds = bounds
         self.levels = int(np.log2(n))
         self.spec = np.empty((n, n), np.complex128)
         self.scratch = np.empty_like(self.spec)
-        self.mask = np.empty((n, n), bool)
 
     def naive_image(self):
         """D * idft2 of the observation, in a new array."""
         return _unitary(np.fft.ifftn, self.obs_d.copy())
 
 
-def _matched_filter_input(work, md):
+def _matched_filter_input(work):
     """q = observed * conj(reference), the reference carrying the phase of
-    the model spectrum dft2(m) and the observed moduli, from md = D * m;
-    computed in work.spec, which md may already be (SRAAR keeps it there).
+    the model spectrum dft2(m) and the observed moduli, from D * m in
+    work.spec; computed in work.spec.
 
     A translation changes only the phase of a line, so the motion-free
     spectrum has the observed moduli and only its phase is unknown: the
@@ -291,21 +310,22 @@ def _matched_filter_input(work, md):
     and give q = 0.
     """
     spec = work.spec
-    if md is not spec:
-        np.copyto(spec, md)
     np.conjugate(_unitary(np.fft.fftn, spec), out=spec)
-    ratio = np.abs(spec, out=_float_halves(work.scratch)[0])
+    ratio, rest = _float_halves(work.scratch)
+    np.abs(spec, out=ratio)
+    # the "model != 0" mask takes the bytes of the float half the ratio leaves free
+    mask = rest.reshape(-1).view(bool)[: ratio.size].reshape(ratio.shape)
     # in place, so where the model vanishes the ratio keeps the modulus, 0
-    np.divide(work.abs_obs, ratio, out=ratio, where=np.greater(ratio, 0.0, out=work.mask))
+    np.divide(work.abs_obs, ratio, out=ratio, where=np.greater(ratio, 0.0, out=mask))
     q = np.multiply(work.obs_d, spec, out=spec)
     q *= ratio
     return q
 
 
-def _estimate_motion(work, md):
-    """P2's motion estimate for the image m, given as md = D * m, with the
-    observation and buffers of the workspace ``work``."""
-    q = _matched_filter_input(work, md)
+def _estimate_motion(work):
+    """P2's motion estimate for the image m, given as D * m in work.spec,
+    with the observation and buffers of the workspace ``work``."""
+    q = _matched_filter_input(work)
     shifts, scores = _estimate_lines(q, work.k_y, work.bounds, _GRID_STEP, _float_halves(work.scratch)[0])
     total = work.energy.sum()
     if total > 0:
@@ -322,10 +342,11 @@ def _compensate(work, traj, out):
     return _unitary(np.fft.ifftn, corrected)
 
 
-def _project_fourier(work, md, out):
-    """P2 of the image m, given as md = D * m, into ``out`` as D times the
-    compensated image; returns (out, motion estimate)."""
-    estimate = _estimate_motion(work, md)
+def _project_fourier(work, out):
+    """P2 of the image m, given as D * m in work.spec, into ``out`` (which
+    may be work.spec) as D times the compensated image; returns (out,
+    motion estimate)."""
+    estimate = _estimate_motion(work)
     return _compensate(work, estimate.traj, out), estimate
 
 
@@ -346,5 +367,6 @@ def project_fourier(m, observed, cfg):
         raise ValueError(f"image shape {m.shape} does not match observation {observed.shape}")
     work = _Workspace(observed, cfg.bounds)
     np.copyto(work.spec, m)
-    p2, estimate = _project_fourier(work, _flip_checkerboard(work.spec), np.empty(m.shape, np.complex128))
+    _flip_checkerboard(work.spec)
+    p2, estimate = _project_fourier(work, work.spec)
     return _flip_checkerboard(p2), estimate

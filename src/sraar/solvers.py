@@ -19,13 +19,15 @@ of Haar coefficients onto the l1 ball, and both solvers iterate on
 coefficients.  An iteration makes one forward pass, W of the P2 output
 (whose l1 norm the trace records), and one inverse pass, to the image that
 P2 takes next: SRAAR reflects, shrinks and relaxes the coefficients and
-inverts the result; ER shrinks them and inverts the shrunk ones.  SRAAR
-measures the misfit between coefficients and ER between images, which
-orthonormality makes equal.
+inverts the result; ER shrinks them and inverts the shrunk ones.  Both
+measure the misfit between coefficients.  The shrink of SRAAR's reflected
+coefficients r = 2 W P2 m - W m is scale * r, one factor per coefficient,
+so its update is W P2 m + theta * (scale - 1) * r, which needs neither W m
+nor the shrunk coefficients once r is formed.
 
 Each solve, fixed or tuned, builds one workspace in ``_solve``
-(:class:`~sraar.projections._Workspace`) and two iterate buffers, the Haar
-coefficients and the P2 output.  Its images stay in the workspace's D
+(:class:`~sraar.projections._Workspace`) and one iterate buffer, the Haar
+coefficients; P2 runs in the workspace.  Its images stay in the workspace's D
 domain, D = (-1)^(r+c): P2 reads and writes D * m, and the Haar passes fold
 D into level 0, so only the start and the returned image flip signs; the
 flips are exact, so the bits are those of dft2 and idft2.  No iteration
@@ -52,7 +54,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import SOLVER_ER, SOLVER_SRAAR, require_finite, require_square_image
-from .projections import _Workspace, _compensate, _estimate_motion, _project_fourier, _shrink
+from .projections import _Workspace, _compensate, _estimate_motion, _project_fourier, _shrink, _shrink_scale
 from .transforms import _flip_checkerboard, _float_halves, _forward_levels, _inverse_levels
 
 __all__ = ["SolverTrace", "solve_er", "solve_sraar", "tune_sparsity_budget"]
@@ -72,9 +74,8 @@ class SolverTrace:
     ``misfit[j]`` is the Frobenius distance between the observation and the
     translated spectrum of iteration j's sparsity-projected image under
     iteration j's motion estimate.  By unitarity it equals the distance
-    between iteration j's P2 and P1 outputs, which SRAAR computes between
-    their Haar coefficients and ER between the images; the orthonormal Haar
-    transform makes the two equal.
+    between iteration j's P2 and P1 outputs, which the solvers compute
+    between their Haar coefficients.
     ``l1[j]`` is the Haar l1 norm of iteration j's P2 output, the
     observation with iteration j's motion estimate undone; for ER that is
     the iterate itself.  ``returned`` is the 1-based iteration whose P2
@@ -102,45 +103,55 @@ def _l1(work, coeffs):
     return float(np.abs(coeffs, out=_float_halves(work.scratch)[0]).sum())
 
 
-def _distance(work, a, b):
-    """Frobenius distance between ``a`` and ``b``, squared in the workspace's scratch.
+def _distance(work, a, b, scale=None):
+    """Frobenius distance between ``a`` and ``scale * b`` (``b`` when scale is
+    None), one row half at a time in the first float half of the
+    workspace's scratch.
 
     numpy's pairwise sum adds in one order whatever the BLAS thread count,
-    where np.linalg.norm's BLAS dot splits its sum by thread.
+    where np.linalg.norm's BLAS dot splits its sum by thread; for n >= 16 it
+    splits the whole difference at the same half, so the halves move no bit.
     """
-    squares = np.subtract(a, b, out=work.scratch).reshape(-1).view(np.float64)
-    return float(np.sqrt(np.square(squares, out=squares).sum()))
+    half = a.shape[0] // 2
+    buf = _float_halves(work.scratch)[0].reshape(-1).view(np.complex128).reshape(half, -1)
+    total = 0.0
+    for rows in (slice(None, half), slice(half, None)):
+        other = b[rows] if scale is None else np.multiply(b[rows], scale[rows], out=buf)
+        squares = np.subtract(a[rows], other, out=buf).reshape(-1).view(np.float64)
+        total += np.square(squares, out=squares).sum()
+    return float(np.sqrt(total))
 
 
-def _er_step(work, w, out, cfg):
-    # D times the shrunk image, then W of P2's output, pass through w; the
-    # flips D move no bit of the misfit
-    sparse = _inverse_levels(_shrink(w, cfg.c, w, work.scratch), work.levels, work.scratch, flipped=True)
-    p2, estimate = _project_fourier(work, sparse, out)
-    misfit = _distance(work, p2, sparse)
-    np.copyto(w, p2)
-    return estimate, misfit, _l1(work, _forward_levels(w, work.levels, work.scratch, flipped=True))
+def _er_step(work, w, cfg):
+    # spec holds W of the last P2 output; w takes its shrink, and spec D * the
+    # shrunk image, then D * P2's output and its W
+    spec = work.spec
+    _inverse_levels(_shrink(spec, cfg.c, w, work.scratch), work.levels, work.scratch, flipped=True, out=spec)
+    estimate = _project_fourier(work, spec)[1]
+    _forward_levels(spec, work.levels, work.scratch, flipped=True)
+    return estimate, _distance(work, spec, w), _l1(work, spec)
 
 
-def _sraar_step(work, w, out, cfg):
-    wp2, estimate = _project_fourier(work, work.spec, out)
-    # W of the P2 output, in out's buffer: nothing reads the image again
-    _forward_levels(wp2, work.levels, work.scratch, flipped=True)
+def _sraar_step(work, w, cfg):
+    spec = work.spec
+    estimate = _project_fourier(work, spec)[1]
+    # wp2 = W of the P2 output, in spec: nothing reads the image again
+    wp2 = _forward_levels(spec, work.levels, work.scratch, flipped=True)
     l1 = _l1(work, wp2)
-    # ws = P1 of the reflection wr2 = 2 wp2 - w, shrunk in place in spec,
-    # which P2 has read
-    ws = np.multiply(2.0, wp2, out=work.spec)
-    ws -= w
-    _shrink(ws, cfg.c, ws, work.scratch)
-    misfit = _distance(work, wp2, ws)
-    # (theta/2) (2 ws - wr2 + w) + (1 - theta) wp2 = theta (ws + w) +
-    # (1 - 2 theta) wp2, built in w; spec then takes D * the image of w,
-    # the next P2's input
-    w += ws
-    w *= cfg.theta
-    wp2 *= 1.0 - 2.0 * cfg.theta
+    # w takes the reflection r = 2 wp2 - w, and P1(r) = scale * r
+    np.subtract(np.multiply(2.0, wp2, out=work.scratch), w, out=w)
+    scale = _shrink_scale(w, cfg.c, work.scratch)
+    if scale is None:
+        scale = _float_halves(work.scratch)[1]
+        scale.fill(1.0)
+    misfit = _distance(work, wp2, w, scale)
+    # theta (P1(r) + w) + (1 - 2 theta) wp2 = wp2 + theta (scale - 1) r, built
+    # in w; spec then takes D * the image of w, the next P2's input
+    scale -= 1.0
+    scale *= cfg.theta
+    w *= scale
     w += wp2
-    _inverse_levels(w, work.levels, work.scratch, flipped=True, out=work.spec)
+    _inverse_levels(w, work.levels, work.scratch, flipped=True, out=spec)
     return estimate, misfit, l1
 
 
@@ -151,27 +162,26 @@ def _iterate(work, cfg, patience=None):
     Returns (motion estimate, trace).  The solve's image is the observation
     compensated by that estimate, which :func:`_solve`, the one builder of
     ``work``, recomputes with :func:`~sraar.projections._compensate`, so no
-    image is kept.  Each buffer keeps one role for the whole solve: w holds
-    the iterate's Haar coefficients and ``out`` D times the P2 output, which
-    the SRAAR step turns into scaled Haar coefficients; SRAAR keeps D times
-    its iterate image in ``work.spec``, where P2's matched filter reads it.
-    ``step(work, w, out, cfg)`` updates w (and SRAAR's image) in place and
-    returns (motion estimate, misfit, Haar l1 of the P2 output); the steps
-    are module globals, looked up here.  Without ``patience`` the image is
-    ER's last P2 output, or SRAAR's terminal P2 pass over its last iterate.
-    With ``patience`` it is the sparsest P2 output (the first of equals),
-    and the run stops once that output is ``patience`` iterations old.
+    image is kept.  The solve's one iterate buffer w keeps one role: SRAAR's
+    iterate and ER's shrunk iterate, as Haar coefficients.  Between steps
+    ``work.spec`` holds D times SRAAR's iterate image, where P2's matched
+    filter reads it, and ER's W of the P2 output, which its step shrinks.
+    ``step(work, w, cfg)`` updates w and spec in place and returns (motion
+    estimate, misfit, Haar l1 of the P2 output); the steps are module
+    globals, looked up here.  Without ``patience`` the image is ER's last
+    P2 output, or SRAAR's terminal P2 pass over its last iterate.  With
+    ``patience`` it is the sparsest P2 output (the first of equals), and the
+    run stops once that output is ``patience`` iterations old.
     """
     step = _er_step if cfg.solver == SOLVER_ER else _sraar_step
     trace = SolverTrace()
     w = work.naive_image()
     np.copyto(work.spec, w)
-    _forward_levels(w, work.levels, work.scratch, flipped=True)
-    out = np.empty_like(w)
+    _forward_levels(work.spec if cfg.solver == SOLVER_ER else w, work.levels, work.scratch, flipped=True)
     kept = None
     for iteration in range(1, cfg.iterations + 1):
         start = time.perf_counter()
-        estimate, misfit, l1 = step(work, w, out, cfg)
+        estimate, misfit, l1 = step(work, w, cfg)
         trace.append(misfit, l1, time.perf_counter() - start)
         if patience is None:
             continue
@@ -184,7 +194,7 @@ def _iterate(work, cfg, patience=None):
     if cfg.solver == SOLVER_ER:
         trace.returned = len(trace)
         return estimate, trace
-    return _estimate_motion(work, work.spec), trace
+    return _estimate_motion(work), trace
 
 
 def _solve(observed, cfg):

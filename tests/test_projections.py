@@ -377,12 +377,12 @@ class TestMotionEstimate:
     image=st.sampled_from(["complex", "real", "constant", "zero"]),
 )
 def test_workspace_p2_is_bit_identical_to_the_dft2_form(log2_size, seed, bound_x, bound_y, image):
-    """P2 on a workspace whose buffers hold NaN leftovers equals, bit for
-    bit, P2 through dft2, idft2 and invert_translation on fresh arrays, and
-    so does the public project_fourier: the flipped observation and the
-    workspace's D * m in and D * P2 out only move exact sign flips.  A
-    constant image's spectrum vanishes off DC and a zero image's everywhere,
-    where q must be 0."""
+    """P2 on a workspace whose scratch holds NaN leftovers, whose bytes also
+    read as an all-True mask, equals, bit for bit, P2 through dft2, idft2
+    and invert_translation on fresh arrays, and so does the public
+    project_fourier: the flipped observation and the workspace's D * m in
+    and D * P2 out only move exact sign flips.  A constant image's spectrum
+    vanishes off DC and a zero image's everywhere, where q must be 0."""
     n = 2**log2_size
     rng = np.random.default_rng(seed)
     observed = random_complex(rng, (n, n))
@@ -390,10 +390,10 @@ def test_workspace_p2_is_bit_identical_to_the_dft2_form(log2_size, seed, bound_x
          "constant": np.full((n, n), 0.5), "zero": np.zeros((n, n))}[image]
     bounds = MotionBounds(bound_x, bound_y)
     work, out = _Workspace(observed, bounds), np.full((n, n), np.nan + 0j)
-    for buf in (work.spec, work.scratch):
-        buf.fill(np.nan)
-    work.mask.fill(True)
-    got, estimate = _project_fourier(work, _flip_checkerboard(np.array(m, np.complex128)), out)
+    # all-ones bytes: every float a NaN, every bool True
+    work.scratch.view(np.uint8).fill(0xFF)
+    np.copyto(work.spec, _flip_checkerboard(np.array(m, np.complex128)))
+    got, estimate = _project_fourier(work, out)
     got = _flip_checkerboard(got)
     want, traj, scores = dft2_form_project_fourier(m, observed, bounds)
     public, public_estimate = project_fourier(m, observed, ReconConfig(bounds=bounds))
@@ -445,8 +445,9 @@ class TestProjectFourier:
         observed = random_complex(rng, (64, 64))
         model = dft2(phantom64)
         want = observed * np.conj(np.abs(observed) * model / np.abs(model))
-        flipped = _flip_checkerboard(phantom64.astype(np.complex128))
-        got = _matched_filter_input(_Workspace(observed, MotionBounds(5.0, 5.0)), flipped)
+        work = _Workspace(observed, MotionBounds(5.0, 5.0))
+        np.copyto(work.spec, _flip_checkerboard(phantom64.astype(np.complex128)))
+        got = _matched_filter_input(work)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("observed_zero", [False, True])
@@ -464,11 +465,12 @@ class TestProjectFourier:
         assert np.abs(corrected - idft2(observed)).max() <= 1e-12
 
     def test_peak_memory_of_one_call(self):
-        # measured 5.16 n x n complex arrays at 256^2 (4.86 at 512^2): a
+        # measured 4.10 n x n complex arrays at 256^2 (3.80 at 512^2): a
         # one-shot workspace (the flipped observation, its moduli, the
-        # spectrum, a complex scratch and a mask) and the output, which
-        # holds the ramps and then the translation.  Fresh spectra and ramps
-        # per call peaked at 4.02
+        # spectrum and a complex scratch), whose spectrum buffer holds the
+        # ramps, then the translation, and is returned.  It was 5.16 with an
+        # output buffer and a mask of their own; fresh spectra and ramps per
+        # call peaked at 4.02
         n = 256
         scenario = make_scenario(n, 4, 5.0)
         cfg = ReconConfig(bounds=MotionBounds(5.0, 5.0))
@@ -479,7 +481,7 @@ class TestProjectFourier:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6 * n * n * 16
+        assert peak < (4.10 + 0.5) * n * n * 16
 
     def test_shape_mismatch_rejected(self, rng, phantom64):
         cfg = ReconConfig(bounds=MotionBounds(5.0, 5.0))

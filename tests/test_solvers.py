@@ -24,7 +24,7 @@ from sraar import (
     tune_sparsity_budget,
 )
 from sraar import projections, solvers, transforms
-from sraar.projections import _Workspace, _compensate, _shrink
+from sraar.projections import _Workspace, _compensate, _shrink, _shrink_scale
 from sraar.solvers import _PATIENCE, SolverTrace
 from sraar.transforms import _flip_checkerboard, _inverse_levels
 from conftest import random_complex
@@ -48,6 +48,14 @@ def solve_with_patience(observed, cfg, patience):
 def image_of(w):
     """The image of full-depth Haar coefficients, as the solvers compute it."""
     return _inverse_levels(w.copy(), int(np.log2(w.shape[0])))
+
+
+def sraar_update(w, wp2, cfg):
+    """The SRAAR step's new coefficients, wp2 + theta (scale - 1) r, with the
+    reflection r = 2 wp2 - w and P1(r) = scale * r, in the step's arithmetic."""
+    r = 2.0 * wp2 - w
+    scale = _shrink_scale(r, cfg.c, np.empty_like(r))
+    return wp2 + cfg.theta * ((1.0 if scale is None else scale) - 1.0) * r
 
 
 class TestConfigHandling:
@@ -177,11 +185,13 @@ class TestIterationCost:
         assert flips
 
     def test_peak_memory_of_one_sraar_solve(self):
-        # measured 6.17 n x n complex arrays at 256^2: the workspace and the
-        # iterate's buffers, 5.56 arrays, plus numpy's fixed-size ufunc
-        # buffers.  It was 7.17 with SRAAR's iterate image in a buffer of its
-        # own, 8.17 (7.86 at 512^2) with a shrink output buffer of its own,
-        # 8.02 with per-iteration transients, and 8.58 when P1 ran on images
+        # measured 5.11 n x n complex arrays at 256^2 (4.80 at 512^2): the
+        # workspace and the iterate's one buffer, 4.5 arrays, plus P2's line
+        # estimator and numpy's fixed-size ufunc buffers.  It was 6.17 with
+        # a P2 output buffer and a mask of their own, 7.17 with SRAAR's
+        # iterate image in a buffer of its own, 8.17 (7.86 at 512^2) with a
+        # shrink output buffer of its own, 8.02 with per-iteration
+        # transients, and 8.58 when P1 ran on images
         n = 256
         scenario = make_scenario(n, 4, 5.0)
         cfg = ReconConfig(solver="sraar", bounds=MotionBounds(5.0, 5.0), iterations=3,
@@ -193,15 +203,16 @@ class TestIterationCost:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < (6.17 + 0.5) * n * n * 16
+        assert peak < (5.11 + 0.5) * n * n * 16
 
     def test_peak_memory_of_one_budget_tuning(self):
-        # measured 6.18 n x n complex arrays at 256^2: both candidates run on
+        # measured 5.12 n x n complex arrays at 256^2: both candidates run on
         # one workspace, tuning keeps only the best candidate's estimate,
         # and the caller's only reference to the observation is the
         # argument, which tuning drops once its workspace holds D * observed.
-        # It was 7.18 with SRAAR's iterate image in a buffer of its own, and
-        # 11.18 with a workspace and a kept image per candidate
+        # It was 6.18 with a P2 output buffer and a mask of their own, 7.18
+        # with SRAAR's iterate image in a buffer of its own, and 11.18 with
+        # a workspace and a kept image per candidate
         n = 256
         scenario = make_scenario(n, 4, 5.0)
         cfg = ReconConfig(bounds=MotionBounds(5.0, 5.0), c_grid=(0.5, 0.7), iterations=8)
@@ -214,7 +225,7 @@ class TestIterationCost:
             tracemalloc.stop()
         # before CPython 3.11 the caller's stack holds the argument until the call returns
         held = 0 if sys.version_info >= (3, 11) else 1
-        assert peak < (6.18 + held + 0.5) * n * n * 16
+        assert peak < (5.12 + held + 0.5) * n * n * 16
 
     @pytest.mark.parametrize("solver, patience", [("er", None), ("sraar", None), ("sraar", _PATIENCE)])
     def test_steady_state_step_allocates_under_one_array(self, monkeypatch, solver, patience):
@@ -367,7 +378,7 @@ class TestSharedDriver:
             p2, estimate = project_fourier(m, observed, cfg)
             wp2 = haar_forward(p2).data
             ws = _shrink(2.0 * wp2 - w, cfg.c)
-            w = cfg.theta * (ws + w) + (1.0 - 2.0 * cfg.theta) * wp2
+            w = sraar_update(w, wp2, cfg)
             m = image_of(w)
             misfit.append(old_misfit(observed, image_of(ws), estimate))
             l1.append(budget_of(p2))
@@ -376,37 +387,45 @@ class TestSharedDriver:
 
     @pytest.mark.parametrize("theta", [0.3, 0.9, 1.0])
     def test_sraar_step_is_the_relaxed_reflection_update(self, scenario, theta):
-        # the step builds theta (ws + w) + (1 - 2 theta) wp2, the relaxed
-        # update (theta/2) (2 ws - wr2 + w) + (1 - theta) wp2 with the
-        # reflection wr2 = 2 wp2 - w substituted; the two round differently
+        # the step builds wp2 + theta (scale - 1) wr2, with P1(wr2) = scale *
+        # wr2, from the relaxed update (theta/2) (2 P1(wr2) - wr2 + w) +
+        # (1 - theta) wp2 and the reflection wr2 = 2 wp2 - w; the two round
+        # differently.  A zero budget gives the scale 0, and a budget above
+        # wr2's l1 the scale 1
         cfg = replace(self.config(scenario, "sraar"), theta=theta)
-        work = _Workspace(scenario.observed, cfg.bounds)
         naive = naive_reconstruct(scenario.observed)
-        w = haar_forward(naive).data
-        np.copyto(work.spec, _flip_checkerboard(naive.copy()))
-        start = w.copy()
-        estimate = solvers._sraar_step(work, w, np.empty_like(w), cfg)[0]
+        start = haar_forward(naive).data
         p2, want_estimate = project_fourier(naive, scenario.observed, cfg)
-        assert np.array_equal(estimate.traj.shifts, want_estimate.traj.shifts)
         wp2 = haar_forward(p2).data
         wr2 = 2.0 * wp2 - start
-        old = 0.5 * theta * (2.0 * _shrink(wr2, cfg.c) - wr2 + start) + (1.0 - theta) * wp2
-        assert np.abs(w - old).max() <= 1e-12 * np.abs(old).max()
-        assert np.array_equal(work.spec, _flip_checkerboard(image_of(w)))
+        for c in (cfg.c, 0.0, 2.0 * l1_norm(wr2)):
+            work = _Workspace(scenario.observed, cfg.bounds)
+            np.copyto(work.spec, _flip_checkerboard(naive.copy()))
+            w = start.copy()
+            estimate, misfit, _ = solvers._sraar_step(work, w, replace(cfg, c=c))
+            assert np.array_equal(estimate.traj.shifts, want_estimate.traj.shifts)
+            ws = _shrink(wr2, c)
+            old = 0.5 * theta * (2.0 * ws - wr2 + start) + (1.0 - theta) * wp2
+            assert np.abs(w - old).max() <= 1e-12 * np.abs(old).max()
+            assert np.array_equal(work.spec, _flip_checkerboard(image_of(w)))
+            want_misfit = np.linalg.norm(wp2 - ws)
+            assert abs(misfit - want_misfit) <= 1e-12 * want_misfit
 
     @pytest.mark.parametrize("solver, patience", [("er", None), ("sraar", None), ("er", 2), ("sraar", _PATIENCE)])
     def test_each_buffer_keeps_one_role(self, monkeypatch, scenario, solver, patience):
-        # the workspace, w and the P2 output's buffer are the same arrays in
-        # every step, also under a patience, which keeps estimates, not
-        # images; SRAAR's iterate image is the workspace's spec, which holds
-        # D * the naive image on entry to the first step and D * the image of
-        # w on entry to every later one, D = (-1)^(r+c)
+        # the workspace and w are the same arrays in every step, also under a
+        # patience, which keeps estimates, not images.  SRAAR's iterate image
+        # is the workspace's spec, which holds D * the naive image on entry
+        # to the first step and D * the image of w on entry to every later
+        # one, D = (-1)^(r+c).  ER's spec holds W of its last P2 output: of
+        # the naive image on entry to the first step, and of P2 of the image
+        # of w, its shrunk iterate, on entry to every later one
         name = f"_{solver}_step"
         step, calls = getattr(solvers, name), []
 
-        def recorded(work, w, out, cfg):
-            calls.append((work, w, out, work.spec.copy(), image_of(w)))
-            return step(work, w, out, cfg)
+        def recorded(work, w, cfg):
+            calls.append((work, w, work.spec.copy(), image_of(w)))
+            return step(work, w, cfg)
 
         monkeypatch.setattr(solvers, name, recorded)
         cfg = replace(self.config(scenario, solver), iterations=8)
@@ -416,13 +435,18 @@ class TestSharedDriver:
             tune_sparsity_budget(scenario.observed, replace(cfg, c=None, c_grid=(0.5,)))
         else:
             solve_with_patience(scenario.observed, cfg, patience)
-        work, w, out = calls[0][:3]
+        work, w = calls[0][:2]
         assert len(calls) == cfg.iterations
-        assert all(call[0] is work and call[1] is w and call[2] is out for call in calls)
-        assert len({id(work), id(w), id(out), id(work.spec), id(work.scratch)}) == 5
+        assert all(call[0] is work and call[1] is w for call in calls)
+        assert len({id(work), id(w), id(work.spec), id(work.scratch)}) == 4
+        naive = naive_reconstruct(scenario.observed)
         if solver == "sraar":
-            assert np.array_equal(calls[0][3], _flip_checkerboard(naive_reconstruct(scenario.observed)))
+            assert np.array_equal(calls[0][2], _flip_checkerboard(naive))
             assert all(np.array_equal(spec, _flip_checkerboard(image)) for *_, spec, image in calls[1:])
+        else:
+            assert np.array_equal(calls[0][2], haar_forward(naive).data)
+            assert all(np.array_equal(spec, haar_forward(project_fourier(image, scenario.observed, cfg)[0]).data)
+                       for *_, spec, image in calls[1:])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_kspace_rejected(self, scenario, bad):
@@ -433,6 +457,42 @@ class TestSharedDriver:
                 run(observed, self.config(scenario, solver))
         with pytest.raises(ValueError, match="non-finite"):
             tune_sparsity_budget(observed, ReconConfig(c_grid=(0.5,), iterations=2))
+
+    def test_scaled_observation_gives_the_scaled_answer_or_is_refused(self, scenario):
+        # a power-of-two scale s multiplies every image, budget and l1 by s
+        # and keeps the motion, bit for bit, unless the solve's squares of
+        # the observation overflow or underflow; the workspace refuses such
+        # a scale, naming the observation.  Before, 1e155 raised from inside
+        # MotionEstimate and 1e-170 returned the naive image with no motion
+        tune_cfg = ReconConfig(bounds=MotionBounds(2.0, 2.0), c_grid=(0.5,), iterations=6)
+        er_cfg = self.config(scenario, "er")
+        want_tuned = tune_sparsity_budget(scenario.observed, tune_cfg)
+        want_er = solve_er(scenario.observed, er_cfg)
+        for scale in (1e155, 1e-170):
+            with pytest.raises(ValueError, match="observed k-space"):
+                tune_sparsity_budget(scale * scenario.observed, tune_cfg)
+        solved = []
+        for exponent in range(-1000, 1001, 20):
+            scale = 2.0**exponent
+            observed = scale * scenario.observed
+            try:
+                c, image, estimate, trace = tune_sparsity_budget(observed, tune_cfg)
+            except ValueError as exc:
+                assert "observed k-space" in str(exc)
+                with pytest.raises(ValueError, match="observed k-space"):
+                    solve_er(observed, replace(er_cfg, c=scale * er_cfg.c))
+                continue
+            solved.append(exponent)
+            assert c == scale * want_tuned[0]
+            assert np.array_equal(image, scale * want_tuned[1])
+            assert np.array_equal(estimate.traj.shifts, want_tuned[2].traj.shifts)
+            assert trace.l1 == [scale * l1 for l1 in want_tuned[3].l1]
+            assert trace.returned == want_tuned[3].returned
+            image, estimate, trace = solve_er(observed, replace(er_cfg, c=scale * er_cfg.c))
+            assert np.array_equal(image, scale * want_er[0])
+            assert np.array_equal(estimate.traj.shifts, want_er[1].traj.shifts)
+        assert solved == list(range(solved[0], solved[-1] + 1, 20))
+        assert solved[0] <= -400 and solved[-1] >= 400
 
     @pytest.mark.parametrize("dtype", [object, str])
     def test_non_numeric_kspace_rejected_naming_its_dtype(self, scenario, dtype):
@@ -484,7 +544,7 @@ def replay_sraar_candidate(observed, cfg):
             best = (l1, p2, estimate, iteration)
         elif iteration - best[3] >= _PATIENCE:
             return (*best, iteration)
-        w = cfg.theta * (_shrink(2.0 * wp2 - w, cfg.c) + w) + (1.0 - 2.0 * cfg.theta) * wp2
+        w = sraar_update(w, wp2, cfg)
         m = image_of(w)
     return (*best, cfg.iterations)
 

@@ -74,14 +74,14 @@ def replay_seed(sraar, name, seed):
     for fraction in sorted(set(cfg.c_grid)):
         candidate = replace(cfg, c=fraction * base, c_grid=None)
         # the solver's own step, which updates the Haar coefficients w and
-        # D * the image in work.spec in place, D = (-1)^(r+c); it leaves
-        # scaled Haar coefficients of the P2 output in out, so the output is
-        # recomputed from its estimate, and unflipped
+        # D * the image in work.spec in place, D = (-1)^(r+c), and keeps no
+        # P2 output, so the output is recomputed from its estimate into out,
+        # and unflipped
         w, out, rows = sraar.haar_forward(naive).data, np.empty_like(naive), []
         np.copyto(work.spec, naive)
         _flip_checkerboard(work.spec)
         for _ in range(cfg.iterations):
-            estimate = _sraar_step(work, w, out, candidate)[0]
+            estimate = _sraar_step(work, w, candidate)[0]
             rows.append(record(_flip_checkerboard(_compensate(work, estimate.traj, out)), estimate))
         terminal = record(*sraar.project_fourier(_flip_checkerboard(work.spec), observed, cfg))
         candidates.append((fraction, np.array(rows), terminal))
