@@ -22,6 +22,7 @@ __all__ = [
     "require_finite",
     "require_grid_size",
     "require_square_image",
+    "require_type",
 ]
 
 SOLVER_ER = "er"
@@ -57,6 +58,13 @@ def require_finite(arr, name):
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite values (NaN or Inf)")
     return a
+
+
+def require_type(value, cls, name):
+    """Refuse ``value`` unless it is a ``cls``, naming it and its type; return it."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+    return value
 
 
 def _real(value, name):
@@ -216,8 +224,7 @@ class ReconConfig:
     c_grid: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if not isinstance(self.bounds, MotionBounds):
-            raise ValueError(f"bounds must be a MotionBounds, got {self.bounds!r}")
+        require_type(self.bounds, MotionBounds, "bounds")
         if self.solver not in _SOLVERS:
             raise ValueError(f"solver must be one of {_SOLVERS}, got {self.solver!r}")
         theta = _real(self.theta, "theta")

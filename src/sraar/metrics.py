@@ -6,7 +6,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import MotionTrajectory, normalized_line_weights
+from .core import MotionTrajectory, normalized_line_weights, require_type
 
 __all__ = ["EvalReport", "image_metrics", "trajectory_error"]
 
@@ -44,9 +44,8 @@ def trajectory_error(est, true_traj, weights=None):
     weights, typically the observed line energies.  ``weights=None`` means
     uniform.
     """
-    for name, traj in (("est", est), ("true_traj", true_traj)):
-        if not isinstance(traj, MotionTrajectory):
-            raise ValueError(f"{name} must be a MotionTrajectory, got {type(traj).__name__}")
+    require_type(est, MotionTrajectory, "est")
+    require_type(true_traj, MotionTrajectory, "true_traj")
     if len(est) != len(true_traj):
         raise ValueError(f"trajectories must have the same number of lines, got {len(est)} and {len(true_traj)}")
     d = est.shifts - true_traj.shifts

@@ -20,8 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (FrequencyGrid, MotionTrajectory, require_budget, require_finite, require_grid_size,
-                   require_square_image)
+from .core import (FrequencyGrid, MotionBounds, MotionTrajectory, ReconConfig, require_budget, require_finite,
+                   require_grid_size, require_square_image, require_type)
 from .motion import _line_ramps, _ramp_tables
 from .transforms import _flip_checkerboard, _float_halves, _forward_levels, _inverse_levels, _unitary
 
@@ -214,19 +214,23 @@ def estimate_line_shift(observed_line, reference_line, k_y, bounds):
     """Estimate the (beta_x, beta_y) translation relating one readout line
     to its reference, with a normalized correlation score in [0, 1].
 
-    The two lines must have equal length n; the readout frequencies are
-    those of ``FrequencyGrid(n)``.  beta_x is searched on the same
+    The two lines must be 1-D of equal length n; the readout frequencies
+    are those of ``FrequencyGrid(n)``.  beta_x is searched on the same
     quarter-pixel grid as :func:`project_fourier` uses.  Zero-energy lines
     return (0, 0) with score 0.
     """
-    obs = require_finite(np.asarray(observed_line, dtype=np.complex128).ravel(), "observed line")
-    ref = require_finite(np.asarray(reference_line, dtype=np.complex128).ravel(), "reference line")
+    obs = require_finite(np.asarray(observed_line, dtype=np.complex128), "observed line")
+    ref = require_finite(np.asarray(reference_line, dtype=np.complex128), "reference line")
+    for name, line in (("observed line", obs), ("reference line", ref)):
+        if line.ndim != 1:
+            raise ValueError(f"{name} must be 1-D, got shape {line.shape}")
     if obs.shape != ref.shape:
         raise ValueError(f"lines differ in length: {obs.size} vs {ref.size} samples")
     require_grid_size(obs.size)
     k_y = float(k_y)
     if not np.isfinite(k_y):
         raise ValueError(f"k_y must be finite, got {k_y}")
+    require_type(bounds, MotionBounds, "bounds")
     shifts, scores = _estimate_lines((obs * np.conj(ref))[None, :], np.array([k_y]), bounds, _GRID_STEP)
     return LineShiftEstimate(float(shifts[0, 0]), float(shifts[0, 1]), float(scores[0]))
 
@@ -256,7 +260,7 @@ class _Workspace:
     """What P2 derives from one observation, plus the n x n buffers that a
     solve's phases share; :func:`sraar.solvers._solve` builds the one
     workspace of each solve, whatever its number of budgets.  The iterate's
-    Haar coefficients are the driver's (:func:`sraar.solvers._iterate`).
+    Haar coefficients are the driver's (:func:`sraar.solvers._steps`).
 
     With D = (-1)^(r+c) the checkerboard, the centered DFT is D * fft(D * x)
     and the flips are exact, so P2 works with ``obs_d`` = D * observed and
@@ -363,6 +367,7 @@ def project_fourier(m, observed, cfg):
     """
     m = require_finite(require_square_image(m, "image"), "image")
     observed = require_finite(require_square_image(observed, "observed k-space"), "observed k-space")
+    require_type(cfg, ReconConfig, "cfg")
     if m.shape != observed.shape:
         raise ValueError(f"image shape {m.shape} does not match observation {observed.shape}")
     work = _Workspace(observed, cfg.bounds)

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MotionBounds, MotionTrajectory, normalized_line_weights, require_grid_size, require_square_image
+from .core import (MotionBounds, MotionTrajectory, normalized_line_weights, require_grid_size, require_square_image,
+                   require_type)
 from .fileio import load_array
 from .motion import apply_translation
 from .transforms import dft2
@@ -88,6 +89,7 @@ class TrajectoryGenConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_type(self.bounds, MotionBounds, "bounds")
         if not isinstance(self.smoothness, (int, np.integer)) or self.smoothness < 1:
             raise ValueError(f"smoothness must be a positive integer, got {self.smoothness!r}")
         object.__setattr__(self, "smoothness", int(self.smoothness))
@@ -108,8 +110,9 @@ def generate_trajectory(cfg, n_lines, gauge_weights=None):
     energies makes the original image itself the expected reconstruction
     rather than a subpixel-shifted copy.
     """
-    if n_lines < 1:
-        raise ValueError("n_lines must be positive")
+    require_type(cfg, TrajectoryGenConfig, "cfg")
+    if not isinstance(n_lines, (int, np.integer)) or n_lines < 1:
+        raise ValueError(f"n_lines must be a positive integer, got {n_lines!r}")
     w = None if gauge_weights is None else normalized_line_weights(gauge_weights, n_lines)
     rng = np.random.default_rng(cfg.seed)
     walk = np.cumsum(rng.standard_normal((n_lines, 2)), axis=0)

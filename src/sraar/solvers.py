@@ -36,14 +36,15 @@ after each iteration only to fault its pages back in.
 
 Every P2 output is a compensated image: the observation with one estimated
 motion undone, so a solve keeps motion estimates and computes its returned
-image from the chosen one at the end.  The trace records the wavelet l1
-norm of each P2 output.  A fixed budget is a grid of one without the
-stop; tuning keeps the maximally sparse compensated image: each SRAAR
-candidate returns its sparsest P2 output and stops once that output is
+image from the chosen one at the end.  A run yields one record per iteration
+(``_steps``); one rule (``_keep``) keeps an estimate and builds the trace,
+with the wavelet l1 norm of each P2 output.  A fixed budget is a grid of one
+without the stop; tuning keeps the maximally sparse compensated image: each
+SRAAR candidate returns its sparsest P2 output and stops once that output is
 ``_PATIENCE`` iterations old, because the reflection iterates of an
-inconsistent problem drift while their P2 outputs first get sparser and
-then drift back (the shadow sequence of Bauschke, Combettes & Luke,
-J. Approx. Theory 127, 2004).  ER candidates keep their last image.
+inconsistent problem drift while their P2 outputs first get sparser and then
+drift back (the shadow sequence of Bauschke, Combettes & Luke, J. Approx.
+Theory 127, 2004).  ER candidates keep their last image.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import SOLVER_ER, SOLVER_SRAAR, require_finite, require_square_image
+from .core import SOLVER_ER, SOLVER_SRAAR, ReconConfig, require_finite, require_square_image, require_type
 from .projections import _Workspace, _compensate, _estimate_motion, _project_fourier, _shrink, _shrink_scale
 from .transforms import _flip_checkerboard, _float_halves, _forward_levels, _inverse_levels
 
@@ -155,42 +156,52 @@ def _sraar_step(work, w, cfg):
     return estimate, misfit, l1
 
 
-def _iterate(work, cfg, patience=None):
-    """Run cfg.solver's step up to cfg.iterations times at the budget cfg.c,
+def _steps(work, cfg):
+    """Yield one (motion estimate, misfit, Haar l1 of the P2 output, seconds)
+    record per step of cfg.solver at the budget cfg.c, up to cfg.iterations,
     from the naive reconstruction of the workspace ``work``'s observation.
 
-    Returns (motion estimate, trace).  The solve's image is the observation
-    compensated by that estimate, which :func:`_solve`, the one builder of
-    ``work``, recomputes with :func:`~sraar.projections._compensate`, so no
-    image is kept.  The solve's one iterate buffer w keeps one role: SRAAR's
-    iterate and ER's shrunk iterate, as Haar coefficients.  Between steps
-    ``work.spec`` holds D times SRAAR's iterate image, where P2's matched
-    filter reads it, and ER's W of the P2 output, which its step shrinks.
-    ``step(work, w, cfg)`` updates w and spec in place and returns (motion
-    estimate, misfit, Haar l1 of the P2 output); the steps are module
-    globals, looked up here.  Without ``patience`` the image is ER's last
-    P2 output, or SRAAR's terminal P2 pass over its last iterate.  With
-    ``patience`` it is the sparsest P2 output (the first of equals), and the
-    run stops once that output is ``patience`` iterations old.
+    The one iterate buffer w holds SRAAR's iterate or ER's shrunk iterate as
+    Haar coefficients; between steps ``work.spec`` holds D * SRAAR's iterate
+    image, P2's input, or ER's W of the P2 output.  Each step (a module
+    global, looked up here) updates w and spec in place.
     """
     step = _er_step if cfg.solver == SOLVER_ER else _sraar_step
-    trace = SolverTrace()
     w = work.naive_image()
     np.copyto(work.spec, w)
     _forward_levels(work.spec if cfg.solver == SOLVER_ER else w, work.levels, work.scratch, flipped=True)
-    kept = None
-    for iteration in range(1, cfg.iterations + 1):
+    for _ in range(cfg.iterations):
         start = time.perf_counter()
         estimate, misfit, l1 = step(work, w, cfg)
-        trace.append(misfit, l1, time.perf_counter() - start)
+        yield estimate, misfit, l1, time.perf_counter() - start
+
+
+def _keep(records, patience):
+    """(kept estimate, trace) of a run's records.  Without ``patience`` the
+    last estimate; with it the sparsest P2 output's (the first of equals),
+    reading no record once that output is ``patience`` iterations old.
+    """
+    trace, kept = SolverTrace(), None
+    for iteration, (estimate, misfit, l1, seconds) in enumerate(records, 1):
+        trace.append(misfit, l1, seconds)
         if patience is None:
-            continue
-        if kept is None or l1 < trace.l1[trace.returned - 1]:
+            kept = estimate
+        elif kept is None or l1 < trace.l1[trace.returned - 1]:
             kept, trace.returned = estimate, iteration
         elif iteration - trace.returned >= patience:
             break
-    if kept is not None:
-        return kept, trace
+    return kept, trace
+
+
+def _iterate(work, cfg, patience=None):
+    """(motion estimate, trace) of cfg.solver on the workspace ``work``: the
+    :func:`_keep` of its :func:`_steps`; without ``patience``, ER's last
+    estimate or that of SRAAR's terminal P2 pass over its last iterate.
+    :func:`_solve`, which builds ``work``, compensates the observation by it.
+    """
+    estimate, trace = _keep(_steps(work, cfg), patience)
+    if patience is not None:
+        return estimate, trace
     if cfg.solver == SOLVER_ER:
         trace.returned = len(trace)
         return estimate, trace
@@ -225,7 +236,7 @@ def _solve(observed, cfg):
 
 
 def _require_fixed_budget(cfg, solver):
-    if cfg.solver != solver:
+    if require_type(cfg, ReconConfig, "cfg").solver != solver:
         raise ValueError(f"config selects solver {cfg.solver!r}, expected {solver!r}")
     if cfg.c is None:
         raise ValueError("a fixed sparsity budget c is required; use tune_sparsity_budget for a grid")
@@ -263,7 +274,7 @@ def tune_sparsity_budget(observed, cfg):
     0.255.  Returns (chosen c, image, motion estimate, trace of the chosen
     run).
     """
-    if cfg.c_grid is None:
+    if require_type(cfg, ReconConfig, "cfg").c_grid is None:
         raise ValueError("tune_sparsity_budget requires c_grid")
     held, observed = [observed], None  # _solve gets the only reference
     return _solve(held.pop(), cfg)

@@ -3,7 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from sraar import FrequencyGrid, MotionBounds, MotionTrajectory, ReconConfig
+from sraar import (FrequencyGrid, MotionBounds, MotionTrajectory, ReconConfig, TrajectoryGenConfig,
+                   estimate_line_shift, generate_trajectory, project_fourier, solve_er, solve_sraar,
+                   tune_sparsity_budget)
 
 
 class TestFrequencyGrid:
@@ -154,3 +156,22 @@ class TestReconConfig:
             ReconConfig(threads=1)
         names = [f.name for f in dataclasses.fields(ReconConfig)]
         assert names == ["bounds", "solver", "theta", "iterations", "c", "c_grid"]
+
+
+_OBSERVED = np.ones((8, 8), complex)
+
+
+@pytest.mark.parametrize("call, name, cls, got", [
+    (lambda: solve_er(_OBSERVED, "cfg"), "cfg", "ReconConfig", "str"),
+    (lambda: solve_sraar(_OBSERVED, "cfg"), "cfg", "ReconConfig", "str"),
+    (lambda: tune_sparsity_budget(_OBSERVED, "cfg"), "cfg", "ReconConfig", "str"),
+    (lambda: project_fourier(_OBSERVED, _OBSERVED, None), "cfg", "ReconConfig", "NoneType"),
+    (lambda: estimate_line_shift(_OBSERVED[0], _OBSERVED[0], 0.1, (1, 1)), "bounds", "MotionBounds", "tuple"),
+    (lambda: TrajectoryGenConfig((1, 1)), "bounds", "MotionBounds", "tuple"),
+    (lambda: generate_trajectory("cfg", 4), "cfg", "TrajectoryGenConfig", "str"),
+], ids=["solve_er", "solve_sraar", "tune_sparsity_budget", "project_fourier", "estimate_line_shift",
+        "TrajectoryGenConfig", "generate_trajectory"])
+def test_config_object_of_wrong_type_rejected_naming_it(call, name, cls, got):
+    # each raised AttributeError on its first use of the object
+    with pytest.raises(ValueError, match=f"^{name} must be a {cls}, got {got}$"):
+        call()

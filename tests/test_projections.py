@@ -267,6 +267,12 @@ class TestEstimateLineShift:
             estimate_line_shift(line[:32], line, 0.1, bounds)
         with pytest.raises(ValueError, match="power of two"):
             estimate_line_shift(line[:30], line[:30], 0.1, bounds)
+        # a 4 x 4 pair was answered as one 16-sample line
+        square = line[:16].reshape(4, 4)
+        with pytest.raises(ValueError, match=r"^observed line must be 1-D, got shape \(4, 4\)$"):
+            estimate_line_shift(square, square, 0.1, bounds)
+        with pytest.raises(ValueError, match=r"^reference line must be 1-D, got shape \(4, 4\)$"):
+            estimate_line_shift(line[:16], square, 0.1, bounds)
         for k_y in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="k_y"):
                 estimate_line_shift(line, line, k_y, bounds)

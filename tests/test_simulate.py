@@ -164,8 +164,10 @@ class TestGenerateTrajectory:
                 TrajectoryGenConfig(MotionBounds(5.0, 5.0), bad, 0)
 
     def test_bad_line_count(self):
-        with pytest.raises(ValueError):
-            generate_trajectory(TrajectoryGenConfig(MotionBounds(5.0, 5.0), 8, 0), 0)
+        # a float or str count raised TypeError
+        for bad in (0, 4.5, "4"):
+            with pytest.raises(ValueError, match=f"^n_lines must be a positive integer, got {bad!r}$"):
+                generate_trajectory(TrajectoryGenConfig(MotionBounds(5.0, 5.0), 8, 0), bad)
 
 
 class TestCorrupt:

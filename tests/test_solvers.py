@@ -576,6 +576,23 @@ class TestTuneSparsityBudget:
         assert (trace.returned, len(trace)) == (returned, ran)
         assert trace.l1[returned - 1] == best_l1 == min(trace.l1)
 
+    @pytest.mark.parametrize("patience", [2, 5])
+    def test_stop_saves_the_remaining_steps(self, monkeypatch, patience):
+        # the rule reads no record after the stop, so the driver runs no
+        # step after it
+        step, calls = solvers._sraar_step, []
+
+        def counted(work, w, cfg):
+            calls.append(cfg.c)
+            return step(work, w, cfg)
+
+        monkeypatch.setattr(solvers, "_sraar_step", counted)
+        scenario = make_scenario(32, 3, 1.5, solver_bound=2.0)
+        base = budget_of(naive_reconstruct(scenario.observed))
+        cfg = ReconConfig(bounds=MotionBounds(2.0, 2.0), c=0.5 * base, iterations=_PATIENCE + 40)
+        trace = solve_with_patience(scenario.observed, cfg, patience)[2]
+        assert len(calls) == len(trace) == trace.returned + patience < cfg.iterations
+
     def test_repeated_fraction_runs_once(self, monkeypatch):
         # equal fractions give equal solves, and ties go to the first
         scenario = make_scenario(32, 3, 1.5, solver_bound=2.0)

@@ -1,9 +1,10 @@
 """The replay tool agrees with the solver driver.
 
 ``tools/replay_stop_rule.py`` chose ``_PATIENCE`` by replaying full-length
-candidate runs with the driver's own SRAAR step under its own ``stop``;
-that choice holds only while the replayed candidates are the driver's and
-``stop`` returns what a tuned SRAAR candidate returns.
+candidate runs from the driver's per-iteration records under the driver's
+own rule; that choice holds only while the replayed records are those of
+the driver's solve and the rule applied to them returns what a tuned SRAAR
+candidate returns.
 """
 
 import importlib.util
@@ -42,24 +43,33 @@ def candidate():
 @pytest.mark.parametrize("patience", [2, 5, _PATIENCE])
 def test_stop_matches_tuned_candidate(replay_tool, candidate, patience):
     observed, cfg, full = candidate
-    trace = solvers._iterate(_Workspace(observed, cfg.bounds), cfg, patience)[1]
+    kept, trace = solvers._iterate(_Workspace(observed, cfg.bounds), cfg, patience)
     assert trace.l1 == full.l1[:len(trace)]
-    assert replay_tool.stop(np.array(full.l1), patience) == (trace.returned - 1, len(trace))
+    # the tool's full-length records of the same budget, under the patience
+    base = l1_norm(haar_forward(naive_reconstruct(observed)))
+    records = replay_tool.run_candidates(observed, replace(cfg, c=None, c_grid=(0.5,)), base)[0][1]
+    assert [record[2] for record in records] == full.l1
+    _, returned, ran, estimate = replay_tool.apply_rule([(0.5, records, None)], None, patience)
+    assert (returned, ran) == (trace.returned, len(trace))
+    assert np.array_equal(estimate.traj.shifts, kept.traj.shifts)
     if patience < _PATIENCE:
         assert len(trace) < cfg.iterations
 
 
 def test_replay_runs_the_drivers_sraar_step(replay_tool, tmp_path):
-    # every candidate's l1 column is the trace of the driver's own solve at
-    # that budget, run for the full iteration count
+    # every candidate's records are the trace of the driver's own solve at
+    # that budget, run for the full iteration count, and its terminal
+    # estimate is the one that solve returns
     sraar = replay_tool.import_sraar()
-    candidates, _ = replay_tool.replay_seed(sraar, "default-256", 1)
+    candidates, _, _ = replay_tool.replay_seed(sraar, "default-256", 1)
     run = replay_tool.Run(sraar, "default-256", 1, tmp_path, smoke=False)
     observed = run.generate()[2]
     args = build_parser().parse_args(["reconstruct", "--kspace", "-", "--out-dir", "-", *run.recon_args])
     cfg = reconstruct_config(args)
     base = l1_norm(haar_forward(naive_reconstruct(observed)))
     assert [fraction for fraction, _, _ in candidates] == sorted(set(cfg.c_grid))
-    for fraction, rows, _ in candidates:
-        trace = solve_sraar(observed, replace(cfg, c=fraction * base, c_grid=None))[2]
-        assert rows[:, 0].tolist() == trace.l1
+    for fraction, records, terminal in candidates:
+        _, estimate, trace = solve_sraar(observed, replace(cfg, c=fraction * base, c_grid=None))
+        assert [record[2] for record in records] == trace.l1
+        assert [record[1] for record in records] == trace.misfit
+        assert np.array_equal(terminal.traj.shifts, estimate.traj.shifts)

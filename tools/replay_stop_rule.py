@@ -2,9 +2,9 @@
 
 For each seed the script simulates a workload's k-space exactly as
 ``bench/run.py`` does, runs every budget candidate for the full iteration
-count, and records the wavelet l1 norm, ``rmse_rel`` and trajectory error of
-every P2 output (the observation with that iteration's motion estimate
-undone) and of the terminal P2 pass.  It then applies three rules:
+count through the solver's own driver, and keeps the driver's per-iteration
+records and the terminal P2 pass's motion estimate.  It then applies three
+rules, each through the solver's own rule (``sraar.solvers._keep``):
 
 - ``last``: keep the candidate whose terminal P2 pass is sparsest (the rule
   before the stop);
@@ -13,11 +13,12 @@ undone) and of the terminal P2 pass.  It then applies three rules:
   iterations old, then keep the sparsest of the candidates' outputs.
 
 Ties go to the first iteration and to the smaller budget, as in
-``sraar.solvers.tune_sparsity_budget``.  Per seed and rule it prints the
-chosen budget fraction, the returned iteration, the iterations run over all
-candidates, and ``rmse_rel`` over the naive image's ``rmse_rel``; then the
-smallest patience whose returned images equal the ``nostop`` ones on every
-seed given.
+``sraar.solvers.tune_sparsity_budget``.  Only each rule's pick is scored,
+from its motion estimate.  Per seed and rule it prints the chosen budget
+fraction, the returned iteration, the iterations run over all candidates,
+and ``rmse_rel`` over the naive image's ``rmse_rel``; then the smallest
+patience whose returned images equal the ``nostop`` ones on every seed
+given.  BLAS runs on one thread, as in ``bench/run.py``.
 
     python3 tools/replay_stop_rule.py --workload default-256 --seeds 11-30
     python3 tools/replay_stop_rule.py --workload large-512-narrow --seeds 1-10,8222547 --patience 20,30
@@ -34,9 +35,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
 
-import numpy as np  # noqa: E402
-
+# first: run pins BLAS to one thread, which holds only before numpy loads
 from run import Run, import_sraar  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 
 def parse_seeds(text):
@@ -47,12 +49,23 @@ def parse_seeds(text):
     return seeds
 
 
+def run_candidates(observed, cfg, base):
+    """(fraction, records, terminal P2 estimate) of each budget the solver
+    runs for ``cfg.c_grid`` of ``base``, each for the full iteration count."""
+    from sraar.projections import _estimate_motion, _Workspace
+    from sraar.solvers import _steps
+
+    work = _Workspace(observed, cfg.bounds)
+    # a repeated fraction runs once, as in the solver
+    return [(fraction, list(_steps(work, replace(cfg, c=fraction * base, c_grid=None))), _estimate_motion(work))
+            for fraction in sorted(set(cfg.c_grid))]
+
+
 def replay_seed(sraar, name, seed):
-    """Per-candidate records of every P2 output, plus the naive rmse_rel."""
+    """The candidates of one seed, and a scorer of motion estimates:
+    estimate -> (l1, rmse_rel, traj_rms_x, traj_rms_y) of its compensated
+    image, plus the naive image's rmse_rel."""
     from sraar.cli import build_parser, reconstruct_config
-    from sraar.projections import _Workspace, _compensate
-    from sraar.solvers import _sraar_step
-    from sraar.transforms import _flip_checkerboard
 
     # generate() only computes; nothing is written under the work directory
     run = Run(sraar, name, seed, ROOT / ".bench_work", smoke=False)
@@ -62,54 +75,30 @@ def replay_seed(sraar, name, seed):
     weights = np.sum(np.abs(observed) ** 2, axis=1)
     truth = sraar.gauge_aligned(traj, sraar.FrequencyGrid(run.size), weights)
     naive = sraar.naive_reconstruct(observed)
+
+    def score(estimate):
+        image = sraar.idft2(sraar.invert_translation(observed, estimate.traj))
+        return (sraar.l1_norm(sraar.haar_forward(image)), sraar.image_metrics(image, gt)[0],
+                *sraar.trajectory_error(estimate.traj, truth, weights))
+
     base = sraar.l1_norm(sraar.haar_forward(naive))
-
-    def record(p2, estimate):
-        rms_x, rms_y = sraar.trajectory_error(estimate.traj, truth, weights)
-        return (sraar.l1_norm(sraar.haar_forward(p2)), sraar.image_metrics(p2, gt)[0], rms_x, rms_y)
-
-    work = _Workspace(observed, cfg.bounds)
-    candidates = []
-    # the fractions the solver runs: a repeated one runs once
-    for fraction in sorted(set(cfg.c_grid)):
-        candidate = replace(cfg, c=fraction * base, c_grid=None)
-        # the solver's own step, which updates the Haar coefficients w and
-        # D * the image in work.spec in place, D = (-1)^(r+c), and keeps no
-        # P2 output, so the output is recomputed from its estimate into out,
-        # and unflipped
-        w, out, rows = sraar.haar_forward(naive).data, np.empty_like(naive), []
-        np.copyto(work.spec, naive)
-        _flip_checkerboard(work.spec)
-        for _ in range(cfg.iterations):
-            estimate = _sraar_step(work, w, candidate)[0]
-            rows.append(record(_flip_checkerboard(_compensate(work, estimate.traj, out)), estimate))
-        terminal = record(*sraar.project_fourier(_flip_checkerboard(work.spec), observed, cfg))
-        candidates.append((fraction, np.array(rows), terminal))
-    return candidates, sraar.image_metrics(naive, gt)[0]
+    return run_candidates(observed, cfg, base), score, sraar.image_metrics(naive, gt)[0]
 
 
-def stop(l1, patience):
-    """(0-based returned iteration, iterations run) of one candidate's l1 column."""
-    best = 0
-    for i in range(1, l1.size):
-        if l1[i] < l1[best]:
-            best = i
-        elif patience is not None and i - best >= patience:
-            return best, i + 1
-    return best, l1.size
+def apply_rule(candidates, score, rule):
+    """(fraction, returned iteration or 'terminal', iterations run, estimate) for one rule."""
+    from sraar.solvers import _keep
 
-
-def apply_rule(candidates, rule):
-    """(fraction, returned iteration or 'terminal', iterations run, record) for one rule."""
     chosen, ran = None, 0
-    for fraction, rows, terminal in candidates:
+    for fraction, records, terminal in candidates:
         if rule == "last":
-            pick = (terminal[0], fraction, "terminal", terminal)
-            ran += rows.shape[0]
+            pick = (score(terminal)[0], fraction, "terminal", terminal)
+            ran += len(records)
         else:
-            i, count = stop(rows[:, 0], None if rule == "nostop" else rule)
-            pick = (rows[i, 0], fraction, i + 1, tuple(rows[i]))
-            ran += count
+            # a patience of the run length never stops
+            estimate, trace = _keep(records, len(records) if rule == "nostop" else rule)
+            pick = (trace.l1[trace.returned - 1], fraction, trace.returned, estimate)
+            ran += len(trace)
         if chosen is None or pick[0] < chosen[0]:
             chosen = pick
     return chosen[1], chosen[2], ran, chosen[3]
@@ -122,31 +111,27 @@ def main(argv=None):
     parser.add_argument("--patience", default="10,20,30", help="comma-separated patiences to report")
     args = parser.parse_args(argv)
     sraar = import_sraar()
-    patiences = [int(p) for p in args.patience.split(",")]
-    rules = ["last", "nostop", *patiences]
-    per_seed = {}
+    rules = {"last": "last", "nostop": "nostop", **{f"P={p}": int(p) for p in args.patience.split(",")}}
+    replayed, results = [], {label: [] for label in rules}
     for seed in parse_seeds(args.seeds):
-        candidates, naive_rmse = replay_seed(sraar, args.workload, seed)
-        per_seed[seed] = candidates
-        for rule in rules:
-            fraction, returned, ran, rec = apply_rule(candidates, rule)
-            label = rule if isinstance(rule, str) else f"P={rule}"
+        candidates, score, naive_rmse = replay_seed(sraar, args.workload, seed)
+        replayed.append((candidates, score))
+        for label, rule in rules.items():
+            fraction, returned, ran, estimate = apply_rule(candidates, score, rule)
+            _, rmse, rms_x, rms_y = score(estimate)
+            results[label].append((ran, rmse, rms_x, rms_y))
             print(f"{args.workload} seed={seed:<8d} {label:>7s}  c={fraction:<4g} returned={returned!s:>8s} "
-                  f"ran={ran:<4d} rmse_rel={rec[1]:.4f} ratio_to_naive={rec[1] / naive_rmse:.3f} "
-                  f"traj_rms_x={rec[2]:.4f} traj_rms_y={rec[3]:.4f}", flush=True)
+                  f"ran={ran:<4d} rmse_rel={rmse:.4f} ratio_to_naive={rmse / naive_rmse:.3f} "
+                  f"traj_rms_x={rms_x:.4f} traj_rms_y={rms_y:.4f}", flush=True)
 
-    iterations = max(rows.shape[0] for cands in per_seed.values() for _, rows, _ in cands)
-    for rule in rules:
-        results = [apply_rule(cands, rule) for cands in per_seed.values()]
-        label = rule if isinstance(rule, str) else f"P={rule}"
-        rmse = [r[3][1] for r in results]
-        print(f"{args.workload} {label:>7s}: ran {sum(r[2] for r in results)} iterations; rmse_rel median "
+    for label, rows in results.items():
+        ran, rmse, rms_x, rms_y = zip(*rows)
+        print(f"{args.workload} {label:>7s}: ran {sum(ran)} iterations; rmse_rel median "
               f"{statistics.median(rmse):.4f} worst {max(rmse):.4f}; traj_rms_x median "
-              f"{statistics.median(r[3][2] for r in results):.4f}; traj_rms_y median "
-              f"{statistics.median(r[3][3] for r in results):.4f}")
-    reference = [apply_rule(cands, "nostop")[:2] for cands in per_seed.values()]
-    smallest = next(p for p in range(1, iterations + 1)
-                    if [apply_rule(cands, p)[:2] for cands in per_seed.values()] == reference)
+              f"{statistics.median(rms_x):.4f}; traj_rms_y median {statistics.median(rms_y):.4f}")
+    iterations = max(len(records) for cands, _ in replayed for _, records, _ in cands)
+    reference = [apply_rule(*seed, "nostop")[:2] for seed in replayed]
+    smallest = next(p for p in range(1, iterations + 1) if [apply_rule(*seed, p)[:2] for seed in replayed] == reference)
     print(f"{args.workload}: smallest patience whose returned images equal nostop's on these seeds: {smallest}")
     return 0
 
