@@ -21,8 +21,8 @@ from .fileio import (
     save_trajectory,
 )
 from .metrics import EvalReport, image_metrics, trajectory_error
-from .motion import gauge_aligned, naive_reconstruct
-from .simulate import TrajectoryGenConfig, corrupt, generate_trajectory, load_ground_truth, shepp_logan
+from .motion import apply_translation, gauge_aligned, naive_reconstruct
+from .simulate import TrajectoryGenConfig, _add_noise, generate_trajectory, load_ground_truth, shepp_logan
 from .solvers import _solve
 from .transforms import dft2, haar_forward, l1_norm
 
@@ -97,10 +97,12 @@ def cmd_simulate(args):
     # spectrum provides the same gauge weights the solver will derive from
     # the observation; centering on them keeps gt itself the reconstruction
     # target instead of a subpixel-shifted copy
-    energy = np.sum(np.abs(dft2(gt)) ** 2, axis=1)
+    spectrum = dft2(gt)
+    energy = np.sum(np.abs(spectrum) ** 2, axis=1)
     traj = generate_trajectory(TrajectoryGenConfig(bounds, seed=args.seed), n, gauge_weights=energy)
-    clean = corrupt(gt, traj)
-    observed = corrupt(gt, traj, noise_snr_db=args.snr_db, seed=args.seed) if args.snr_db is not None else clean
+    # corrupt(gt, traj[, snr, seed]) from the one spectrum and translation
+    clean = apply_translation(spectrum, traj)
+    observed = clean if args.snr_db is None else _add_noise(clean.copy(), args.snr_db, args.seed)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     # save_array may refuse the k-space; written first, a refusal writes nothing

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FrequencyGrid, MotionTrajectory, normalized_line_weights, require_square_image
+from .core import FrequencyGrid, MotionTrajectory, normalized_line_weights, require_square_image, require_type
 from .transforms import idft2
 
 __all__ = [
@@ -55,6 +55,7 @@ def apply_translation(ksp, traj):
     The frequency grid is the centered grid of the k-space's side.
     """
     ksp = require_square_image(ksp, "k-space").astype(np.complex128, copy=False)
+    require_type(traj, MotionTrajectory, "traj")
     if len(traj) != ksp.shape[0]:
         raise ValueError(f"trajectory has {len(traj)} lines, k-space has {ksp.shape[0]} rows")
     n = ksp.shape[0]
@@ -63,6 +64,7 @@ def apply_translation(ksp, traj):
 
 def invert_translation(ksp, traj):
     """Undo :func:`apply_translation`; identical to applying -traj."""
+    require_type(traj, MotionTrajectory, "traj")
     return apply_translation(ksp, -traj)
 
 
@@ -80,6 +82,8 @@ def fold_trajectory(traj, grid):
     effect at all.  The readout shifts are untouched.  Applying the folded
     trajectory produces the same k-space as the original.
     """
+    require_type(traj, MotionTrajectory, "traj")
+    require_type(grid, FrequencyGrid, "grid")
     if len(traj) != grid.size:
         raise ValueError(f"trajectory has {len(traj)} lines, grid expects {grid.size}")
     k = grid.coords
@@ -104,6 +108,8 @@ def gauge_aligned(traj, grid, weights=None):
     # of it crosses at least one fold boundary.  That zero lies within n
     # pixels (every k_y is a multiple of 1/n), where line r has n|k_y(r)|
     # boundaries.
+    require_type(traj, MotionTrajectory, "traj")
+    require_type(grid, FrequencyGrid, "grid")
     max_rounds = int(grid.size * np.abs(grid.coords).sum()) + 2
     w = normalized_line_weights(weights, len(traj))
     aligned = fold_trajectory(MotionTrajectory.from_components(traj.dx - w @ traj.dx, traj.dy), grid)

@@ -20,8 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (FrequencyGrid, MotionBounds, MotionTrajectory, ReconConfig, require_budget, require_finite,
-                   require_grid_size, require_square_image, require_type)
+from .core import (FrequencyGrid, MotionBounds, MotionTrajectory, ReconConfig, _real, require_budget,
+                   require_finite, require_grid_size, require_square_image, require_type)
 from .motion import _line_ramps, _ramp_tables
 from .transforms import _flip_checkerboard, _float_halves, _forward_levels, _inverse_levels, _unitary
 
@@ -227,7 +227,7 @@ def estimate_line_shift(observed_line, reference_line, k_y, bounds):
     if obs.shape != ref.shape:
         raise ValueError(f"lines differ in length: {obs.size} vs {ref.size} samples")
     require_grid_size(obs.size)
-    k_y = float(k_y)
+    k_y = _real(k_y, "k_y")
     if not np.isfinite(k_y):
         raise ValueError(f"k_y must be finite, got {k_y}")
     require_type(bounds, MotionBounds, "bounds")

@@ -7,6 +7,7 @@ at a prescribed SNR.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,18 +51,50 @@ def render_ellipses(n, ellipses):
     """Point-sample additive ellipse intensities on an n-by-n pixel grid.
 
     Pixel (r, c) is sampled at x = (c - N/2)/(N/2), y = (N/2 - r)/(N/2), so
-    the image center pixel (N/2, N/2) sits exactly at the origin.
+    the image center pixel (N/2, N/2) sits exactly at the origin.  Each row
+    of ``ellipses`` is (intensity, a, b, x0, y0, angle in degrees), finite,
+    with semi-axes a, b > 0; a pixel inside an ellipse gains its intensity.
+
+    Each ellipse is evaluated only on the rows and columns of its
+    axis-aligned bounding box, whose half-extents are
+    hx = hypot(a cos(phi), b sin(phi)) and hy = hypot(a sin(phi), b cos(phi)).
+    Rounding moves the membership test by a few ulps of hx + hy, so the box
+    is widened by 1e-9 of hx + hy and by 1e-12; a pixel outside it lies
+    outside the ellipse by far more than rounding can cover.  Inside the box
+    every pixel goes through the full-grid arithmetic in the same order, so
+    the image equals the full-grid rendering bit for bit.
     """
     n = require_grid_size(n)
+    table = np.asarray(ellipses, dtype=np.float64)
+    if table.ndim != 2 or table.shape[1] != 6:
+        raise ValueError(f"ellipses must be a (k, 6) table, got shape {table.shape}")
+    for i, row in enumerate(table):
+        if not np.all(np.isfinite(row)) or min(row[1], row[2]) <= 0:
+            raise ValueError(f"ellipse row {i} must be finite with semi-axes > 0, got {row.tolist()}")
     x = (np.arange(n) - n // 2) / (n // 2)
     y = (n // 2 - np.arange(n)) / (n // 2)
-    xx, yy = np.meshgrid(x, y)
     img = np.zeros((n, n))
-    for amp, a, b, x0, y0, phi_deg in np.asarray(ellipses, dtype=np.float64):
+    for amp, a, b, x0, y0, phi_deg in table:
         phi = np.deg2rad(phi_deg)
-        u = (xx - x0) * np.cos(phi) + (yy - y0) * np.sin(phi)
-        v = (yy - y0) * np.cos(phi) - (xx - x0) * np.sin(phi)
-        img[(u / a) ** 2 + (v / b) ** 2 <= 1.0] += amp
+        cos, sin = np.cos(phi), np.sin(phi)
+        hx, hy = math.hypot(a * cos, b * sin), math.hypot(a * sin, b * cos)
+        pad = 1e-9 * (hx + hy) + 1e-12
+        dx, dy = x - x0, y - y0
+        cols = np.flatnonzero(np.abs(dx) <= hx + pad)
+        rows = np.flatnonzero(np.abs(dy) <= hy + pad)
+        if cols.size == 0 or rows.size == 0:
+            continue
+        cols, rows = slice(cols[0], cols[-1] + 1), slice(rows[0], rows[-1] + 1)
+        dx, dy = dx[cols], dy[rows, None]
+        u = dx * cos + dy * sin
+        v = dy * cos - dx * sin
+        u /= a
+        u *= u
+        v /= b
+        v *= v
+        u += v
+        box = img[rows, cols]
+        np.add(box, amp, out=box, where=u <= 1.0)
     return img.astype(np.complex128)
 
 
@@ -93,6 +126,8 @@ class TrajectoryGenConfig:
         if not isinstance(self.smoothness, (int, np.integer)) or self.smoothness < 1:
             raise ValueError(f"smoothness must be a positive integer, got {self.smoothness!r}")
         object.__setattr__(self, "smoothness", int(self.smoothness))
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 def generate_trajectory(cfg, n_lines, gauge_weights=None):
@@ -139,14 +174,26 @@ def corrupt(gt, traj, noise_snr_db=None, seed=None):
     """
     gt = require_square_image(gt, "ground truth")
     ksp = apply_translation(dft2(gt), traj)
-    if noise_snr_db is not None:
-        signal_power = float(np.sum(np.abs(ksp) ** 2))
-        try:
-            sigma = np.sqrt(signal_power * 10.0 ** (-float(noise_snr_db) / 10.0) / (2.0 * ksp.size))
-        except OverflowError:
-            sigma = np.inf
-        if not np.isfinite(sigma):
-            raise ValueError(f"SNR of {noise_snr_db} dB gives a non-finite noise level")
-        rng = np.random.default_rng(seed)
-        ksp = ksp + sigma * (rng.standard_normal(ksp.shape) + 1j * rng.standard_normal(ksp.shape))
+    return ksp if noise_snr_db is None else _add_noise(ksp, noise_snr_db, seed)
+
+
+def _add_noise(ksp, noise_snr_db, seed):
+    """Add :func:`corrupt`'s noise to the complex array ``ksp`` in place and
+    return it.  The real parts take the first standard-normal draw of
+    ``default_rng(seed)`` and the imaginary parts the second, each scaled by
+    sigma; adding each part on its own rounds as the complex sum does."""
+    signal_power = float(np.sum(np.abs(ksp) ** 2))
+    try:
+        sigma = np.sqrt(signal_power * 10.0 ** (-float(noise_snr_db) / 10.0) / (2.0 * ksp.size))
+    except OverflowError:
+        sigma = np.inf
+    if not np.isfinite(sigma):
+        raise ValueError(f"SNR of {noise_snr_db} dB gives a non-finite noise level")
+    rng = np.random.default_rng(seed)
+    draw = rng.standard_normal(ksp.shape)
+    draw *= sigma
+    ksp.real += draw
+    rng.standard_normal(out=draw)
+    draw *= sigma
+    ksp.imag += draw
     return ksp

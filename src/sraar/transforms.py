@@ -178,4 +178,6 @@ def _float_halves(buf):
 def l1_norm(x):
     """Sum of complex moduli of an array or of WaveletCoeffs."""
     data = x.data if isinstance(x, WaveletCoeffs) else np.asarray(x)
+    if data.dtype.kind not in "biufc":
+        raise ValueError(f"l1_norm needs bool, int, float or complex values, got dtype {data.dtype}")
     return float(np.abs(data).sum())

@@ -14,7 +14,10 @@ sorting every modulus is the one the package used before it switched to
 Michelot's algorithm.  P2 in the dft2/idft2 form, with all four
 checkerboard flips and fresh arrays, is the one the package used before it
 ran on a per-solve workspace holding the flipped observation; its output
-must stay equal to the workspace form's bit for bit.
+must stay equal to the workspace form's bit for bit.  The phantom renderer
+that evaluates every ellipse on the full grid is the one the package used
+before it evaluated each ellipse on its bounding box only; the two must
+agree bit for bit.
 """
 
 import numpy as np
@@ -199,6 +202,20 @@ def loop_rmse_metrics(x, gt):
         return rmse_rel, float("inf")
     rmse_abs = np.sqrt(sq_err / gt.size)
     return rmse_rel, 20.0 * np.log10(peak / rmse_abs)
+
+
+def full_grid_render_ellipses(n, ellipses):
+    """Ellipse phantom with every ellipse evaluated on the full n-by-n grid."""
+    x = (np.arange(n) - n // 2) / (n // 2)
+    y = (n // 2 - np.arange(n)) / (n // 2)
+    xx, yy = np.meshgrid(x, y)
+    img = np.zeros((n, n))
+    for amp, a, b, x0, y0, phi_deg in np.asarray(ellipses, dtype=np.float64):
+        phi = np.deg2rad(phi_deg)
+        u = (xx - x0) * np.cos(phi) + (yy - y0) * np.sin(phi)
+        v = (yy - y0) * np.cos(phi) - (xx - x0) * np.sin(phi)
+        img[(u / a) ** 2 + (v / b) ** 2 <= 1.0] += amp
+    return img.astype(np.complex128)
 
 
 def point_in_ellipse(x, y, a, b, x0, y0, phi_deg):

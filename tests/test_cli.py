@@ -16,6 +16,10 @@ from sraar import (
     MotionBounds,
     MotionTrajectory,
     ReconConfig,
+    TrajectoryGenConfig,
+    corrupt,
+    dft2,
+    generate_trajectory,
     load_array,
     save_array,
     save_trajectory,
@@ -77,6 +81,21 @@ class TestSimulate:
         assert same == (tmp_path / "noisy" / "ground_truth.srr").read_bytes()
         assert (tmp_path / "clean" / "kspace.srr").read_bytes() != (
             tmp_path / "noisy" / "kspace.srr").read_bytes()
+
+    @pytest.mark.parametrize("snr_db", [None, 20.0])
+    def test_kspace_is_the_saved_corrupt_output(self, tmp_path, snr_db):
+        # simulate takes the spectrum once and adds corrupt's noise to the
+        # clean k-space; the file must hold corrupt's bytes
+        args = ["simulate", "--phantom", "shepp-logan", "--size", "32", "--seed", "4",
+                "--max-shift-x", "2", "--max-shift-y", "3", "--out-dir", str(tmp_path / "out")]
+        assert main(args + ([] if snr_db is None else ["--snr-db", str(snr_db)])) == 0
+        gt = shepp_logan(32)
+        energy = np.sum(np.abs(dft2(gt)) ** 2, axis=1)
+        traj = generate_trajectory(TrajectoryGenConfig(MotionBounds(2.0, 3.0), seed=4), 32, gauge_weights=energy)
+        save_trajectory(tmp_path / "trajectory.txt", traj)
+        save_array(tmp_path / "kspace.srr", corrupt(gt, traj, noise_snr_db=snr_db, seed=4))
+        for name in ("trajectory.txt", "kspace.srr"):
+            assert (tmp_path / "out" / name).read_bytes() == (tmp_path / name).read_bytes()
 
     def test_input_file_as_ground_truth(self, tmp_path, capsys):
         src = tmp_path / "gt.srr"

@@ -116,6 +116,24 @@ class TestTranslationOperator:
         assert err <= 1e-12 * np.linalg.norm(ksp)
 
 
+_K8 = np.ones((8, 8), complex)
+
+
+@pytest.mark.parametrize("call, name, cls, got", [
+    (lambda: apply_translation(_K8, None), "traj", "MotionTrajectory", "NoneType"),
+    (lambda: corrupt(_K8, None), "traj", "MotionTrajectory", "NoneType"),
+    (lambda: invert_translation(_K8, (1, 2)), "traj", "MotionTrajectory", "tuple"),
+    (lambda: gauge_aligned(MotionTrajectory.zero(8), None), "grid", "FrequencyGrid", "NoneType"),
+    (lambda: fold_trajectory(MotionTrajectory.zero(8), 8), "grid", "FrequencyGrid", "int"),
+    (lambda: gauge_aligned(None, FrequencyGrid(8)), "traj", "MotionTrajectory", "NoneType"),
+], ids=["apply_translation", "corrupt", "invert_translation", "gauge_aligned-grid", "fold_trajectory",
+        "gauge_aligned-traj"])
+def test_trajectory_argument_of_wrong_type_rejected_naming_it(call, name, cls, got):
+    # each raised TypeError or AttributeError on its first use of the argument
+    with pytest.raises(ValueError, match=f"^{name} must be a {cls}, got {got}$"):
+        call()
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     log2_size=st.integers(2, 10),

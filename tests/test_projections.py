@@ -276,6 +276,10 @@ class TestEstimateLineShift:
         for k_y in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="k_y"):
                 estimate_line_shift(line, line, k_y, bounds)
+        # float() raised TypeError
+        for k_y in (None, "x"):
+            with pytest.raises(ValueError, match=f"^k_y must be a real number, got {k_y!r}$"):
+                estimate_line_shift(line, line, k_y, bounds)
 
 
 def _line_correlation(q, k, shifts):

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sraar import (
     MotionBounds,
@@ -15,7 +17,7 @@ from sraar import (
     shepp_logan,
 )
 from sraar.simulate import SHEPP_LOGAN_ELLIPSES, render_ellipses
-from reference_impls import point_in_ellipse
+from reference_impls import full_grid_render_ellipses, point_in_ellipse
 
 
 def oracle_phantom_sample(r, c, n):
@@ -64,6 +66,68 @@ class TestPhantom:
         for n in (0, 3, 12, 100):
             with pytest.raises(ValueError):
                 shepp_logan(n)
+
+    @pytest.mark.parametrize("n", [1 << k for k in range(2, 11)])
+    def test_equals_full_grid_rendering(self, n):
+        expected = full_grid_render_ellipses(n, SHEPP_LOGAN_ELLIPSES)
+        assert shepp_logan(n).tobytes() == expected.tobytes()
+
+    def test_peak_memory_of_the_phantom(self):
+        # the float image and its complex128 copy make 3.0 n x n float64
+        # arrays; each ellipse's box arrays stay below that.  The full-grid
+        # renderer peaked at 7.0
+        n = 512
+        tracemalloc.start()
+        try:
+            shepp_logan(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * n * n * 8
+
+    @pytest.mark.parametrize("table, match", [
+        (np.ones((2, 5)), r"^ellipses must be a \(k, 6\) table, got shape \(2, 5\)$"),
+        (np.ones(6), r"^ellipses must be a \(k, 6\) table, got shape \(6,\)$"),
+        ([[1, 0.5, 0.5, 0, 0, 0], [1, 0.0, 0.5, 0, 0, 0]], r"^ellipse row 1 must be finite with semi-axes > 0"),
+        ([[1, 0.5, -0.5, 0, 0, 0]], r"^ellipse row 0 must be finite with semi-axes > 0"),
+        ([[1, 0.5, 0.5, 0, 0, 0], [np.nan, 0.5, 0.5, 0, 0, 0]], r"^ellipse row 1 must be finite"),
+        ([[1, 0.5, 0.5, 0, 0, np.inf]], r"^ellipse row 0 must be finite"),
+    ], ids=["5-columns", "1-D", "zero-axis", "negative-axis", "nan-amplitude", "inf-angle"])
+    def test_malformed_table_rejected_naming_the_row(self, table, match):
+        # a zero semi-axis divided by zero, a NaN row drew nothing and a
+        # 5-column table failed to unpack
+        with pytest.raises(ValueError, match=match):
+            render_ellipses(8, table)
+
+
+def _free_ellipse():
+    """Any placement: off-image, sub-pixel, rotated."""
+    coord = st.floats(-3.0, 3.0)
+    return st.tuples(st.floats(-1.0, 1.0), st.floats(1e-3, 3.0), st.floats(1e-3, 3.0), coord, coord,
+                     st.floats(-360.0, 360.0))
+
+
+def _grid_ellipse(n):
+    """Centred on a pixel centre with semi-axes that are multiples of the
+    pixel pitch 2/n, so boundary pixels lie exactly on the ellipse."""
+    pitch = 2.0 / n
+    centre = st.integers(-n, n).map(lambda j: j * pitch)
+    axis = st.integers(1, n).map(lambda k: k * pitch)
+    return st.tuples(st.floats(-1.0, 1.0), axis, axis, centre, centre, st.sampled_from([0.0, 90.0, -90.0, 180.0, 45.0]))
+
+
+@st.composite
+def _phantoms(draw):
+    n = draw(st.sampled_from([1 << k for k in range(2, 9)]))
+    rows = draw(st.lists(st.one_of(_free_ellipse(), _grid_ellipse(n)), min_size=1, max_size=6))
+    return n, np.array(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_phantoms())
+def test_box_rendering_equals_full_grid_rendering(case):
+    n, table = case
+    assert render_ellipses(n, table).tobytes() == full_grid_render_ellipses(n, table).tobytes()
 
 
 class TestLoadGroundTruth(object):
@@ -162,6 +226,12 @@ class TestGenerateTrajectory:
         for bad in (0, -1, 1.5):
             with pytest.raises(ValueError):
                 TrajectoryGenConfig(MotionBounds(5.0, 5.0), bad, 0)
+
+    def test_bad_seed(self):
+        # a str seed failed only later, inside numpy's SeedSequence
+        for bad in ("x", -1, 1.5, None):
+            with pytest.raises(ValueError, match=f"^seed must be an integer >= 0, got {bad!r}$"):
+                TrajectoryGenConfig(MotionBounds(5.0, 5.0), 8, bad)
 
     def test_bad_line_count(self):
         # a float or str count raised TypeError

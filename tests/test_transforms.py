@@ -229,3 +229,10 @@ class TestL1Norm:
 
     def test_zero(self):
         assert l1_norm(np.zeros((4, 4))) == 0.0
+
+    @pytest.mark.parametrize("bad", ["a", np.array([None, 1.0], dtype=object)], ids=["str", "object"])
+    def test_non_numeric_rejected_naming_the_dtype(self, bad):
+        # a str raised numpy's UFuncTypeError
+        dtype = np.asarray(bad).dtype
+        with pytest.raises(ValueError, match=f"got dtype {dtype}$"):
+            l1_norm(bad)
