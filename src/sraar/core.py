@@ -19,8 +19,10 @@ __all__ = [
     "MotionTrajectory",
     "ReconConfig",
     "require_budget",
+    "require_count",
     "require_finite",
     "require_grid_size",
+    "require_numeric",
     "require_square_image",
     "require_type",
 ]
@@ -30,12 +32,19 @@ SOLVER_SRAAR = "sraar"
 _SOLVERS = (SOLVER_ER, SOLVER_SRAAR)
 
 
+def require_count(value, name, minimum):
+    """Refuse ``value`` unless it is an integer, not a bool, and at least
+    ``minimum``, naming it; return it as an int."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        least = "a positive integer" if minimum == 1 else f"an integer >= {minimum}"
+        raise ValueError(f"{name} must be {least}, got {value!r}")
+    return int(value)
+
+
 def require_grid_size(n):
     """Validate a grid side length: integer power of two, at least 4."""
-    if not isinstance(n, (int, np.integer)):
-        raise ValueError(f"grid size must be an integer, got {n!r}")
-    n = int(n)
-    if n < 4 or n & (n - 1):
+    n = require_count(n, "grid size", 4)
+    if n & (n - 1):
         raise ValueError(f"grid size must be a power of two >= 4, got {n}")
     return n
 
@@ -49,12 +58,19 @@ def require_square_image(arr, name="array"):
     return a
 
 
-def require_finite(arr, name):
-    """Refuse an array that is not numeric or holds NaN or Inf, naming it;
-    return it as ndarray."""
+def require_numeric(arr, name):
+    """Refuse an array that is not bool, int, float or complex, naming it and
+    its dtype; return it as ndarray."""
     a = np.asarray(arr)
     if a.dtype.kind not in "biufc":
         raise ValueError(f"{name} must be bool, int, float or complex, got dtype {a.dtype}")
+    return a
+
+
+def require_finite(arr, name):
+    """Refuse an array that is not numeric or holds NaN or Inf, naming it;
+    return it as ndarray."""
+    a = require_numeric(arr, name)
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite values (NaN or Inf)")
     return a
@@ -68,11 +84,23 @@ def require_type(value, cls, name):
 
 
 def _real(value, name):
-    """``value`` as a float; a value float() refuses is a ValueError naming ``name``."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be a real number, got {value!r}") from None
+    """``value`` as a float; a complex type or a value float() refuses is a
+    ValueError naming ``name``."""
+    if not np.iscomplexobj(value):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
+def _real_array(values, name):
+    """A float64 copy of ``values``; a complex dtype, tested by type and not
+    by value, is a ValueError naming ``name``."""
+    a = np.asarray(values)
+    if a.dtype.kind == "c":
+        raise ValueError(f"{name} must be real, got dtype {a.dtype}")
+    return a.astype(np.float64)
 
 
 def require_budget(c):
@@ -87,7 +115,7 @@ def normalized_line_weights(weights, n_lines):
     """Validate per-line weights and normalize them to sum 1; None = uniform."""
     if weights is None:
         return np.full(n_lines, 1.0 / n_lines)
-    w = np.asarray(weights, dtype=np.float64)
+    w = _real_array(weights, "weights")
     if w.shape != (n_lines,):
         got = f"{w.size} weights" if w.ndim == 1 else f"weights of shape {w.shape}"
         raise ValueError(f"weights must hold one value per line: {n_lines} lines, {got}")
@@ -167,7 +195,7 @@ class MotionTrajectory:
     shifts: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.shifts, dtype=np.float64, copy=True)
+        arr = _real_array(self.shifts, "trajectory shifts")
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValueError(f"trajectory must have shape (n, 2), got {arr.shape}")
         if arr.shape[0] < 1:
@@ -231,9 +259,7 @@ class ReconConfig:
         if not (0.0 < theta <= 1.0):
             raise ValueError(f"theta must lie in (0, 1], got {theta}")
         object.__setattr__(self, "theta", theta)
-        if not isinstance(self.iterations, (int, np.integer)) or self.iterations < 1:
-            raise ValueError(f"iterations must be a positive integer, got {self.iterations!r}")
-        object.__setattr__(self, "iterations", int(self.iterations))
+        object.__setattr__(self, "iterations", require_count(self.iterations, "iterations", 1))
         if self.c is not None:
             object.__setattr__(self, "c", require_budget(self.c))
         if self.c_grid is not None:

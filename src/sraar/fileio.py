@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import MotionTrajectory, require_finite
+from .core import MotionTrajectory, require_finite, require_numeric
 
 __all__ = [
     "MAGIC",
@@ -42,7 +42,7 @@ def save_array(path, arr):
     Finite values beyond the single-precision range are rejected rather
     than written as Inf.
     """
-    arr = np.asarray(arr)
+    arr = require_numeric(arr, "arr")
     if arr.ndim != 2:
         raise ValueError(f"only 2-D arrays are stored, got shape {arr.shape}")
     code, dtype = (_DTYPE_COMPLEX, "<c8") if np.iscomplexobj(arr) else (_DTYPE_REAL, "<f4")
@@ -131,7 +131,7 @@ def export_pgm(path, arr):
 
     A constant image maps to all zeros.
     """
-    arr = np.asarray(arr)
+    arr = require_numeric(arr, "arr")
     if arr.ndim != 2:
         raise ValueError(f"only 2-D arrays are exported, got shape {arr.shape}")
     if arr.size == 0:

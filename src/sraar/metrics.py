@@ -6,7 +6,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import MotionTrajectory, normalized_line_weights, require_type
+from .core import MotionTrajectory, normalized_line_weights, require_numeric, require_type
 
 __all__ = ["EvalReport", "image_metrics", "trajectory_error"]
 
@@ -19,8 +19,8 @@ def image_metrics(x, gt):
     Exact agreement reports PSNR as +inf.  A zero ground truth leaves both
     undefined and raises.
     """
-    x = np.asarray(x)
-    gt = np.asarray(gt)
+    x = require_numeric(x, "x")
+    gt = require_numeric(gt, "gt")
     if x.shape != gt.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {gt.shape}")
     gt_mod = np.abs(gt)

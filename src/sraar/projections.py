@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (FrequencyGrid, MotionBounds, MotionTrajectory, ReconConfig, _real, require_budget,
+from .core import (FrequencyGrid, MotionBounds, MotionTrajectory, ReconConfig, _real, _real_array, require_budget,
                    require_finite, require_grid_size, require_square_image, require_type)
 from .motion import _line_ramps, _ramp_tables
 from .transforms import _flip_checkerboard, _float_halves, _forward_levels, _inverse_levels, _unitary
@@ -58,23 +58,6 @@ def _l1_ball_threshold(moduli, c, total):
             return max(tau, 0.0)
         active = kept
         tau = (active.sum() - c) / active.size
-
-
-def _shrink(coeffs, c, out=None, scratch=None):
-    """Nearest point to ``coeffs`` in the l1 ball of radius c, written to ``out``.
-
-    Moduli are soft-shrunk by the exact threshold and phases are kept: this
-    is P1 on Haar coefficients.  ``out`` (complex) and ``scratch`` (see
-    :func:`_shrink_scale`) have the shape of ``coeffs``; each one that is
-    None is made new.  ``out`` may be ``coeffs``.
-    """
-    out = np.empty_like(coeffs) if out is None else out
-    scale = _shrink_scale(coeffs, c, np.empty_like(coeffs) if scratch is None else scratch)
-    if scale is None:
-        np.copyto(out, coeffs)
-    else:
-        np.multiply(coeffs, scale, out=out)
-    return out
 
 
 def _shrink_scale(coeffs, c, scratch):
@@ -243,7 +226,7 @@ class MotionEstimate:
     scores: np.ndarray
 
     def __post_init__(self):
-        scores = np.array(self.scores, dtype=np.float64, copy=True)
+        scores = _real_array(self.scores, "scores")
         if scores.shape != (len(self.traj),):
             raise ValueError("one score per trajectory line expected")
         if np.any(scores < 0) or np.any(scores > 1):

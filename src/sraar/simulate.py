@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (MotionBounds, MotionTrajectory, normalized_line_weights, require_grid_size, require_square_image,
-                   require_type)
+from .core import (MotionBounds, MotionTrajectory, _real, normalized_line_weights, require_count, require_grid_size,
+                   require_square_image, require_type)
 from .fileio import load_array
 from .motion import apply_translation
 from .transforms import dft2
@@ -123,11 +123,8 @@ class TrajectoryGenConfig:
 
     def __post_init__(self):
         require_type(self.bounds, MotionBounds, "bounds")
-        if not isinstance(self.smoothness, (int, np.integer)) or self.smoothness < 1:
-            raise ValueError(f"smoothness must be a positive integer, got {self.smoothness!r}")
-        object.__setattr__(self, "smoothness", int(self.smoothness))
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        object.__setattr__(self, "smoothness", require_count(self.smoothness, "smoothness", 1))
+        require_count(self.seed, "seed", 0)
 
 
 def generate_trajectory(cfg, n_lines, gauge_weights=None):
@@ -146,8 +143,7 @@ def generate_trajectory(cfg, n_lines, gauge_weights=None):
     rather than a subpixel-shifted copy.
     """
     require_type(cfg, TrajectoryGenConfig, "cfg")
-    if not isinstance(n_lines, (int, np.integer)) or n_lines < 1:
-        raise ValueError(f"n_lines must be a positive integer, got {n_lines!r}")
+    n_lines = require_count(n_lines, "n_lines", 1)
     w = None if gauge_weights is None else normalized_line_weights(gauge_weights, n_lines)
     rng = np.random.default_rng(cfg.seed)
     walk = np.cumsum(rng.standard_normal((n_lines, 2)), axis=0)
@@ -184,7 +180,7 @@ def _add_noise(ksp, noise_snr_db, seed):
     sigma; adding each part on its own rounds as the complex sum does."""
     signal_power = float(np.sum(np.abs(ksp) ** 2))
     try:
-        sigma = np.sqrt(signal_power * 10.0 ** (-float(noise_snr_db) / 10.0) / (2.0 * ksp.size))
+        sigma = np.sqrt(signal_power * 10.0 ** (-_real(noise_snr_db, "noise_snr_db") / 10.0) / (2.0 * ksp.size))
     except OverflowError:
         sigma = np.inf
     if not np.isfinite(sigma):

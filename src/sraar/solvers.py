@@ -37,14 +37,16 @@ after each iteration only to fault its pages back in.
 Every P2 output is a compensated image: the observation with one estimated
 motion undone, so a solve keeps motion estimates and computes its returned
 image from the chosen one at the end.  A run yields one record per iteration
-(``_steps``); one rule (``_keep``) keeps an estimate and builds the trace,
-with the wavelet l1 norm of each P2 output.  A fixed budget is a grid of one
-without the stop; tuning keeps the maximally sparse compensated image: each
-SRAAR candidate returns its sparsest P2 output and stops once that output is
-``_PATIENCE`` iterations old, because the reflection iterates of an
-inconsistent problem drift while their P2 outputs first get sparser and then
-drift back (the shadow sequence of Bauschke, Combettes & Luke, J. Approx.
-Theory 127, 2004).  ER candidates keep their last image.
+(``_steps``); one rule (``_keep``) keeps an estimate, marks its row and
+builds the trace, with the wavelet l1 norm of each P2 output.  ``_solve``
+applies the rule to each budget's run and, for a fixed-budget SRAAR solve,
+replaces the kept estimate by the terminal P2 pass's.  A fixed budget is a
+grid of one without the stop; tuning keeps the maximally sparse compensated
+image: each SRAAR candidate returns its sparsest P2 output and stops once
+that output is ``_PATIENCE`` iterations old, because the reflection iterates
+of an inconsistent problem drift while their P2 outputs first get sparser
+and then drift back (the shadow sequence of Bauschke, Combettes & Luke,
+J. Approx. Theory 127, 2004).  ER candidates keep their last image.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import SOLVER_ER, SOLVER_SRAAR, ReconConfig, require_finite, require_square_image, require_type
-from .projections import _Workspace, _compensate, _estimate_motion, _project_fourier, _shrink, _shrink_scale
+from .projections import _Workspace, _compensate, _estimate_motion, _project_fourier, _shrink_scale
 from .transforms import _flip_checkerboard, _float_halves, _forward_levels, _inverse_levels
 
 __all__ = ["SolverTrace", "solve_er", "solve_sraar", "tune_sparsity_budget"]
@@ -127,7 +129,12 @@ def _er_step(work, w, cfg):
     # spec holds W of the last P2 output; w takes its shrink, and spec D * the
     # shrunk image, then D * P2's output and its W
     spec = work.spec
-    _inverse_levels(_shrink(spec, cfg.c, w, work.scratch), work.levels, work.scratch, flipped=True, out=spec)
+    scale = _shrink_scale(spec, cfg.c, work.scratch)
+    if scale is None:
+        np.copyto(w, spec)
+    else:
+        np.multiply(spec, scale, out=w)
+    _inverse_levels(w, work.levels, work.scratch, flipped=True, out=spec)
     estimate = _project_fourier(work, spec)[1]
     _forward_levels(spec, work.levels, work.scratch, flipped=True)
     return estimate, _distance(work, spec, w), _l1(work, spec)
@@ -177,35 +184,19 @@ def _steps(work, cfg):
 
 
 def _keep(records, patience):
-    """(kept estimate, trace) of a run's records.  Without ``patience`` the
-    last estimate; with it the sparsest P2 output's (the first of equals),
-    reading no record once that output is ``patience`` iterations old.
+    """(kept estimate, trace) of a run's records, with ``trace.returned`` the
+    kept row.  Without ``patience`` the last estimate; with it the sparsest
+    P2 output's (the first of equals), reading no record once that output
+    is ``patience`` iterations old.
     """
     trace, kept = SolverTrace(), None
     for iteration, (estimate, misfit, l1, seconds) in enumerate(records, 1):
         trace.append(misfit, l1, seconds)
-        if patience is None:
-            kept = estimate
-        elif kept is None or l1 < trace.l1[trace.returned - 1]:
+        if patience is None or kept is None or l1 < trace.l1[trace.returned - 1]:
             kept, trace.returned = estimate, iteration
         elif iteration - trace.returned >= patience:
             break
     return kept, trace
-
-
-def _iterate(work, cfg, patience=None):
-    """(motion estimate, trace) of cfg.solver on the workspace ``work``: the
-    :func:`_keep` of its :func:`_steps`; without ``patience``, ER's last
-    estimate or that of SRAAR's terminal P2 pass over its last iterate.
-    :func:`_solve`, which builds ``work``, compensates the observation by it.
-    """
-    estimate, trace = _keep(_steps(work, cfg), patience)
-    if patience is not None:
-        return estimate, trace
-    if cfg.solver == SOLVER_ER:
-        trace.returned = len(trace)
-        return estimate, trace
-    return _estimate_motion(work), trace
 
 
 def _solve(observed, cfg):
@@ -228,7 +219,10 @@ def _solve(observed, cfg):
         patience = _PATIENCE if cfg.solver == SOLVER_SRAAR else None
     best = None
     for c in budgets:
-        estimate, trace = _iterate(work, replace(cfg, c=c, c_grid=None), patience)
+        estimate, trace = _keep(_steps(work, replace(cfg, c=c, c_grid=None)), patience)
+        if patience is None and cfg.solver == SOLVER_SRAAR:
+            # the terminal P2 pass over the last iterate, D * its image in spec
+            estimate, trace.returned = _estimate_motion(work), None
         if best is None or trace.l1[trace.returned - 1] < best[2].l1[best[2].returned - 1]:
             best = (c, estimate, trace)
     c, estimate, trace = best

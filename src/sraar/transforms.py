@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import require_square_image
+from .core import require_count, require_numeric, require_square_image
 
 __all__ = ["WaveletCoeffs", "dft2", "idft2", "haar_forward", "haar_inverse", "l1_norm"]
 
@@ -54,9 +54,10 @@ def _check_levels(n, levels):
     depth = int(np.log2(n))
     if levels is None:
         return depth
-    if not isinstance(levels, (int, np.integer)) or not 1 <= levels <= depth:
-        raise ValueError(f"levels must lie in [1, {depth}] for size {n}, got {levels!r}")
-    return int(levels)
+    levels = require_count(levels, "levels", 1)
+    if levels > depth:
+        raise ValueError(f"levels must lie in [1, {depth}] for size {n}, got {levels}")
+    return levels
 
 
 def _butterfly(blk, ins, outs, scratch):
@@ -177,7 +178,4 @@ def _float_halves(buf):
 
 def l1_norm(x):
     """Sum of complex moduli of an array or of WaveletCoeffs."""
-    data = x.data if isinstance(x, WaveletCoeffs) else np.asarray(x)
-    if data.dtype.kind not in "biufc":
-        raise ValueError(f"l1_norm needs bool, int, float or complex values, got dtype {data.dtype}")
-    return float(np.abs(data).sum())
+    return float(np.abs(x.data if isinstance(x, WaveletCoeffs) else require_numeric(x, "x")).sum())

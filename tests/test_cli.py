@@ -200,13 +200,13 @@ class TestReconstruct:
     @pytest.mark.parametrize("grid, calls", [([], 2), (["--c-grid", "0.3,0.5,0.7"], 3), (["--c", "300"], 1),
                                              (["--solver", "er", "--c-grid", "0.3,0.5"], 2)])
     def test_solver_calls_per_grid(self, dataset, tmp_path, monkeypatch, grid, calls):
-        run, budgets = solvers._iterate, []
+        run, budgets = solvers._steps, []
 
-        def counted(work, cfg, patience):
+        def counted(work, cfg):
             budgets.append(cfg.c)
-            return run(work, cfg, patience)
+            return run(work, cfg)
 
-        monkeypatch.setattr(solvers, "_iterate", counted)
+        monkeypatch.setattr(solvers, "_steps", counted)
         rc = main(["reconstruct", "--kspace", str(dataset / "kspace.srr"),
                    "--out-dir", str(tmp_path)] + grid + RECON_ARGS)
         assert rc == 0

@@ -31,10 +31,9 @@ from sraar.projections import (
     _l1_ball_threshold,
     _matched_filter_input,
     _project_fourier,
-    _shrink,
 )
 from sraar.transforms import _flip_checkerboard
-from conftest import random_complex
+from conftest import random_complex, shrink
 from reference_impls import (
     dft2_form_project_fourier,
     loop_estimate_lines,
@@ -199,7 +198,7 @@ def test_budget_an_ulp_below_the_total():
         c = np.nextafter(mod.sum(), 0.0)
         assert _l1_ball_threshold(mod, c, mod.sum()) >= 0.0
         coeffs = (mod * np.exp(1j * rng.uniform(-np.pi, np.pi, 64))).reshape(8, 8)
-        assert np.all(np.isfinite(_shrink(coeffs, c)))
+        assert np.all(np.isfinite(shrink(coeffs, c)))
 
 
 @pytest.mark.parametrize("bound, step, n", [(0.0, 0.25, 8), (1.0, 0.25, 512), (5.0, 0.25, 256), (2.3, 0.7, 64)])

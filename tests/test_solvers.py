@@ -24,10 +24,10 @@ from sraar import (
     tune_sparsity_budget,
 )
 from sraar import projections, solvers, transforms
-from sraar.projections import _Workspace, _compensate, _shrink, _shrink_scale
+from sraar.projections import _Workspace, _compensate, _shrink_scale
 from sraar.solvers import _PATIENCE, SolverTrace
 from sraar.transforms import _flip_checkerboard, _inverse_levels
-from conftest import random_complex
+from conftest import random_complex, shrink
 from scenarios import make_scenario
 
 
@@ -41,7 +41,7 @@ def budget_of(img):
 def solve_with_patience(observed, cfg, patience):
     """A fixed-budget solve under a patience no entry point uses."""
     work = _Workspace(observed, cfg.bounds)
-    estimate, trace = solvers._iterate(work, cfg, patience)
+    estimate, trace = solvers._keep(solvers._steps(work, cfg), patience)
     return _flip_checkerboard(_compensate(work, estimate.traj, np.empty_like(work.spec))), estimate, trace
 
 
@@ -377,7 +377,7 @@ class TestSharedDriver:
         for _ in range(cfg.iterations):
             p2, estimate = project_fourier(m, observed, cfg)
             wp2 = haar_forward(p2).data
-            ws = _shrink(2.0 * wp2 - w, cfg.c)
+            ws = shrink(2.0 * wp2 - w, cfg.c)
             w = sraar_update(w, wp2, cfg)
             m = image_of(w)
             misfit.append(old_misfit(observed, image_of(ws), estimate))
@@ -404,7 +404,7 @@ class TestSharedDriver:
             w = start.copy()
             estimate, misfit, _ = solvers._sraar_step(work, w, replace(cfg, c=c))
             assert np.array_equal(estimate.traj.shifts, want_estimate.traj.shifts)
-            ws = _shrink(wr2, c)
+            ws = shrink(wr2, c)
             old = 0.5 * theta * (2.0 * ws - wr2 + start) + (1.0 - theta) * wp2
             assert np.abs(w - old).max() <= 1e-12 * np.abs(old).max()
             assert np.array_equal(work.spec, _flip_checkerboard(image_of(w)))
@@ -549,6 +549,17 @@ def replay_sraar_candidate(observed, cfg):
     return (*best, cfg.iterations)
 
 
+def test_keep_marks_the_kept_row():
+    # without a patience the rule keeps the last record, however sparse the
+    # earlier P2 outputs, and marks its row; with one, the sparsest's
+    records = [(f"estimate {i}", 1.0, l1, 0.0) for i, l1 in enumerate([3.0, 1.0, 2.0, 2.5], 1)]
+    kept, trace = solvers._keep(iter(records), None)
+    assert (kept, trace.returned, len(trace)) == ("estimate 4", len(records), len(records))
+    assert trace.l1 == [3.0, 1.0, 2.0, 2.5]
+    kept, trace = solvers._keep(iter(records), 1)
+    assert (kept, trace.returned, len(trace)) == ("estimate 2", 2, 3)
+
+
 class TestTuneSparsityBudget:
     def test_sraar_keeps_sparsest_p2_output_and_stops(self):
         # more iterations than the patience, so candidates stop early
@@ -596,13 +607,13 @@ class TestTuneSparsityBudget:
     def test_repeated_fraction_runs_once(self, monkeypatch):
         # equal fractions give equal solves, and ties go to the first
         scenario = make_scenario(32, 3, 1.5, solver_bound=2.0)
-        run, budgets = solvers._iterate, []
+        run, budgets = solvers._steps, []
 
-        def counted(work, cfg, patience):
+        def counted(work, cfg):
             budgets.append(cfg.c)
-            return run(work, cfg, patience)
+            return run(work, cfg)
 
-        monkeypatch.setattr(solvers, "_iterate", counted)
+        monkeypatch.setattr(solvers, "_steps", counted)
         cfg = ReconConfig(bounds=MotionBounds(2.0, 2.0), c_grid=(0.5, 0.5), iterations=8)
         chosen_c, image, estimate, trace = tune_sparsity_budget(scenario.observed, cfg)
         assert len(budgets) == 1

@@ -43,7 +43,7 @@ def candidate():
 @pytest.mark.parametrize("patience", [2, 5, _PATIENCE])
 def test_stop_matches_tuned_candidate(replay_tool, candidate, patience):
     observed, cfg, full = candidate
-    kept, trace = solvers._iterate(_Workspace(observed, cfg.bounds), cfg, patience)
+    kept, trace = solvers._keep(solvers._steps(_Workspace(observed, cfg.bounds), cfg), patience)
     assert trace.l1 == full.l1[:len(trace)]
     # the tool's full-length records of the same budget, under the patience
     base = l1_norm(haar_forward(naive_reconstruct(observed)))
