@@ -96,11 +96,15 @@ def _real(value, name):
 
 def _real_array(values, name):
     """A float64 copy of ``values``; a complex dtype, tested by type and not
-    by value, is a ValueError naming ``name``."""
+    by value, or a value the cast refuses (a complex or a str in an object
+    array) is a ValueError naming ``name``."""
     a = np.asarray(values)
     if a.dtype.kind == "c":
         raise ValueError(f"{name} must be real, got dtype {a.dtype}")
-    return a.astype(np.float64)
+    try:
+        return a.astype(np.float64)
+    except (TypeError, ValueError) as error:
+        raise ValueError(f"{name} must be real: {error}") from None
 
 
 def require_budget(c):
@@ -177,8 +181,9 @@ class MotionBounds:
             object.__setattr__(self, name, v)
 
     def clamp(self, shifts):
-        """Clip an (n, 2) displacement array into the bounds, componentwise."""
-        out = np.asarray(shifts, dtype=np.float64).copy()
+        """Clip an (n, 2) displacement array into the bounds, componentwise;
+        complex shifts are a ValueError."""
+        out = _real_array(shifts, "shifts")
         out[:, 0] = np.clip(out[:, 0], -self.max_abs_x, self.max_abs_x)
         out[:, 1] = np.clip(out[:, 1], -self.max_abs_y, self.max_abs_y)
         return out

@@ -34,9 +34,11 @@ __all__ = [
 ]
 
 
-def _l1_ball_threshold(moduli, c, total):
+def _l1_ball_threshold(moduli, c, total, buf):
     """Shrink threshold tau with sum(max(moduli - tau, 0)) == c, where
-    ``total`` is moduli.sum(), which the caller has already computed.
+    ``total`` is moduli.sum(), which the caller has already computed, and
+    the 1-D float64 buffer ``buf``, as long as ``moduli``, takes the first
+    pass's kept moduli.
 
     Michelot's finite algorithm (reviewed by Condat, Math. Prog. 158, 2016),
     in place of sorting every modulus: tau starts as the threshold that
@@ -50,21 +52,29 @@ def _l1_ball_threshold(moduli, c, total):
     takes too.  When c is within a few ulps of the total, the kept moduli
     summed in another order can fall short of c; tau is then 0, not negative.
     """
-    active = moduli
-    tau = (total - c) / active.size
+    tau = (total - c) / moduli.size
+    keep = moduli > tau
+    count = np.count_nonzero(keep)
+    if count in (0, moduli.size):
+        return max(tau, 0.0)
+    # the first pass, the largest, compacts into buf, so that no later pass
+    # holds it or its mask (np.compress(..., out=) would copy out as well)
+    active = np.take(moduli, np.flatnonzero(keep), out=buf[:count], mode="clip")
+    del keep
     while True:
+        tau = (active.sum() - c) / active.size
         kept = active[active > tau]
         if kept.size in (0, active.size):
             return max(tau, 0.0)
         active = kept
-        tau = (active.sum() - c) / active.size
 
 
 def _shrink_scale(coeffs, c, scratch):
     """The shrink's factors max((|x| - tau) / |x|, 0), so that P1(coeffs) =
     scale * coeffs, in the second float half of the contiguous complex
     buffer ``scratch`` (:func:`_float_halves`), after the moduli in its
-    first; None, with the scale 1, when the moduli sum to at most c.
+    first; None, with the scale 1, when the moduli sum to at most c.  The
+    threshold compacts its first pass into the scale's half.
     """
     moduli, scale = _float_halves(scratch)
     mod = np.abs(coeffs, out=moduli).ravel()
@@ -74,7 +84,7 @@ def _shrink_scale(coeffs, c, scratch):
     if c == 0.0:
         scale.fill(0.0)
         return scale
-    tau = _l1_ball_threshold(mod, c, total)
+    tau = _l1_ball_threshold(mod, c, total, scale.ravel())
     # the scale is 0 for every modulus not above tau, also for the NaN of
     # 0/0 and the -inf of -tau/0
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -167,8 +167,11 @@ def corrupt(gt, traj, noise_snr_db=None, seed=None):
     Gaussian noise whose expected power matches the requested SNR in dB.
     An SNR of +inf adds no noise; one whose noise level is not finite
     (NaN, -inf, or so low that the power overflows) raises ValueError.
+    ``seed`` is None or an integer >= 0.
     """
     gt = require_square_image(gt, "ground truth")
+    if seed is not None:
+        seed = require_count(seed, "seed", 0)
     ksp = apply_translation(dft2(gt), traj)
     return ksp if noise_snr_db is None else _add_noise(ksp, noise_snr_db, seed)
 

@@ -63,10 +63,10 @@ from .transforms import _flip_checkerboard, _float_halves, _forward_levels, _inv
 __all__ = ["SolverTrace", "solve_er", "solve_sraar", "tune_sparsity_budget"]
 
 # A tuned SRAAR candidate stops once its sparsest P2 output is this many
-# iterations old: the smallest patience whose tuned images equal those of a
-# run without the stop on seeds 11-30 of the 256^2 default benchmark inputs
-# (grid 0.3/0.5/0.7) and seeds 11-20 of the 512^2 narrow ones (grid 0.7)
-# (tools/replay_stop_rule.py).
+# iterations old.  The smallest patience whose tuned images equal those of a
+# run without the stop is 13 on seeds 11-30 of the 256^2 default benchmark
+# inputs (grid 0.5/0.7) and 28 on seeds 11-20 of the 512^2 narrow ones
+# (grid 0.7) (tools/replay_stop_rule.py); 30 holds for both.
 _PATIENCE = 30
 
 
@@ -199,10 +199,26 @@ def _keep(records, patience):
     return kept, trace
 
 
+def _budgets(work, cfg):
+    """(fraction, c) of each budget a solve runs: (None, cfg.c) for a fixed
+    budget, else one per distinct cfg.c_grid fraction of the Haar l1 of
+    ``work``'s naive image, ascending."""
+    if cfg.c_grid is None:
+        return [(None, cfg.c)]
+    base = _l1(work, _forward_levels(work.naive_image(), work.levels, work.scratch, flipped=True))
+    # equal fractions would run the same solve again and lose its tie
+    return [(fraction, fraction * base) for fraction in sorted(set(cfg.c_grid))]
+
+
+def _choose(runs):
+    """The first of ``runs``, each (budget, estimate, trace), whose returned
+    row has the smallest l1: ties go to the earlier, smaller budget."""
+    return min(runs, key=lambda run: run[2].l1[run[2].returned - 1])
+
+
 def _solve(observed, cfg):
-    """Run cfg.solver on one workspace at cfg.c, or at each distinct cfg.c_grid
-    fraction as :func:`tune_sparsity_budget` states, and keep the budget whose
-    returned image is sparsest; returns its (c, image, estimate, trace).
+    """Run cfg.solver on one workspace at each of :func:`_budgets` and keep
+    the run :func:`_choose` picks; returns its (c, image, estimate, trace).
     """
     name = "observed k-space"
     work = _Workspace(require_finite(require_square_image(observed, name), name), cfg.bounds)
@@ -210,22 +226,12 @@ def _solve(observed, cfg):
     # passes its only reference lets this free the observation: the CLI
     # passes a temporary, and each entry point gives up its own reference
     del observed
-    if cfg.c_grid is None:
-        budgets, patience = [cfg.c], None
-    else:
-        base = _l1(work, _forward_levels(work.naive_image(), work.levels, work.scratch, flipped=True))
-        # equal fractions would run the same solve again and lose its tie
-        budgets = [fraction * base for fraction in sorted(set(cfg.c_grid))]
-        patience = _PATIENCE if cfg.solver == SOLVER_SRAAR else None
-    best = None
-    for c in budgets:
-        estimate, trace = _keep(_steps(work, replace(cfg, c=c, c_grid=None)), patience)
-        if patience is None and cfg.solver == SOLVER_SRAAR:
-            # the terminal P2 pass over the last iterate, D * its image in spec
-            estimate, trace.returned = _estimate_motion(work), None
-        if best is None or trace.l1[trace.returned - 1] < best[2].l1[best[2].returned - 1]:
-            best = (c, estimate, trace)
-    c, estimate, trace = best
+    patience = _PATIENCE if cfg.c_grid is not None and cfg.solver == SOLVER_SRAAR else None
+    runs = [(c, *_keep(_steps(work, replace(cfg, c=c, c_grid=None)), patience)) for _, c in _budgets(work, cfg)]
+    c, estimate, trace = _choose(runs)
+    if patience is None and cfg.solver == SOLVER_SRAAR:
+        # a fixed budget runs once: the terminal P2 pass over its last iterate, in spec
+        estimate, trace.returned = _estimate_motion(work), None
     return c, _flip_checkerboard(_compensate(work, estimate.traj, np.empty_like(work.spec))), estimate, trace
 
 

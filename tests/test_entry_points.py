@@ -3,7 +3,8 @@
 Each case below was answered otherwise before the shared checks in
 ``sraar.core`` covered it: a Python bool passed the count checks as 0 or 1
 (or reached numpy, which raised TypeError), a str or object array raised
-numpy's TypeError, and a complex value lost its imaginary part with only a
+numpy's TypeError, also where a complex value sat in an object array of
+real values, and a complex value lost its imaginary part with only a
 ComplexWarning.
 """
 
@@ -33,6 +34,7 @@ _BOUNDS = MotionBounds(1.0, 1.0)
 _IMAGE = np.ones((4, 4))
 _TRAJ = MotionTrajectory.zero(4)
 _COMPLEX_WEIGHTS = [1.0, 1.0, 1.0, 1j]
+_OBJECT_WEIGHTS = np.array(_COMPLEX_WEIGHTS, dtype=object)
 _NUMERIC = "{} must be bool, int, float or complex"
 
 _CASES = [
@@ -45,6 +47,12 @@ _CASES = [
      lambda path: TrajectoryGenConfig(_BOUNDS, smoothness=True)),
     ("TrajectoryGenConfig-seed", "seed must be an integer >= 0",
      lambda path: TrajectoryGenConfig(_BOUNDS, seed=False)),
+    ("corrupt-seed-bool", "seed must be an integer >= 0",
+     lambda path: corrupt(_IMAGE, _TRAJ, noise_snr_db=20.0, seed=True)),
+    ("corrupt-seed-float", "seed must be an integer >= 0",
+     lambda path: corrupt(_IMAGE, _TRAJ, noise_snr_db=20.0, seed=1.5)),
+    ("corrupt-seed-str", "seed must be an integer >= 0",
+     lambda path: corrupt(_IMAGE, _TRAJ, noise_snr_db=20.0, seed="a")),
     ("generate_trajectory-n_lines", "n_lines must be a positive integer",
      lambda path: generate_trajectory(TrajectoryGenConfig(_BOUNDS), True)),
     ("shepp_logan-n", "grid size must be an integer >= 4",
@@ -77,6 +85,15 @@ _CASES = [
      lambda path: generate_trajectory(TrajectoryGenConfig(_BOUNDS), 4, _COMPLEX_WEIGHTS)),
     ("MotionEstimate-scores", "scores must be real",
      lambda path: MotionEstimate(_TRAJ, np.zeros(4, complex))),
+    ("MotionBounds-clamp", "shifts must be real",
+     lambda path: _BOUNDS.clamp(np.ones((2, 2)) * 1j)),
+    # real values: a complex value in an object array, refused by the cast
+    ("MotionTrajectory-shifts-object", "trajectory shifts must be real",
+     lambda path: MotionTrajectory(np.array([[1j, 1]], dtype=object))),
+    ("trajectory_error-weights-object", "weights must be real",
+     lambda path: trajectory_error(_TRAJ, _TRAJ, _OBJECT_WEIGHTS)),
+    ("MotionEstimate-scores-object", "scores must be real",
+     lambda path: MotionEstimate(_TRAJ, _OBJECT_WEIGHTS)),
     ("ReconConfig-theta", "theta must be a real number",
      lambda path: ReconConfig(theta=np.complex128(0.5 + 2j))),
     ("ReconConfig-c", "sparsity budget c must be a real number",

@@ -181,7 +181,7 @@ def test_l1_ball_threshold_matches_sort_and_scan(size, seed, steps, zero_fractio
     else:
         c = np.exp((1.0 - budget) * np.log(1e-300) + budget * np.log(total))
     assume(0.0 < c < total)
-    tau = _l1_ball_threshold(moduli, c, total)
+    tau = _l1_ball_threshold(moduli, c, total, np.empty_like(moduli))
     assert 0.0 <= tau <= moduli.max()
     assert abs(tau - sort_scan_l1_threshold(moduli, c)) <= 1e-12 * moduli.max()
     assert abs(np.maximum(moduli - tau, 0.0).sum() - c) <= 1e-12 * size * moduli.max()
@@ -196,7 +196,7 @@ def test_budget_an_ulp_below_the_total():
         mod = rng.exponential(size=64)
         mod[::2] = 0.0
         c = np.nextafter(mod.sum(), 0.0)
-        assert _l1_ball_threshold(mod, c, mod.sum()) >= 0.0
+        assert _l1_ball_threshold(mod, c, mod.sum(), np.empty_like(mod)) >= 0.0
         coeffs = (mod * np.exp(1j * rng.uniform(-np.pi, np.pi, 64))).reshape(8, 8)
         assert np.all(np.isfinite(shrink(coeffs, c)))
 

@@ -1,24 +1,22 @@
 """Replay SRAAR budget tuning under the patience stop, on the benchmark's inputs.
 
 For each seed the script simulates a workload's k-space exactly as
-``bench/run.py`` does, runs every budget candidate for the full iteration
-count through the solver's own driver, and keeps the driver's per-iteration
-records and the terminal P2 pass's motion estimate.  It then applies three
-rules, each through the solver's own rule (``sraar.solvers._keep``):
+``bench/run.py`` does and runs each of the solver's budget candidates
+(``sraar.solvers._budgets``) for the full iteration count through the
+solver's own driver.  It applies each rule below to every candidate's
+records through the solver's own rule (``_keep``) and picks a candidate
+through the solver's own choice (``_choose``, ties to the smaller budget):
 
-- ``last``: keep the candidate whose terminal P2 pass is sparsest (the rule
-  before the stop);
-- ``nostop``: keep the sparsest P2 output over all iterations and candidates;
+- ``nostop``: keep each candidate's sparsest P2 output over all iterations;
 - ``P=<n>``: stop each candidate once its sparsest P2 output is n
-  iterations old, then keep the sparsest of the candidates' outputs.
+  iterations old.
 
-Ties go to the first iteration and to the smaller budget, as in
-``sraar.solvers.tune_sparsity_budget``.  Only each rule's pick is scored,
-from its motion estimate.  Per seed and rule it prints the chosen budget
-fraction, the returned iteration, the iterations run over all candidates,
-and ``rmse_rel`` over the naive image's ``rmse_rel``; then the smallest
-patience whose returned images equal the ``nostop`` ones on every seed
-given.  BLAS runs on one thread, as in ``bench/run.py``.
+Only each rule's pick is scored, from its motion estimate.  Per seed and
+rule it prints the chosen budget fraction, the returned iteration, the
+iterations run over all candidates, and ``rmse_rel`` over the naive image's
+``rmse_rel``; then the smallest patience whose returned images equal the
+``nostop`` ones on every seed given.  BLAS runs on one thread, as in
+``bench/run.py``.
 
     python3 tools/replay_stop_rule.py --workload default-256 --seeds 11-30
     python3 tools/replay_stop_rule.py --workload large-512-narrow --seeds 1-10,8222547 --patience 20,30
@@ -27,6 +25,7 @@ given.  BLAS runs on one thread, as in ``bench/run.py``.
 from __future__ import annotations
 
 import argparse
+import math
 import statistics
 import sys
 from dataclasses import replace
@@ -49,21 +48,19 @@ def parse_seeds(text):
     return seeds
 
 
-def run_candidates(observed, cfg, base):
-    """(fraction, records, terminal P2 estimate) of each budget the solver
-    runs for ``cfg.c_grid`` of ``base``, each for the full iteration count."""
-    from sraar.projections import _estimate_motion, _Workspace
-    from sraar.solvers import _steps
+def run_candidates(observed, cfg):
+    """(fraction, records) of each budget the solver runs for ``cfg``, each
+    for the full iteration count."""
+    from sraar.projections import _Workspace
+    from sraar.solvers import _budgets, _steps
 
     work = _Workspace(observed, cfg.bounds)
-    # a repeated fraction runs once, as in the solver
-    return [(fraction, list(_steps(work, replace(cfg, c=fraction * base, c_grid=None))), _estimate_motion(work))
-            for fraction in sorted(set(cfg.c_grid))]
+    return [(fraction, list(_steps(work, replace(cfg, c=c, c_grid=None)))) for fraction, c in _budgets(work, cfg)]
 
 
 def replay_seed(sraar, name, seed):
     """The candidates of one seed, and a scorer of motion estimates:
-    estimate -> (l1, rmse_rel, traj_rms_x, traj_rms_y) of its compensated
+    estimate -> (rmse_rel, traj_rms_x, traj_rms_y) of its compensated
     image, plus the naive image's rmse_rel."""
     from sraar.cli import build_parser, reconstruct_config
 
@@ -74,34 +71,24 @@ def replay_seed(sraar, name, seed):
     cfg = reconstruct_config(args)
     weights = np.sum(np.abs(observed) ** 2, axis=1)
     truth = sraar.gauge_aligned(traj, sraar.FrequencyGrid(run.size), weights)
-    naive = sraar.naive_reconstruct(observed)
 
     def score(estimate):
         image = sraar.idft2(sraar.invert_translation(observed, estimate.traj))
-        return (sraar.l1_norm(sraar.haar_forward(image)), sraar.image_metrics(image, gt)[0],
-                *sraar.trajectory_error(estimate.traj, truth, weights))
+        return sraar.image_metrics(image, gt)[0], *sraar.trajectory_error(estimate.traj, truth, weights)
 
-    base = sraar.l1_norm(sraar.haar_forward(naive))
-    return run_candidates(observed, cfg, base), score, sraar.image_metrics(naive, gt)[0]
+    naive_rmse = sraar.image_metrics(sraar.naive_reconstruct(observed), gt)[0]
+    return run_candidates(observed, cfg), score, naive_rmse
 
 
-def apply_rule(candidates, score, rule):
-    """(fraction, returned iteration or 'terminal', iterations run, estimate) for one rule."""
-    from sraar.solvers import _keep
+def apply_rule(candidates, patience):
+    """(fraction, returned iteration, iterations run, estimate) of the
+    candidate the solver chooses when each keeps its records under
+    ``patience`` (inf: no stop)."""
+    from sraar.solvers import _choose, _keep
 
-    chosen, ran = None, 0
-    for fraction, records, terminal in candidates:
-        if rule == "last":
-            pick = (score(terminal)[0], fraction, "terminal", terminal)
-            ran += len(records)
-        else:
-            # a patience of the run length never stops
-            estimate, trace = _keep(records, len(records) if rule == "nostop" else rule)
-            pick = (trace.l1[trace.returned - 1], fraction, trace.returned, estimate)
-            ran += len(trace)
-        if chosen is None or pick[0] < chosen[0]:
-            chosen = pick
-    return chosen[1], chosen[2], ran, chosen[3]
+    runs = [(fraction, *_keep(records, patience)) for fraction, records in candidates]
+    fraction, estimate, trace = _choose(runs)
+    return fraction, trace.returned, sum(len(run[2]) for run in runs), estimate
 
 
 def main(argv=None):
@@ -111,16 +98,16 @@ def main(argv=None):
     parser.add_argument("--patience", default="10,20,30", help="comma-separated patiences to report")
     args = parser.parse_args(argv)
     sraar = import_sraar()
-    rules = {"last": "last", "nostop": "nostop", **{f"P={p}": int(p) for p in args.patience.split(",")}}
+    rules = {"nostop": math.inf, **{f"P={p}": int(p) for p in args.patience.split(",")}}
     replayed, results = [], {label: [] for label in rules}
     for seed in parse_seeds(args.seeds):
         candidates, score, naive_rmse = replay_seed(sraar, args.workload, seed)
-        replayed.append((candidates, score))
-        for label, rule in rules.items():
-            fraction, returned, ran, estimate = apply_rule(candidates, score, rule)
-            _, rmse, rms_x, rms_y = score(estimate)
+        replayed.append(candidates)
+        for label, patience in rules.items():
+            fraction, returned, ran, estimate = apply_rule(candidates, patience)
+            rmse, rms_x, rms_y = score(estimate)
             results[label].append((ran, rmse, rms_x, rms_y))
-            print(f"{args.workload} seed={seed:<8d} {label:>7s}  c={fraction:<4g} returned={returned!s:>8s} "
+            print(f"{args.workload} seed={seed:<8d} {label:>7s}  c={fraction:<4g} returned={returned:>8d} "
                   f"ran={ran:<4d} rmse_rel={rmse:.4f} ratio_to_naive={rmse / naive_rmse:.3f} "
                   f"traj_rms_x={rms_x:.4f} traj_rms_y={rms_y:.4f}", flush=True)
 
@@ -129,9 +116,10 @@ def main(argv=None):
         print(f"{args.workload} {label:>7s}: ran {sum(ran)} iterations; rmse_rel median "
               f"{statistics.median(rmse):.4f} worst {max(rmse):.4f}; traj_rms_x median "
               f"{statistics.median(rms_x):.4f}; traj_rms_y median {statistics.median(rms_y):.4f}")
-    iterations = max(len(records) for cands, _ in replayed for _, records, _ in cands)
-    reference = [apply_rule(*seed, "nostop")[:2] for seed in replayed]
-    smallest = next(p for p in range(1, iterations + 1) if [apply_rule(*seed, p)[:2] for seed in replayed] == reference)
+    iterations = max(len(records) for candidates in replayed for _, records in candidates)
+    reference = [apply_rule(candidates, math.inf)[:2] for candidates in replayed]
+    smallest = next(p for p in range(1, iterations + 1)
+                    if [apply_rule(candidates, p)[:2] for candidates in replayed] == reference)
     print(f"{args.workload}: smallest patience whose returned images equal nostop's on these seeds: {smallest}")
     return 0
 
