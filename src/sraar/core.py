@@ -107,6 +107,22 @@ def _real_array(values, name):
         raise ValueError(f"{name} must be real: {error}") from None
 
 
+def _pow2_scaled(a, e=None, out=None):
+    """(a * 2^-e, e) for a finite numeric array ``a``, as float64 or complex128,
+    with e by default the exponent that puts its largest component modulus
+    in [0.5, 1) (0 when it has none), written to ``out`` (which may be
+    ``a``) when given.  Each component is scaled by ldexp, exactly unless it
+    leaves the normal range, so arithmetic that scales with ``a`` keeps its
+    bits on the result and neither overflows nor underflows at the peak; an
+    overflow gives inf."""
+    a = np.ascontiguousarray(a, np.complex128 if np.iscomplexobj(a) else np.float64)
+    parts = a.view(np.float64)
+    if e is None:
+        e = int(np.frexp(max(parts.max(initial=0.0), -parts.min(initial=0.0)))[1])
+    with np.errstate(over="ignore"):
+        return np.ldexp(parts, -e, out=None if out is None else out.view(np.float64)).view(a.dtype), e
+
+
 def require_budget(c):
     """Validate a wavelet-l1 budget: finite and non-negative; returns a float."""
     c = _real(c, "sparsity budget c")

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import MotionTrajectory, require_finite, require_numeric
+from .core import MotionTrajectory, _pow2_scaled, require_finite, require_numeric
 
 __all__ = [
     "MAGIC",
@@ -129,14 +129,17 @@ def load_trace_csv(path):
 def export_pgm(path, arr):
     """Write the moduli as a 16-bit binary PGM, min to 0 and max to 65535.
 
-    A constant image maps to all zeros.
+    A constant image maps to all zeros.  NaN and Inf have no grey level, so
+    an array holding them is refused.
     """
-    arr = require_numeric(arr, "arr")
+    arr = require_finite(arr, "arr")
     if arr.ndim != 2:
         raise ValueError(f"only 2-D arrays are exported, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError(f"an empty array of shape {arr.shape} has no image to export")
-    mod = np.abs(arr).astype(np.float64)
+    # the grey levels do not change with the scale: a peak below 1 keeps the
+    # moduli of complex values finite
+    mod = np.abs(_pow2_scaled(arr)[0])
     lo, hi = mod.min(), mod.max()
     if hi > lo:
         levels = np.round((mod - lo) / (hi - lo) * 65535.0)

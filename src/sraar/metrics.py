@@ -2,13 +2,24 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import MotionTrajectory, normalized_line_weights, require_numeric, require_type
+from .core import MotionTrajectory, _pow2_scaled, normalized_line_weights, require_finite, require_type
 
 __all__ = ["EvalReport", "image_metrics", "trajectory_error"]
+
+
+def _moduli(a, name):
+    """The float64 moduli of the finite array ``a``; a complex value whose
+    modulus lies beyond the largest float is refused, naming ``name``."""
+    with np.errstate(over="ignore"):
+        mod = np.abs(a).astype(np.float64, copy=False)
+    if mod.max(initial=0.0) == np.inf:
+        raise ValueError(f"{name} has a modulus beyond the largest float")
+    return mod
 
 
 def image_metrics(x, gt):
@@ -17,22 +28,33 @@ def image_metrics(x, gt):
     rmse_rel = ||absdiff||_2 / || |gt| ||_2 and
     psnr = 20*log10(peak / sqrt(mean(absdiff**2))) with peak = max |gt|.
     Exact agreement reports PSNR as +inf.  A zero ground truth leaves both
-    undefined and raises.
+    undefined and raises, and so does an rmse_rel beyond the largest float.
+    Each norm is taken on its moduli scaled to a peak in [0.5, 1) by a
+    power of two, which is exact, so no square overflows or underflows.
     """
-    x = require_numeric(x, "x")
-    gt = require_numeric(gt, "gt")
+    x = require_finite(x, "x")
+    gt = require_finite(gt, "gt")
     if x.shape != gt.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {gt.shape}")
-    gt_mod = np.abs(gt)
+    x_mod, gt_mod = _moduli(x, "x"), _moduli(gt, "gt")
+    diff, err_exp = _pow2_scaled(np.subtract(x_mod, gt_mod, out=x_mod), out=x_mod)
+    gt_mod, gt_exp = _pow2_scaled(gt_mod, out=gt_mod)
     gt_norm = float(np.linalg.norm(gt_mod))
     if gt_norm == 0:
         raise ValueError("metrics are undefined for a zero ground truth")
-    err = float(np.linalg.norm(np.abs(x) - gt_mod))
-    rmse_rel = err / gt_norm
+    err = float(np.linalg.norm(diff))
     if err == 0:
-        return rmse_rel, float("inf")
-    rmse_abs = err / np.sqrt(gt.size)
-    psnr = 20.0 * np.log10(gt_mod.max() / rmse_abs)
+        return 0.0, float("inf")
+    try:
+        rmse_rel = math.ldexp(err / gt_norm, err_exp - gt_exp)
+    except OverflowError:
+        raise ValueError("x is too far from gt: rmse_rel exceeds the largest float") from None
+    # peak / rmse, times 2^(err_exp - gt_exp)
+    ratio = gt_mod.max() / (err / np.sqrt(gt.size))
+    try:
+        psnr = 20.0 * np.log10(math.ldexp(ratio, gt_exp - err_exp))
+    except OverflowError:
+        psnr = 20.0 * (np.log10(ratio) + (gt_exp - err_exp) * np.log10(2.0))
     return rmse_rel, float(psnr)
 
 
@@ -48,11 +70,16 @@ def trajectory_error(est, true_traj, weights=None):
     require_type(true_traj, MotionTrajectory, "true_traj")
     if len(est) != len(true_traj):
         raise ValueError(f"trajectories must have the same number of lines, got {len(est)} and {len(true_traj)}")
-    d = est.shifts - true_traj.shifts
+    # scaled by a power of two, so that no difference or square overflows
+    shifts, exp = _pow2_scaled(np.stack([est.shifts, true_traj.shifts]))
+    d = shifts[0] - shifts[1]
     w = normalized_line_weights(weights, len(est))
     d = d - w @ d
     rms = np.sqrt(w @ d**2)
-    return float(rms[0]), float(rms[1])
+    try:
+        return math.ldexp(float(rms[0]), exp), math.ldexp(float(rms[1]), exp)
+    except OverflowError:
+        raise ValueError("est and true_traj differ by an RMS beyond the largest float") from None
 
 
 @dataclass(frozen=True, kw_only=True)

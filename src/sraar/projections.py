@@ -20,8 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (FrequencyGrid, MotionBounds, MotionTrajectory, ReconConfig, _real, _real_array, require_budget,
-                   require_finite, require_grid_size, require_square_image, require_type)
+from .core import (FrequencyGrid, MotionBounds, MotionTrajectory, ReconConfig, _pow2_scaled, _real, _real_array,
+                   require_budget, require_finite, require_grid_size, require_square_image, require_type)
 from .motion import _line_ramps, _ramp_tables
 from .transforms import _flip_checkerboard, _float_halves, _forward_levels, _inverse_levels, _unitary
 
@@ -98,13 +98,23 @@ def project_sparse(m, c):
     m = require_finite(require_square_image(m, "image"), "image").astype(np.complex128, copy=False)
     c = require_budget(c)
     levels = int(np.log2(m.shape[0]))
+    # P1 at c of 2^e m is 2^e P1 at c / 2^e of m, and 2^-e m has a peak below
+    # 1, so that no Haar sum or l1 overflows; a c / 2^e beyond the largest
+    # float is inf, above every l1
+    coeffs, exp = _pow2_scaled(m)
+    with np.errstate(over="ignore"):
+        budget = np.ldexp(c, -exp)
     scratch = np.empty_like(m)
-    coeffs = _forward_levels(m.copy(), levels, scratch)
-    scale = _shrink_scale(coeffs, c, scratch)
+    _forward_levels(coeffs, levels, scratch)
+    scale = _shrink_scale(coeffs, budget, scratch)
     if scale is None:
         return m.copy()
     coeffs *= scale
-    return _inverse_levels(coeffs, levels, scratch)
+    out = _inverse_levels(coeffs, levels, scratch)
+    _pow2_scaled(out, -exp, out=out)
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"the projection of image at c={c:g} has moduli beyond the largest float")
+    return out
 
 
 # coarse readout-shift search step in pixels; quadratic refinement goes below it
@@ -224,7 +234,10 @@ def estimate_line_shift(observed_line, reference_line, k_y, bounds):
     if not np.isfinite(k_y):
         raise ValueError(f"k_y must be finite, got {k_y}")
     require_type(bounds, MotionBounds, "bounds")
-    shifts, scores = _estimate_lines((obs * np.conj(ref))[None, :], np.array([k_y]), bounds, _GRID_STEP)
+    # shifts and score do not change with the scale of either line: scaled
+    # by powers of two, q's moduli stay below 2 and its sums cannot overflow
+    q = _pow2_scaled(obs)[0] * np.conj(_pow2_scaled(ref)[0])
+    shifts, scores = _estimate_lines(q[None, :], np.array([k_y]), bounds, _GRID_STEP)
     return LineShiftEstimate(float(shifts[0, 0]), float(shifts[0, 1]), float(scores[0]))
 
 
@@ -260,8 +273,8 @@ class _Workspace:
     images as D * m: its matched-filter input is obs_d * conj(fft(D * m))
     and D times its output is ifft(obs_d * ramps), both with the bits of the
     dft2/idft2 form and no flip.  ``spec`` holds D * m, P2's input, then the
-    matched-filter input, and then D times P2's output, which the solvers
-    turn into its Haar coefficients there.  ``scratch`` is every phase's
+    matched-filter input, then D times P2's output and, in each step, its
+    Haar coefficients and D * the next m.  ``scratch`` is every phase's
     temporary, never alive across a call: the matched filter's ratio and its
     "model != 0" mask, the line estimator's moduli, the Haar butterflies'
     pair sums, the shrink's moduli and scale, and the moduli of the l1 norm
@@ -339,14 +352,6 @@ def _compensate(work, traj, out):
     return _unitary(np.fft.ifftn, corrected)
 
 
-def _project_fourier(work, out):
-    """P2 of the image m, given as D * m in work.spec, into ``out`` (which
-    may be work.spec) as D times the compensated image; returns (out,
-    motion estimate)."""
-    estimate = _estimate_motion(work)
-    return _compensate(work, estimate.traj, out), estimate
-
-
 def project_fourier(m, observed, cfg):
     """Project onto the set of images explaining the observed k-space.
 
@@ -366,5 +371,5 @@ def project_fourier(m, observed, cfg):
     work = _Workspace(observed, cfg.bounds)
     np.copyto(work.spec, m)
     _flip_checkerboard(work.spec)
-    p2, estimate = _project_fourier(work, work.spec)
-    return _flip_checkerboard(p2), estimate
+    estimate = _estimate_motion(work)
+    return _flip_checkerboard(_compensate(work, estimate.traj, work.spec)), estimate

@@ -1,9 +1,9 @@
 """Joint image and motion estimation by alternating projections.
 
 Both solvers start from the naive reconstruction of the observed k-space and
-run one iteration driver with their own step rule.  ``solve_er`` alternates
-the two projections directly.  ``solve_sraar`` iterates the relaxed averaged
-alternating reflections update
+run one iteration driver with their own coefficient update.  ``solve_er``
+alternates the two projections directly.  ``solve_sraar`` iterates the
+relaxed averaged alternating reflections update
 
     m <- (theta/2) * (R1 R2 + I) m + (1 - theta) * P2 m
 
@@ -16,14 +16,14 @@ The DFT and the translations are unitary, so the data misfit equals
 
 The full-depth Haar transform W is orthonormal, so W P1 W^T is the shrink
 of Haar coefficients onto the l1 ball, and both solvers iterate on
-coefficients.  An iteration makes one forward pass, W of the P2 output
-(whose l1 norm the trace records), and one inverse pass, to the image that
-P2 takes next: SRAAR reflects, shrinks and relaxes the coefficients and
-inverts the result; ER shrinks them and inverts the shrunk ones.  Both
-measure the misfit between coefficients.  The shrink of SRAAR's reflected
-coefficients r = 2 W P2 m - W m is scale * r, one factor per coefficient,
-so its update is W P2 m + theta * (scale - 1) * r, which needs neither W m
-nor the shrunk coefficients once r is formed.
+coefficients.  Every step (``_steps``) runs P2, one forward pass, W of the
+P2 output (whose l1 norm the trace records), the solver's update of the
+coefficients, and one inverse pass, to the image that P2 takes next: SRAAR
+reflects, shrinks and relaxes the coefficients; ER shrinks W of the P2
+output.  Both measure the misfit between coefficients.  The shrink of
+SRAAR's reflected coefficients r = 2 W P2 m - W m is scale * r, one factor
+per coefficient, so its update is W P2 m + theta * (scale - 1) * r, which
+needs neither W m nor the shrunk coefficients once r is formed.
 
 Each solve, fixed or tuned, builds one workspace in ``_solve``
 (:class:`~sraar.projections._Workspace`) and one iterate buffer, the Haar
@@ -57,7 +57,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import SOLVER_ER, SOLVER_SRAAR, ReconConfig, require_finite, require_square_image, require_type
-from .projections import _Workspace, _compensate, _estimate_motion, _project_fourier, _shrink_scale
+from .projections import _Workspace, _compensate, _estimate_motion, _shrink_scale
 from .transforms import _flip_checkerboard, _float_halves, _forward_levels, _inverse_levels
 
 __all__ = ["SolverTrace", "solve_er", "solve_sraar", "tune_sparsity_budget"]
@@ -125,27 +125,23 @@ def _distance(work, a, b, scale=None):
     return float(np.sqrt(total))
 
 
-def _er_step(work, w, cfg):
-    # spec holds W of the last P2 output; w takes its shrink, and spec D * the
-    # shrunk image, then D * P2's output and its W
-    spec = work.spec
-    scale = _shrink_scale(spec, cfg.c, work.scratch)
+def _shrink(work, coeffs, c, out):
+    """P1 of ``coeffs`` into ``out``; inside the ball a copy, which keeps signed zeros."""
+    scale = _shrink_scale(coeffs, c, work.scratch)
     if scale is None:
-        np.copyto(w, spec)
+        np.copyto(out, coeffs)
     else:
-        np.multiply(spec, scale, out=w)
-    _inverse_levels(w, work.levels, work.scratch, flipped=True, out=spec)
-    estimate = _project_fourier(work, spec)[1]
-    _forward_levels(spec, work.levels, work.scratch, flipped=True)
-    return estimate, _distance(work, spec, w), _l1(work, spec)
+        np.multiply(coeffs, scale, out=out)
 
 
-def _sraar_step(work, w, cfg):
-    spec = work.spec
-    estimate = _project_fourier(work, spec)[1]
-    # wp2 = W of the P2 output, in spec: nothing reads the image again
-    wp2 = _forward_levels(spec, work.levels, work.scratch, flipped=True)
-    l1 = _l1(work, wp2)
+def _er_update(work, w, wp2, cfg):
+    # w holds the P1 output that P2 just read, and takes P1 of wp2
+    misfit = _distance(work, wp2, w)
+    _shrink(work, wp2, cfg.c, w)
+    return misfit
+
+
+def _sraar_update(work, w, wp2, cfg):
     # w takes the reflection r = 2 wp2 - w, and P1(r) = scale * r
     np.subtract(np.multiply(2.0, wp2, out=work.scratch), w, out=w)
     scale = _shrink_scale(w, cfg.c, work.scratch)
@@ -153,14 +149,12 @@ def _sraar_step(work, w, cfg):
         scale = _float_halves(work.scratch)[1]
         scale.fill(1.0)
     misfit = _distance(work, wp2, w, scale)
-    # theta (P1(r) + w) + (1 - 2 theta) wp2 = wp2 + theta (scale - 1) r, built
-    # in w; spec then takes D * the image of w, the next P2's input
+    # theta (P1(r) + w) + (1 - 2 theta) wp2 = wp2 + theta (scale - 1) r, built in w
     scale -= 1.0
     scale *= cfg.theta
     w *= scale
     w += wp2
-    _inverse_levels(w, work.levels, work.scratch, flipped=True, out=spec)
-    return estimate, misfit, l1
+    return misfit
 
 
 def _steps(work, cfg):
@@ -168,18 +162,26 @@ def _steps(work, cfg):
     record per step of cfg.solver at the budget cfg.c, up to cfg.iterations,
     from the naive reconstruction of the workspace ``work``'s observation.
 
-    The one iterate buffer w holds SRAAR's iterate or ER's shrunk iterate as
-    Haar coefficients; between steps ``work.spec`` holds D * SRAAR's iterate
-    image, P2's input, or ER's W of the P2 output.  Each step (a module
-    global, looked up here) updates w and spec in place.
+    Between steps ``work.spec`` holds D * the image that P2 reads next and
+    the one iterate buffer w its Haar coefficients, for ER its P1 output.
+    A step runs P2 and W into spec, the solver's update of w (a module
+    global, looked up here) and the inverse pass of w into spec.
     """
-    step = _er_step if cfg.solver == SOLVER_ER else _sraar_step
+    update = _er_update if cfg.solver == SOLVER_ER else _sraar_update
     w = work.naive_image()
     np.copyto(work.spec, w)
-    _forward_levels(work.spec if cfg.solver == SOLVER_ER else w, work.levels, work.scratch, flipped=True)
+    _forward_levels(w, work.levels, work.scratch, flipped=True)
+    if cfg.solver == SOLVER_ER:
+        _shrink(work, w, cfg.c, w)
+        _inverse_levels(w, work.levels, work.scratch, flipped=True, out=work.spec)
     for _ in range(cfg.iterations):
         start = time.perf_counter()
-        estimate, misfit, l1 = step(work, w, cfg)
+        estimate = _estimate_motion(work)
+        _compensate(work, estimate.traj, work.spec)
+        wp2 = _forward_levels(work.spec, work.levels, work.scratch, flipped=True)
+        l1 = _l1(work, wp2)
+        misfit = update(work, w, wp2, cfg)
+        _inverse_levels(w, work.levels, work.scratch, flipped=True, out=work.spec)
         yield estimate, misfit, l1, time.perf_counter() - start
 
 

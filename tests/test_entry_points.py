@@ -1,15 +1,20 @@
-"""Public entry points refuse a malformed argument with a ValueError naming it.
+"""Public entry points refuse a malformed argument with a ValueError naming
+it, and answer a finite argument with finite values or such a ValueError.
 
 Each case below was answered otherwise before the shared checks in
 ``sraar.core`` covered it: a Python bool passed the count checks as 0 or 1
 (or reached numpy, which raised TypeError), a str or object array raised
 numpy's TypeError, also where a complex value sat in an object array of
-real values, and a complex value lost its imaginary part with only a
-ComplexWarning.
+real values, a complex value lost its imaginary part with only a
+ComplexWarning, NaN or Inf gave NaN metrics or an all-zero image, and
+finite values whose squares or sums overflow or underflow gave NaN, Inf or
+a false refusal.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sraar import (
     FrequencyGrid,
@@ -25,6 +30,8 @@ from sraar import (
     generate_trajectory,
     haar_forward,
     image_metrics,
+    l1_norm,
+    project_sparse,
     save_array,
     shepp_logan,
     trajectory_error,
@@ -36,6 +43,10 @@ _TRAJ = MotionTrajectory.zero(4)
 _COMPLEX_WEIGHTS = [1.0, 1.0, 1.0, 1j]
 _OBJECT_WEIGHTS = np.array(_COMPLEX_WEIGHTS, dtype=object)
 _NUMERIC = "{} must be bool, int, float or complex"
+_NON_FINITE = "{} contains non-finite values"
+# an 8 x 8 zero image with a 3 x 3 block of ones
+_BLOCK = np.zeros((8, 8))
+_BLOCK[2:5, 2:5] = 1.0
 
 _CASES = [
     # counts: an integer, not a bool, at least a minimum
@@ -108,6 +119,13 @@ _CASES = [
      lambda path: corrupt(_IMAGE, _TRAJ, noise_snr_db=np.complex128(10.0))),
     ("estimate_line_shift-k_y", "k_y must be a real number",
      lambda path: estimate_line_shift(np.ones(4), np.ones(4), np.complex128(0.1), _BOUNDS)),
+    # finite values: NaN or Inf are refused where no answer is defined
+    ("image_metrics-x-inf", _NON_FINITE.format("x"),
+     lambda path: image_metrics(np.where(_BLOCK > 0, np.inf, 0.0), _BLOCK)),
+    ("export_pgm-nan", _NON_FINITE.format("arr"),
+     lambda path: export_pgm(path / "x.pgm", np.where(_BLOCK > 0, np.nan, 0.0))),
+    ("export_pgm-inf", _NON_FINITE.format("arr"),
+     lambda path: export_pgm(path / "x.pgm", np.where(_BLOCK > 0, np.inf, 0.0))),
 ]
 
 
@@ -116,3 +134,82 @@ def test_malformed_argument_rejected_naming_it(tmp_path, message, call):
     # each message starts with the argument's name
     with pytest.raises(ValueError, match=f"^{message}"):
         call(tmp_path)
+
+
+# the block at 2^1000 and a 1 that x holds 2^-40 larger: rmse_rel 2^-1040 / 3
+# and PSNR 20 log10(2^1000 / (2^-40 / 8)), whose ratio exceeds the largest float
+_PEAKED = np.where(_BLOCK > 0, 2.0**1000, 0.0)
+_PEAKED[0, 0] = 1.0
+
+# (id, call, the answer it must give); each gave NaN or Inf, or refused, unscaled
+_ANSWERS = [
+    ("image_metrics-2^1000", lambda: image_metrics(np.where(_PEAKED == 1.0, 1.0 + 2.0**-40, _PEAKED), _PEAKED),
+     lambda got: got == (pytest.approx(2.0**-1040 / 3, rel=1e-9), pytest.approx(20860.0 * np.log10(2.0), rel=1e-14))),
+    ("image_metrics-1e160", lambda: image_metrics(1.5e160 * _BLOCK, 1e160 * _BLOCK),
+     lambda got: got == pytest.approx(image_metrics(1.5 * _BLOCK, _BLOCK), rel=1e-14)),
+    ("image_metrics-1e-200", lambda: image_metrics(1.5e-200 * _BLOCK, 1e-200 * _BLOCK),
+     lambda got: got == pytest.approx(image_metrics(1.5 * _BLOCK, _BLOCK), rel=1e-14)),
+    ("estimate_line_shift-1e160",
+     lambda: estimate_line_shift(np.full(8, 1e160 + 0j), np.full(8, 1e160 + 0j), 0.1, _BOUNDS),
+     lambda got: tuple(got) == (0.0, 0.0, 1.0)),
+    ("project_sparse-1.7e308", lambda: project_sparse(1.7e308 * _BLOCK, 1e308),
+     lambda got: np.allclose(got, 1.7e308 * project_sparse(_BLOCK, 1e308 / 1.7e308), rtol=1e-12, atol=0.0)
+     and l1_norm(haar_forward(got)) == pytest.approx(1e308, rel=1e-12)),
+    ("trajectory_error-1e308",
+     lambda: trajectory_error(MotionTrajectory(np.full((4, 2), 1e308)), MotionTrajectory(np.full((4, 2), -1e308))),
+     lambda got: got == (0.0, 0.0)),
+]
+
+
+@pytest.mark.parametrize("call, check", [case[1:] for case in _ANSWERS], ids=[case[0] for case in _ANSWERS])
+def test_finite_argument_gets_the_right_answer(call, check):
+    assert check(call())
+
+
+@pytest.fixture(scope="module")
+def pgm_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("pgm") / "x.pgm"
+
+
+def _array(data, shape, complex_):
+    """2^k times a random pattern of ``shape``, k in [-1000, 1000], with
+    NaN, +Inf or -Inf at up to two entries."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    pattern = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if complex_ else 0.0)
+    a = pattern * 2.0 ** data.draw(st.integers(-1000, 1000))
+    for value in data.draw(st.lists(st.sampled_from([np.nan, np.inf, -np.inf]), max_size=2)):
+        a.flat[rng.integers(a.size)] = value
+    return a
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), complex_=st.booleans())
+def test_finite_values_or_value_error(pgm_path, data, complex_):
+    """Magnitudes across the float range, and NaN or Inf: every call
+    returns finite values of the expected shape or raises ValueError."""
+    image, other = _array(data, (8, 8), complex_), _array(data, (8, 8), False)
+    lines, shifts = _array(data, (2, 8), complex_), _array(data, (2, 8, 2), False)
+    budget = 2.0 ** data.draw(st.integers(-1000, 1000))
+
+    def grey_levels():
+        export_pgm(pgm_path, image)
+        return np.frombuffer(pgm_path.read_bytes()[-128:], ">u2")
+
+    calls = {
+        "image_metrics": (lambda: image_metrics(image, other), (2,)),
+        "trajectory_error": (lambda: trajectory_error(MotionTrajectory(shifts[0]), MotionTrajectory(shifts[1])),
+                             (2,)),
+        "estimate_line_shift": (lambda: estimate_line_shift(lines[0], lines[1], 0.125, _BOUNDS), (3,)),
+        "project_sparse": (lambda: project_sparse(image, budget), (8, 8)),
+        "export_pgm": (grey_levels, (64,)),
+    }
+    for name, (call, shape) in calls.items():
+        try:
+            values = np.asarray(call())
+        except ValueError:
+            continue
+        assert values.shape == shape, name
+        finite = np.isfinite(values)
+        if name == "image_metrics":
+            finite[1] |= values[0] == 0.0  # exact agreement reports PSNR +inf
+        assert np.all(finite), (name, values)

@@ -167,16 +167,17 @@ class TestIterationCost:
 
         for module in (transforms, projections, solvers):
             monkeypatch.setattr(module, "_flip_checkerboard", counted, raising=False)
-        name = f"_{solver}_step"
-        step = getattr(solvers, name)
+        run = solvers._steps
 
-        def measured(*args):
+        def measured(work, cfg):
+            # the flips between records: the start and each step
             before = len(flips)
-            result = step(*args)
-            per_step.append(len(flips) - before)
-            return result
+            for record in run(work, cfg):
+                per_step.append(len(flips) - before)
+                yield record
+                before = len(flips)
 
-        monkeypatch.setattr(solvers, name, measured)
+        monkeypatch.setattr(solvers, "_steps", measured)
         scenario = make_scenario(16, 6, 1.0, solver_bound=2.0)
         cfg = ReconConfig(solver=solver, bounds=MotionBounds(2.0, 2.0), iterations=4,
                           c=0.5 * budget_of(naive_reconstruct(scenario.observed)))
@@ -237,17 +238,21 @@ class TestIterationCost:
         # that allocated their transients peaked at 4.63 (ER) and 5.01
         n = 256
         scenario = make_scenario(n, 4, 5.0)
-        name = f"_{solver}_step"
-        step, peaks = getattr(solvers, name), []
+        run, peaks = solvers._steps, []
 
-        def measured(*args):
-            tracemalloc.reset_peak()
-            entry = tracemalloc.get_traced_memory()[0]
-            result = step(*args)
-            peaks.append(tracemalloc.get_traced_memory()[1] - entry)
-            return result
+        def measured(work, cfg):
+            # each step's peak between two records (the first's holds the start)
+            records = run(work, cfg)
+            while True:
+                tracemalloc.reset_peak()
+                entry = tracemalloc.get_traced_memory()[0]
+                record = next(records, None)
+                if record is None:
+                    return
+                peaks.append(tracemalloc.get_traced_memory()[1] - entry)
+                yield record
 
-        monkeypatch.setattr(solvers, name, measured)
+        monkeypatch.setattr(solvers, "_steps", measured)
         cfg = ReconConfig(solver=solver, bounds=MotionBounds(5.0, 5.0), iterations=6,
                           c=0.5 * budget_of(naive_reconstruct(scenario.observed)))
         tracemalloc.start()
@@ -386,13 +391,20 @@ class TestSharedDriver:
         self.check(solve_sraar(observed, cfg), expected, estimate, misfit, l1, None)
 
     @pytest.mark.parametrize("theta", [0.3, 0.9, 1.0])
-    def test_sraar_step_is_the_relaxed_reflection_update(self, scenario, theta):
-        # the step builds wp2 + theta (scale - 1) wr2, with P1(wr2) = scale *
-        # wr2, from the relaxed update (theta/2) (2 P1(wr2) - wr2 + w) +
-        # (1 - theta) wp2 and the reflection wr2 = 2 wp2 - w; the two round
+    def test_sraar_step_is_the_relaxed_reflection_update(self, monkeypatch, scenario, theta):
+        # the first step builds wp2 + theta (scale - 1) wr2, with P1(wr2) =
+        # scale * wr2, from the relaxed update (theta/2) (2 P1(wr2) - wr2 + w)
+        # + (1 - theta) wp2 and the reflection wr2 = 2 wp2 - w; the two round
         # differently.  A zero budget gives the scale 0, and a budget above
         # wr2's l1 the scale 1
-        cfg = replace(self.config(scenario, "sraar"), theta=theta)
+        update, iterates = solvers._sraar_update, []
+
+        def recorded(work, w, wp2, cfg):
+            iterates.append(w)
+            return update(work, w, wp2, cfg)
+
+        monkeypatch.setattr(solvers, "_sraar_update", recorded)
+        cfg = replace(self.config(scenario, "sraar"), theta=theta, iterations=1)
         naive = naive_reconstruct(scenario.observed)
         start = haar_forward(naive).data
         p2, want_estimate = project_fourier(naive, scenario.observed, cfg)
@@ -400,10 +412,11 @@ class TestSharedDriver:
         wr2 = 2.0 * wp2 - start
         for c in (cfg.c, 0.0, 2.0 * l1_norm(wr2)):
             work = _Workspace(scenario.observed, cfg.bounds)
-            np.copyto(work.spec, _flip_checkerboard(naive.copy()))
-            w = start.copy()
-            estimate, misfit, _ = solvers._sraar_step(work, w, replace(cfg, c=c))
+            iterates.clear()
+            (estimate, misfit, l1, _), = solvers._steps(work, replace(cfg, c=c))
+            w, = iterates
             assert np.array_equal(estimate.traj.shifts, want_estimate.traj.shifts)
+            assert l1 == l1_norm(wp2)
             ws = shrink(wr2, c)
             old = 0.5 * theta * (2.0 * ws - wr2 + start) + (1.0 - theta) * wp2
             assert np.abs(w - old).max() <= 1e-12 * np.abs(old).max()
@@ -413,21 +426,29 @@ class TestSharedDriver:
 
     @pytest.mark.parametrize("solver, patience", [("er", None), ("sraar", None), ("er", 2), ("sraar", _PATIENCE)])
     def test_each_buffer_keeps_one_role(self, monkeypatch, scenario, solver, patience):
-        # the workspace and w are the same arrays in every step, also under a
-        # patience, which keeps estimates, not images.  SRAAR's iterate image
-        # is the workspace's spec, which holds D * the naive image on entry
-        # to the first step and D * the image of w on entry to every later
-        # one, D = (-1)^(r+c).  ER's spec holds W of its last P2 output: of
-        # the naive image on entry to the first step, and of P2 of the image
-        # of w, its shrunk iterate, on entry to every later one
-        name = f"_{solver}_step"
-        step, calls = getattr(solvers, name), []
+        # the workspace, w and W of the P2 output (in spec) are the same
+        # arrays in every step, also under a patience, which keeps
+        # estimates, not images.  Whenever P2 reads spec (each step, and
+        # the terminal pass) it holds D * the image of w, D = (-1)^(r+c),
+        # and w the coefficients of that image: SRAAR's iterate, from the
+        # naive image's coefficients; ER's P1 output, from the shrink of
+        # the naive image's coefficients, and then the shrink of W of P2 of
+        # the image of the w before it
+        update, estimate_motion = getattr(solvers, f"_{solver}_update"), solvers._estimate_motion
+        reads, updates = [], []
 
-        def recorded(work, w, cfg):
-            calls.append((work, w, work.spec.copy(), image_of(w)))
-            return step(work, w, cfg)
+        def p2_entry(work):
+            reads.append(work.spec.copy())
+            return estimate_motion(work)
 
-        monkeypatch.setattr(solvers, name, recorded)
+        def recorded(work, w, wp2, cfg):
+            before = (w.copy(), wp2.copy())
+            misfit = update(work, w, wp2, cfg)
+            updates.append((work, w, wp2, *before, w.copy()))
+            return misfit
+
+        monkeypatch.setattr(solvers, "_estimate_motion", p2_entry)
+        monkeypatch.setattr(solvers, f"_{solver}_update", recorded)
         cfg = replace(self.config(scenario, solver), iterations=8)
         if patience is None:
             SOLVES[solver](scenario.observed, cfg)
@@ -435,18 +456,30 @@ class TestSharedDriver:
             tune_sparsity_budget(scenario.observed, replace(cfg, c=None, c_grid=(0.5,)))
         else:
             solve_with_patience(scenario.observed, cfg, patience)
-        work, w = calls[0][:2]
-        assert len(calls) == cfg.iterations
-        assert all(call[0] is work and call[1] is w for call in calls)
+        work, w = updates[0][:2]
+        assert len(updates) == cfg.iterations
+        assert all(call[0] is work and call[1] is w and call[2] is work.spec for call in updates)
         assert len({id(work), id(w), id(work.spec), id(work.scratch)}) == 4
+        # one P2 read per step, and the terminal pass of a fixed-budget SRAAR solve
+        terminal = solver == "sraar" and patience is None
+        assert len(reads) == cfg.iterations + terminal
         naive = naive_reconstruct(scenario.observed)
-        if solver == "sraar":
-            assert np.array_equal(calls[0][2], _flip_checkerboard(naive))
-            assert all(np.array_equal(spec, _flip_checkerboard(image)) for *_, spec, image in calls[1:])
+        start = haar_forward(naive).data
+        if solver == "er":
+            start = shrink(start, cfg.c)
+            assert np.array_equal(reads[0], _flip_checkerboard(image_of(start)))
         else:
-            assert np.array_equal(calls[0][2], haar_forward(naive).data)
-            assert all(np.array_equal(spec, haar_forward(project_fourier(image, scenario.observed, cfg)[0]).data)
-                       for *_, spec, image in calls[1:])
+            assert np.array_equal(reads[0], _flip_checkerboard(naive))
+        assert np.array_equal(updates[0][3], start)
+        for spec, (*_, w_after) in zip(reads[1:], updates):
+            assert np.array_equal(spec, _flip_checkerboard(image_of(w_after)))
+        for (*_, w_after), (*_, w_before, _, _) in zip(updates, updates[1:]):
+            assert np.array_equal(w_before, w_after)
+        if solver == "er":
+            for *_, w_before, wp2, w_after in updates:
+                assert np.array_equal(wp2, haar_forward(project_fourier(image_of(w_before), scenario.observed,
+                                                                        cfg)[0]).data)
+                assert np.array_equal(w_after, shrink(wp2, cfg.c))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_kspace_rejected(self, scenario, bad):
@@ -591,13 +624,13 @@ class TestTuneSparsityBudget:
     def test_stop_saves_the_remaining_steps(self, monkeypatch, patience):
         # the rule reads no record after the stop, so the driver runs no
         # step after it
-        step, calls = solvers._sraar_step, []
+        update, calls = solvers._sraar_update, []
 
-        def counted(work, w, cfg):
+        def counted(work, w, wp2, cfg):
             calls.append(cfg.c)
-            return step(work, w, cfg)
+            return update(work, w, wp2, cfg)
 
-        monkeypatch.setattr(solvers, "_sraar_step", counted)
+        monkeypatch.setattr(solvers, "_sraar_update", counted)
         scenario = make_scenario(32, 3, 1.5, solver_bound=2.0)
         base = budget_of(naive_reconstruct(scenario.observed))
         cfg = ReconConfig(bounds=MotionBounds(2.0, 2.0), c=0.5 * base, iterations=_PATIENCE + 40)
