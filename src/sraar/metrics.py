@@ -70,16 +70,21 @@ def trajectory_error(est, true_traj, weights=None):
     require_type(true_traj, MotionTrajectory, "true_traj")
     if len(est) != len(true_traj):
         raise ValueError(f"trajectories must have the same number of lines, got {len(est)} and {len(true_traj)}")
-    # scaled by a power of two, so that no difference or square overflows
-    shifts, exp = _pow2_scaled(np.stack([est.shifts, true_traj.shifts]))
-    d = shifts[0] - shifts[1]
     w = normalized_line_weights(weights, len(est))
-    d = d - w @ d
-    rms = np.sqrt(w @ d**2)
-    try:
-        return math.ldexp(float(rms[0]), exp), math.ldexp(float(rms[1]), exp)
-    except OverflowError:
-        raise ValueError("est and true_traj differ by an RMS beyond the largest float") from None
+    with np.errstate(over="ignore"):
+        d, half = est.shifts - true_traj.shifts, 0
+    if not np.all(np.isfinite(d)):  # the difference of the halves is exact there
+        d, half = est.shifts / 2 - true_traj.shifts / 2, 1
+    # each axis scaled by its own power of two, so that no square overflows,
+    # nor underflows beside the other axis
+    exp = np.frexp(np.abs(d).max(axis=0, initial=0.0))[1]
+    d = np.ldexp(d, -exp)
+    d -= w @ d
+    with np.errstate(over="ignore"):
+        rms = np.ldexp(np.sqrt(w @ d**2), exp + half)
+    if not np.all(np.isfinite(rms)):
+        raise ValueError("est and true_traj differ by an RMS beyond the largest float")
+    return float(rms[0]), float(rms[1])
 
 
 @dataclass(frozen=True, kw_only=True)

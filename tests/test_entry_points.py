@@ -11,6 +11,9 @@ finite values whose squares or sums overflow or underflow gave NaN, Inf or
 a false refusal.
 """
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -141,7 +144,8 @@ def test_malformed_argument_rejected_naming_it(tmp_path, message, call):
 _PEAKED = np.where(_BLOCK > 0, 2.0**1000, 0.0)
 _PEAKED[0, 0] = 1.0
 
-# (id, call, the answer it must give); each gave NaN or Inf, or refused, unscaled
+# (id, call, the answer it must give); each but the last gave NaN or Inf, or
+# refused, unscaled, and the last loses its small axis to a scale shared by both
 _ANSWERS = [
     ("image_metrics-2^1000", lambda: image_metrics(np.where(_PEAKED == 1.0, 1.0 + 2.0**-40, _PEAKED), _PEAKED),
      lambda got: got == (pytest.approx(2.0**-1040 / 3, rel=1e-9), pytest.approx(20860.0 * np.log10(2.0), rel=1e-14))),
@@ -158,6 +162,10 @@ _ANSWERS = [
     ("trajectory_error-1e308",
      lambda: trajectory_error(MotionTrajectory(np.full((4, 2), 1e308)), MotionTrajectory(np.full((4, 2), -1e308))),
      lambda got: got == (0.0, 0.0)),
+    ("trajectory_error-axes-1e100-1e-100",
+     lambda: trajectory_error(MotionTrajectory(np.array([[1e100, 1e-100], [1e100, -1e-100]])),
+                              MotionTrajectory(np.zeros((2, 2)))),
+     lambda got: got == (0.0, 1e-100)),
 ]
 
 
@@ -171,13 +179,13 @@ def pgm_path(tmp_path_factory):
     return tmp_path_factory.mktemp("pgm") / "x.pgm"
 
 
-def _array(data, shape, complex_):
+def _array(data, shape, complex_, non_finite=True):
     """2^k times a random pattern of ``shape``, k in [-1000, 1000], with
-    NaN, +Inf or -Inf at up to two entries."""
+    NaN, +Inf or -Inf at up to two entries if ``non_finite``."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     pattern = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if complex_ else 0.0)
     a = pattern * 2.0 ** data.draw(st.integers(-1000, 1000))
-    for value in data.draw(st.lists(st.sampled_from([np.nan, np.inf, -np.inf]), max_size=2)):
+    for value in data.draw(st.lists(st.sampled_from([np.nan, np.inf, -np.inf]), max_size=2 * non_finite)):
         a.flat[rng.integers(a.size)] = value
     return a
 
@@ -189,6 +197,7 @@ def test_finite_values_or_value_error(pgm_path, data, complex_):
     returns finite values of the expected shape or raises ValueError."""
     image, other = _array(data, (8, 8), complex_), _array(data, (8, 8), False)
     lines, shifts = _array(data, (2, 8), complex_), _array(data, (2, 8, 2), False)
+    shifts[..., 1] = _array(data, (2, 8), False)  # an axis of its own magnitude
     budget = 2.0 ** data.draw(st.integers(-1000, 1000))
 
     def grey_levels():
@@ -213,3 +222,56 @@ def test_finite_values_or_value_error(pgm_path, data, complex_):
         if name == "image_metrics":
             finite[1] |= values[0] == 0.0  # exact agreement reports PSNR +inf
         assert np.all(finite), (name, values)
+
+
+def _sqrt(q):
+    """The square root of the non-negative Fraction ``q``, as a float (inf
+    beyond the largest), taken at a scale where the float conversion is exact
+    to rounding."""
+    if q == 0:
+        return 0.0
+    k = (q.numerator.bit_length() - q.denominator.bit_length()) // 2
+    try:
+        return math.ldexp(math.sqrt(q / Fraction(4) ** k), k)
+    except OverflowError:
+        return math.inf
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), complex_=st.booleans())
+def test_answers_match_exact_arithmetic(data, complex_):
+    """Finite magnitudes across the float range, a separate one for each
+    array and trajectory axis: image_metrics and trajectory_error agree with
+    the same formulas in exact rational arithmetic, and refuse only an
+    answer beyond the largest float."""
+    x, gt = _array(data, (8, 8), complex_, False), _array(data, (8, 8), False, False)
+    est, true = _array(data, (8, 2), False, False), _array(data, (8, 2), False, False)
+    est[:, 1], true[:, 1] = _array(data, 8, False, False), _array(data, 8, False, False)
+
+    x_mod, gt_mod = ([Fraction(v) for v in np.abs(a).ravel()] for a in (x, gt))
+    sq_err = sum((a - b) ** 2 for a, b in zip(x_mod, gt_mod))
+    rmse_rel = _sqrt(sq_err / sum(b**2 for b in gt_mod))
+    if sq_err == 0:  # x is gt: PSNR +inf
+        psnr = math.inf
+    else:  # 20 log10(peak / sqrt(sq_err / n)), exact to the rounding of each log
+        psnr = 20 * (math.log10(max(gt_mod)) - (math.log10(sq_err.numerator) - math.log10(sq_err.denominator)
+                                                 - math.log10(len(gt_mod))) / 2)
+    if rmse_rel == math.inf:
+        with pytest.raises(ValueError, match="^x is too far from gt"):
+            image_metrics(x, gt)
+    else:
+        assert image_metrics(x, gt) == (pytest.approx(rmse_rel, rel=1e-12, abs=2.0**-1000),
+                                        pytest.approx(psnr, rel=1e-12, abs=1e-9))
+
+    rms = []
+    for axis in range(2):
+        d = [Fraction(a) - Fraction(b) for a, b in zip(est[:, axis], true[:, axis])]
+        mean = sum(d) / len(d)
+        rms.append(_sqrt(sum((v - mean) ** 2 for v in d) / len(d)))
+    if math.inf in rms:
+        with pytest.raises(ValueError, match="^est and true_traj differ"):
+            trajectory_error(MotionTrajectory(est), MotionTrajectory(true))
+    else:
+        got = trajectory_error(MotionTrajectory(est), MotionTrajectory(true))
+        assert got == (pytest.approx(rms[0], rel=1e-12, abs=2.0**-1000),
+                       pytest.approx(rms[1], rel=1e-12, abs=2.0**-1000))
