@@ -107,6 +107,14 @@ def _real_array(values, name):
         raise ValueError(f"{name} must be real: {error}") from None
 
 
+def _peak(a):
+    """The largest component modulus of the contiguous float64 or complex128
+    array ``a`` (0 when it has none), NaN when it holds NaN; one pass each
+    for the largest and the smallest component."""
+    parts = a.reshape(-1).view(np.float64)
+    return np.maximum(parts.max(initial=0.0), -parts.min(initial=0.0))
+
+
 def _pow2_scaled(a, e=None, out=None):
     """(a * 2^-e, e) for a finite numeric array ``a``, as float64 or complex128,
     with e by default the exponent that puts its largest component modulus
@@ -116,11 +124,10 @@ def _pow2_scaled(a, e=None, out=None):
     bits on the result and neither overflows nor underflows at the peak; an
     overflow gives inf."""
     a = np.ascontiguousarray(a, np.complex128 if np.iscomplexobj(a) else np.float64)
-    parts = a.view(np.float64)
     if e is None:
-        e = int(np.frexp(max(parts.max(initial=0.0), -parts.min(initial=0.0)))[1])
+        e = int(np.frexp(_peak(a))[1])
     with np.errstate(over="ignore"):
-        return np.ldexp(parts, -e, out=None if out is None else out.view(np.float64)).view(a.dtype), e
+        return np.ldexp(a.view(np.float64), -e, out=None if out is None else out.view(np.float64)).view(a.dtype), e
 
 
 def require_budget(c):
@@ -195,14 +202,6 @@ class MotionBounds:
             if not np.isfinite(v) or v < 0:
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
             object.__setattr__(self, name, v)
-
-    def clamp(self, shifts):
-        """Clip an (n, 2) displacement array into the bounds, componentwise;
-        complex shifts are a ValueError."""
-        out = _real_array(shifts, "shifts")
-        out[:, 0] = np.clip(out[:, 0], -self.max_abs_x, self.max_abs_x)
-        out[:, 1] = np.clip(out[:, 1], -self.max_abs_y, self.max_abs_y)
-        return out
 
 
 @dataclass(frozen=True)

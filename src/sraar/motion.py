@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FrequencyGrid, MotionTrajectory, normalized_line_weights, require_square_image, require_type
+from .core import (FrequencyGrid, MotionTrajectory, _peak, normalized_line_weights, require_finite,
+                   require_square_image, require_type)
 from .transforms import idft2
 
 __all__ = [
@@ -49,17 +50,32 @@ def _line_ramps(a, b, n, out=None):
     return out
 
 
+def _shift_ramps(dx, dy, k_y, n, out=None):
+    """:func:`_line_ramps` of the per-line shifts (dx, dy) on lines at
+    phase-encode frequencies k_y.  Each ramp has period n in each shift, and
+    fmod is exact (the identity below n), so large shifts keep their phase.
+    """
+    return _line_ramps(np.fmod(dx, n), np.fmod(dy, n) * k_y, n, out=out)
+
+
 def apply_translation(ksp, traj):
     """Apply per-line phase ramps encoding the trajectory's translations.
 
-    The frequency grid is the centered grid of the k-space's side.
+    The frequency grid is the centered grid of the k-space's side.  NaN or
+    Inf in the k-space, or a result beyond the largest float, is a
+    ValueError naming it.
     """
     ksp = require_square_image(ksp, "k-space").astype(np.complex128, copy=False)
     require_type(traj, MotionTrajectory, "traj")
     if len(traj) != ksp.shape[0]:
         raise ValueError(f"trajectory has {len(traj)} lines, k-space has {ksp.shape[0]} rows")
     n = ksp.shape[0]
-    return ksp * _line_ramps(-traj.dx, -traj.dy * FrequencyGrid(n).coords, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = ksp * _shift_ramps(-traj.dx, -traj.dy, FrequencyGrid(n).coords, n)
+    if not np.isfinite(_peak(out)):
+        require_finite(ksp, "k-space")
+        raise ValueError("k-space is too large: its translation has values beyond the largest float")
+    return out
 
 
 def invert_translation(ksp, traj):

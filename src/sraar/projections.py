@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import (FrequencyGrid, MotionBounds, MotionTrajectory, ReconConfig, _pow2_scaled, _real, _real_array,
                    require_budget, require_finite, require_grid_size, require_square_image, require_type)
-from .motion import _line_ramps, _ramp_tables
+from .motion import _line_ramps, _ramp_tables, _shift_ramps
 from .transforms import _flip_checkerboard, _float_halves, _forward_levels, _inverse_levels, _unitary
 
 __all__ = [
@@ -70,27 +70,27 @@ def _l1_ball_threshold(moduli, c, total, buf):
 
 
 def _shrink_scale(coeffs, c, scratch):
-    """The shrink's factors max((|x| - tau) / |x|, 0), so that P1(coeffs) =
-    scale * coeffs, in the second float half of the contiguous complex
-    buffer ``scratch`` (:func:`_float_halves`), after the moduli in its
-    first; None, with the scale 1, when the moduli sum to at most c.  The
-    threshold compacts its first pass into the scale's half.
+    """(scale, total): the shrink's factors max((|x| - tau) / |x|, 0), so
+    that P1(coeffs) = scale * coeffs, in the second float half of the
+    contiguous complex buffer ``scratch`` (:func:`_float_halves`), into
+    which the threshold compacts its first pass, after the moduli in its
+    first; total is their sum, the l1 norm, and scale None (1) if total <= c.
     """
     moduli, scale = _float_halves(scratch)
     mod = np.abs(coeffs, out=moduli).ravel()
-    total = mod.sum()
+    total = float(mod.sum())
     if total <= c:
-        return None
+        return None, total
     if c == 0.0:
         scale.fill(0.0)
-        return scale
+        return scale, total
     tau = _l1_ball_threshold(mod, c, total, scale.ravel())
     # the scale is 0 for every modulus not above tau, also for the NaN of
     # 0/0 and the -inf of -tau/0
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(np.subtract(moduli, tau, out=scale), moduli, out=scale)
         np.fmax(scale, 0.0, out=scale)
-    return scale
+    return scale, total
 
 
 def project_sparse(m, c):
@@ -106,7 +106,7 @@ def project_sparse(m, c):
         budget = np.ldexp(c, -exp)
     scratch = np.empty_like(m)
     _forward_levels(coeffs, levels, scratch)
-    scale = _shrink_scale(coeffs, budget, scratch)
+    scale, _ = _shrink_scale(coeffs, budget, scratch)
     if scale is None:
         return m.copy()
     coeffs *= scale
@@ -299,6 +299,7 @@ class _Workspace:
         self.energy = np.sum(self.abs_obs**2, axis=1)
         self.k_y = FrequencyGrid(n).coords
         self.bounds = bounds
+        self.limits = np.array([bounds.max_abs_x, bounds.max_abs_y])
         self.levels = int(np.log2(n))
         self.spec = np.empty((n, n), np.complex128)
         self.scratch = np.empty_like(self.spec)
@@ -334,20 +335,22 @@ def _matched_filter_input(work):
 
 def _estimate_motion(work):
     """P2's motion estimate for the image m, given as D * m in work.spec,
-    with the observation and buffers of the workspace ``work``."""
+    with the observation and buffers of the workspace ``work``; the
+    de-meaned shifts are clipped into ``work.limits`` in place."""
     q = _matched_filter_input(work)
     shifts, scores = _estimate_lines(q, work.k_y, work.bounds, _GRID_STEP, _float_halves(work.scratch)[0])
     total = work.energy.sum()
     if total > 0:
         shifts -= (work.energy @ shifts) / total
-    return MotionEstimate(MotionTrajectory(work.bounds.clamp(shifts)), scores)
+    np.clip(shifts, -work.limits, work.limits, out=shifts)
+    return MotionEstimate(MotionTrajectory(shifts), scores)
 
 
 def _compensate(work, traj, out):
     """D times the observation of ``work`` with the motion ``traj`` undone,
     in image space, written to ``out``; the same trajectory gives the same bits."""
     # invert_translation's ramps: the negated trajectory, negated again
-    corrected = _line_ramps(traj.dx, traj.dy * work.k_y, out.shape[0], out=out)
+    corrected = _shift_ramps(traj.dx, traj.dy, work.k_y, out.shape[0], out=out)
     np.multiply(work.obs_d, corrected, out=corrected)
     return _unitary(np.fft.ifftn, corrected)
 

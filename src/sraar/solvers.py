@@ -16,11 +16,12 @@ The DFT and the translations are unitary, so the data misfit equals
 
 The full-depth Haar transform W is orthonormal, so W P1 W^T is the shrink
 of Haar coefficients onto the l1 ball, and both solvers iterate on
-coefficients.  Every step (``_steps``) runs P2, one forward pass, W of the
-P2 output (whose l1 norm the trace records), the solver's update of the
-coefficients, and one inverse pass, to the image that P2 takes next: SRAAR
-reflects, shrinks and relaxes the coefficients; ER shrinks W of the P2
-output.  Both measure the misfit between coefficients.  The shrink of
+coefficients.  Every step (``_steps``) runs P2, one forward pass to W of the
+P2 output, the solver's update of the coefficients and one inverse pass, to
+the image that P2 takes next: SRAAR reflects, shrinks and relaxes the
+coefficients; ER shrinks W of the P2 output.  Each update returns the misfit
+between coefficients and the l1 norm of W of the P2 output, which the trace
+records; ER takes it from its shrink.  The shrink of
 SRAAR's reflected coefficients r = 2 W P2 m - W m is scale * r, one factor
 per coefficient, so its update is W P2 m + theta * (scale - 1) * r, which
 needs neither W m nor the shrunk coefficients once r is formed.
@@ -126,25 +127,27 @@ def _distance(work, a, b, scale=None):
 
 
 def _shrink(work, coeffs, c, out):
-    """P1 of ``coeffs`` into ``out``; inside the ball a copy, which keeps signed zeros."""
-    scale = _shrink_scale(coeffs, c, work.scratch)
+    """P1 of ``coeffs`` into ``out``; inside the ball a copy, which keeps
+    signed zeros.  Returns the l1 norm of ``coeffs``, which the shrink sums."""
+    scale, total = _shrink_scale(coeffs, c, work.scratch)
     if scale is None:
         np.copyto(out, coeffs)
     else:
         np.multiply(coeffs, scale, out=out)
+    return total
 
 
 def _er_update(work, w, wp2, cfg):
     # w holds the P1 output that P2 just read, and takes P1 of wp2
     misfit = _distance(work, wp2, w)
-    _shrink(work, wp2, cfg.c, w)
-    return misfit
+    return misfit, _shrink(work, wp2, cfg.c, w)
 
 
 def _sraar_update(work, w, wp2, cfg):
+    l1 = _l1(work, wp2)
     # w takes the reflection r = 2 wp2 - w, and P1(r) = scale * r
     np.subtract(np.multiply(2.0, wp2, out=work.scratch), w, out=w)
-    scale = _shrink_scale(w, cfg.c, work.scratch)
+    scale, _ = _shrink_scale(w, cfg.c, work.scratch)
     if scale is None:
         scale = _float_halves(work.scratch)[1]
         scale.fill(1.0)
@@ -154,7 +157,7 @@ def _sraar_update(work, w, wp2, cfg):
     scale *= cfg.theta
     w *= scale
     w += wp2
-    return misfit
+    return misfit, l1
 
 
 def _steps(work, cfg):
@@ -165,7 +168,8 @@ def _steps(work, cfg):
     Between steps ``work.spec`` holds D * the image that P2 reads next and
     the one iterate buffer w its Haar coefficients, for ER its P1 output.
     A step runs P2 and W into spec, the solver's update of w (a module
-    global, looked up here) and the inverse pass of w into spec.
+    global, looked up here), which returns the misfit and the l1 of W of
+    the P2 output, and the inverse pass of w into spec.
     """
     update = _er_update if cfg.solver == SOLVER_ER else _sraar_update
     w = work.naive_image()
@@ -179,8 +183,7 @@ def _steps(work, cfg):
         estimate = _estimate_motion(work)
         _compensate(work, estimate.traj, work.spec)
         wp2 = _forward_levels(work.spec, work.levels, work.scratch, flipped=True)
-        l1 = _l1(work, wp2)
-        misfit = update(work, w, wp2, cfg)
+        misfit, l1 = update(work, w, wp2, cfg)
         _inverse_levels(w, work.levels, work.scratch, flipped=True, out=work.spec)
         yield estimate, misfit, l1, time.perf_counter() - start
 

@@ -15,11 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import require_count, require_numeric, require_square_image
+from .core import _peak, _pow2_scaled, require_count, require_finite, require_numeric, require_square_image
 
 __all__ = ["WaveletCoeffs", "dft2", "idft2", "haar_forward", "haar_inverse", "l1_norm"]
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
+# a DFT pass sums n terms and a Haar level doubles the approximation, so no
+# value or partial sum of either exceeds 4 n^2 times the input's peak component
+_DIRECT_LIMIT = np.finfo(np.float64).max / 4
 
 
 def _flip_checkerboard(a):
@@ -35,19 +38,41 @@ def _unitary(fft, a):
     return fft(a, norm="ortho", out=a)
 
 
-def _centered(fft, arr):
-    """Centered unitary transform of a copy of ``arr``, computed in that copy."""
-    return _flip_checkerboard(_unitary(fft, _flip_checkerboard(arr.astype(np.complex128, copy=True))))
+def _in_float_range(fn, a, name):
+    """fn(a) for a contiguous complex128 array ``a`` that fn transforms in
+    place and returns, where fn(2^k a) = 2^k fn(a) and no value or partial
+    sum of fn exceeds 4 a.size times a's peak component.  While that bound
+    lies below the largest float fn runs on ``a`` as it is, with its bits;
+    else on 2^-e a (:func:`sraar.core._pow2_scaled`), and the result is
+    scaled back, exactly where it stays normal.  NaN or Inf in ``a``, or an
+    answer beyond the largest float, is a ValueError naming ``name``.
+    """
+    peak = _peak(a)
+    if peak < _DIRECT_LIMIT / a.size:
+        return fn(a)
+    require_finite(a, name)
+    e = int(np.frexp(peak)[1])
+    _pow2_scaled(fn(_pow2_scaled(a, e, out=a)[0]), -e, out=a)
+    if not np.isfinite(_peak(a)):
+        raise ValueError(f"{name} is too large: its transform has values beyond the largest float")
+    return a
+
+
+def _centered(fft, arr, name):
+    """Centered unitary transform of a copy of ``arr``, computed in that
+    copy; ``name`` names ``arr`` in a refusal (:func:`_in_float_range`)."""
+    return _in_float_range(lambda a: _flip_checkerboard(_unitary(fft, _flip_checkerboard(a))),
+                           arr.astype(np.complex128, copy=True), name)
 
 
 def dft2(img):
     """Centered unitary 2-D DFT of a square power-of-two image."""
-    return _centered(np.fft.fftn, require_square_image(img, "image"))
+    return _centered(np.fft.fftn, require_square_image(img, "image"), "image")
 
 
 def idft2(ksp):
     """Inverse of :func:`dft2`."""
-    return _centered(np.fft.ifftn, require_square_image(ksp, "k-space"))
+    return _centered(np.fft.ifftn, require_square_image(ksp, "k-space"), "k-space")
 
 
 def _check_levels(n, levels):
@@ -158,7 +183,7 @@ def haar_forward(img, levels=None):
     run the same self-inverse 2x2 butterfly on every level.
     """
     coeffs = WaveletCoeffs(require_square_image(img, "image"), levels)
-    _forward_levels(coeffs.data, coeffs.levels)
+    _in_float_range(lambda a: _forward_levels(a, coeffs.levels), coeffs.data, "image")
     return coeffs
 
 
@@ -166,7 +191,7 @@ def haar_inverse(coeffs):
     """Invert :func:`haar_forward`; round trips are exact to float precision."""
     if not isinstance(coeffs, WaveletCoeffs):
         raise ValueError("haar_inverse expects WaveletCoeffs")
-    return _inverse_levels(coeffs.data.copy(), coeffs.levels)
+    return _in_float_range(lambda a: _inverse_levels(a, coeffs.levels), coeffs.data.copy(), "coefficients")
 
 
 def _float_halves(buf):
@@ -177,5 +202,13 @@ def _float_halves(buf):
 
 
 def l1_norm(x):
-    """Sum of complex moduli of an array or of WaveletCoeffs."""
-    return float(np.abs(x.data if isinstance(x, WaveletCoeffs) else require_numeric(x, "x")).sum())
+    """Sum of complex moduli of an array or of WaveletCoeffs.  The moduli are
+    non-negative, so the sum overflows only where the answer lies beyond the
+    largest float; that, or NaN or Inf in ``x``, is a ValueError naming x."""
+    arr = x.data if isinstance(x, WaveletCoeffs) else require_numeric(x, "x")
+    with np.errstate(over="ignore"):
+        total = float(np.abs(arr).sum())
+    if not np.isfinite(total):
+        require_finite(arr, "x")
+        raise ValueError("x is too large: its l1 norm exceeds the largest float")
+    return total

@@ -27,5 +27,5 @@ def random_complex(rng, shape):
 def shrink(coeffs, c):
     """P1 on complex Haar coefficients: the nearest point in the l1 ball of
     radius c, from the solvers' own shrink factors (None inside the ball)."""
-    scale = _shrink_scale(coeffs, c, np.empty_like(coeffs))
+    scale, _ = _shrink_scale(coeffs, c, np.empty_like(coeffs))
     return coeffs.copy() if scale is None else coeffs * scale

@@ -75,7 +75,8 @@ def dft2_form_project_fourier(m, observed, bounds):
     energy = np.sum(abs_observed**2, axis=1)
     if energy.sum() > 0:
         shifts -= (energy @ shifts) / energy.sum()
-    traj = S.MotionTrajectory(bounds.clamp(shifts))
+    limits = np.array([bounds.max_abs_x, bounds.max_abs_y])
+    traj = S.MotionTrajectory(np.clip(shifts, -limits, limits))
     return S.idft2(S.invert_translation(observed, traj)), traj, scores
 
 

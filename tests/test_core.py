@@ -83,11 +83,6 @@ class TestMotionTrajectory:
 
 
 class TestMotionBounds:
-    def test_clamp(self):
-        b = MotionBounds(1.0, 2.0)
-        out = b.clamp(np.array([[3.0, -5.0], [-0.5, 1.5]]))
-        assert np.array_equal(out, [[1.0, -2.0], [-0.5, 1.5]])
-
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             MotionBounds(-1.0, 0.0)

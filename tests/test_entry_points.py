@@ -6,9 +6,9 @@ Each case below was answered otherwise before the shared checks in
 (or reached numpy, which raised TypeError), a str or object array raised
 numpy's TypeError, also where a complex value sat in an object array of
 real values, a complex value lost its imaginary part with only a
-ComplexWarning, NaN or Inf gave NaN metrics or an all-zero image, and
-finite values whose squares or sums overflow or underflow gave NaN, Inf or
-a false refusal.
+ComplexWarning, NaN or Inf gave NaN metrics or an all-zero image, finite
+values whose squares or sums overflow or underflow gave NaN, Inf or a false
+refusal, and shifts of many grid periods lost their phase.
 """
 
 import math
@@ -26,14 +26,20 @@ from sraar import (
     MotionTrajectory,
     ReconConfig,
     TrajectoryGenConfig,
+    WaveletCoeffs,
+    apply_translation,
     corrupt,
+    dft2,
     estimate_line_shift,
     export_pgm,
     gauge_aligned,
     generate_trajectory,
     haar_forward,
+    haar_inverse,
+    idft2,
     image_metrics,
     l1_norm,
+    naive_reconstruct,
     project_sparse,
     save_array,
     shepp_logan,
@@ -50,6 +56,8 @@ _NON_FINITE = "{} contains non-finite values"
 # an 8 x 8 zero image with a 3 x 3 block of ones
 _BLOCK = np.zeros((8, 8))
 _BLOCK[2:5, 2:5] = 1.0
+# at 1.7e308 the block's DFT and Haar sums exceed the largest float
+_HUGE = 1.7e308 * _BLOCK
 
 _CASES = [
     # counts: an integer, not a bool, at least a minimum
@@ -99,8 +107,6 @@ _CASES = [
      lambda path: generate_trajectory(TrajectoryGenConfig(_BOUNDS), 4, _COMPLEX_WEIGHTS)),
     ("MotionEstimate-scores", "scores must be real",
      lambda path: MotionEstimate(_TRAJ, np.zeros(4, complex))),
-    ("MotionBounds-clamp", "shifts must be real",
-     lambda path: _BOUNDS.clamp(np.ones((2, 2)) * 1j)),
     # real values: a complex value in an object array, refused by the cast
     ("MotionTrajectory-shifts-object", "trajectory shifts must be real",
      lambda path: MotionTrajectory(np.array([[1j, 1]], dtype=object))),
@@ -129,6 +135,19 @@ _CASES = [
      lambda path: export_pgm(path / "x.pgm", np.where(_BLOCK > 0, np.nan, 0.0))),
     ("export_pgm-inf", _NON_FINITE.format("arr"),
      lambda path: export_pgm(path / "x.pgm", np.where(_BLOCK > 0, np.inf, 0.0))),
+    ("haar_inverse-nan", _NON_FINITE.format("coefficients"),
+     lambda path: haar_inverse(WaveletCoeffs(np.where(_BLOCK > 0, np.nan, 0.0), None))),
+    ("l1_norm-inf", _NON_FINITE.format("x"),
+     lambda path: l1_norm(np.where(_BLOCK > 0, np.inf, 0.0))),
+    ("apply_translation-nan", _NON_FINITE.format("k-space"),
+     lambda path: apply_translation(np.where(_BLOCK > 0, np.nan, 0.0), MotionTrajectory.zero(8))),
+    # finite values: an answer beyond the largest float is refused
+    ("dft2-1.7e308", "image is too large", lambda path: dft2(_HUGE)),
+    ("idft2-1.7e308", "k-space is too large", lambda path: idft2(_HUGE)),
+    ("naive_reconstruct-1.7e308", "k-space is too large", lambda path: naive_reconstruct(_HUGE)),
+    ("haar_forward-1.7e308", "image is too large", lambda path: haar_forward(_HUGE)),
+    ("l1_norm-1.7e308", "x is too large", lambda path: l1_norm(_HUGE)),
+    ("corrupt-1.7e308", "ground truth is too large", lambda path: corrupt(_HUGE, MotionTrajectory.zero(8))),
 ]
 
 
@@ -144,8 +163,27 @@ def test_malformed_argument_rejected_naming_it(tmp_path, message, call):
 _PEAKED = np.where(_BLOCK > 0, 2.0**1000, 0.0)
 _PEAKED[0, 0] = 1.0
 
+# a 2 x 2 block at 1e308, whose DFT and Haar coefficients fit in a float,
+# though their unscaled sums do not
+_PAIR = np.zeros((8, 8))
+_PAIR[2:4, 2:4] = 1e308
+_SPECTRUM = dft2(_BLOCK)
+
+
+def _scales(fn, a):
+    """Whether fn(a) equals 2^1000 fn(2^-1000 a), bit for bit."""
+    return lambda got: np.array_equal(got, 2.0**1000 * np.asarray(fn(2.0**-1000 * a)))
+
+
+def _spectrum(got):
+    """Whether ``got`` is _SPECTRUM to 1e-12 of its peak."""
+    return np.abs(got - _SPECTRUM).max() <= 1e-12 * np.abs(_SPECTRUM).max()
+
+
 # (id, call, the answer it must give); each but the last gave NaN or Inf, or
 # refused, unscaled, and the last loses its small axis to a scale shared by both
+# (trajectory_error-axes-1e100-1e-100); the shifts 1e17 and 1e308 are
+# multiples of 8 px, so they leave an 8 x 8 spectrum as it is
 _ANSWERS = [
     ("image_metrics-2^1000", lambda: image_metrics(np.where(_PEAKED == 1.0, 1.0 + 2.0**-40, _PEAKED), _PEAKED),
      lambda got: got == (pytest.approx(2.0**-1040 / 3, rel=1e-9), pytest.approx(20860.0 * np.log10(2.0), rel=1e-14))),
@@ -166,6 +204,18 @@ _ANSWERS = [
      lambda: trajectory_error(MotionTrajectory(np.array([[1e100, 1e-100], [1e100, -1e-100]])),
                               MotionTrajectory(np.zeros((2, 2)))),
      lambda got: got == (0.0, 1e-100)),
+    ("dft2-2x2-1e308", lambda: dft2(_PAIR), _scales(dft2, _PAIR)),
+    ("idft2-2x2-1e308", lambda: idft2(_PAIR), _scales(idft2, _PAIR)),
+    ("naive_reconstruct-2x2-1e308", lambda: naive_reconstruct(_PAIR), _scales(naive_reconstruct, _PAIR)),
+    ("corrupt-2x2-1e308", lambda: corrupt(_PAIR, MotionTrajectory.zero(8)),
+     _scales(lambda a: corrupt(a, MotionTrajectory.zero(8)), _PAIR)),
+    ("haar_forward-2x2-1e308", lambda: haar_forward(_PAIR).data, _scales(lambda a: haar_forward(a).data, _PAIR)),
+    ("haar_inverse-1.7e308", lambda: haar_inverse(WaveletCoeffs(_HUGE, None)),
+     _scales(lambda a: haar_inverse(WaveletCoeffs(a, None)), _HUGE)),
+    ("apply_translation-1e17", lambda: apply_translation(_SPECTRUM, MotionTrajectory(np.full((8, 2), 1e17))),
+     _spectrum),
+    ("apply_translation-1e308", lambda: apply_translation(_SPECTRUM, MotionTrajectory(np.full((8, 2), 1e308))),
+     lambda got: np.all(np.isfinite(got)) and _spectrum(got)),
 ]
 
 
@@ -205,6 +255,13 @@ def test_finite_values_or_value_error(pgm_path, data, complex_):
         return np.frombuffer(pgm_path.read_bytes()[-128:], ">u2")
 
     calls = {
+        "dft2": (lambda: dft2(image), (8, 8)),
+        "idft2": (lambda: idft2(image), (8, 8)),
+        "naive_reconstruct": (lambda: naive_reconstruct(image), (8, 8)),
+        "haar_forward": (lambda: haar_forward(image).data, (8, 8)),
+        "haar_inverse": (lambda: haar_inverse(WaveletCoeffs(image, None)), (8, 8)),
+        "l1_norm": (lambda: l1_norm(image), ()),
+        "apply_translation": (lambda: apply_translation(image, MotionTrajectory(shifts[0])), (8, 8)),
         "image_metrics": (lambda: image_metrics(image, other), (2,)),
         "trajectory_error": (lambda: trajectory_error(MotionTrajectory(shifts[0]), MotionTrajectory(shifts[1])),
                              (2,)),

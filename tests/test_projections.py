@@ -449,6 +449,16 @@ class TestProjectFourier:
         assert np.all(np.abs(est.traj.dy) <= bounds.max_abs_y)
         assert np.all(est.scores >= 0) and np.all(est.scores <= 1)
 
+    def test_shifts_are_clipped_per_axis(self, phantom64):
+        # de-meaning moves lines past the readout bound; each axis is
+        # clipped into its own bound
+        scenario = make_scenario(64, 3, 3.5)
+        bounds = MotionBounds(0.5, 2.0)
+        _, est = project_fourier(phantom64, scenario.observed, ReconConfig(bounds=bounds))
+        assert np.abs(est.traj.dx).max() == bounds.max_abs_x
+        assert np.all(np.abs(est.traj.dy) <= bounds.max_abs_y)
+        assert np.abs(est.traj.dy).max() > bounds.max_abs_x
+
     def test_matched_filter_input_matches_reference_chain(self, rng, phantom64):
         """q is observed * conj(reference), the reference carrying the model's
         phase and the observed moduli; the model arrives as D * image."""

@@ -54,7 +54,7 @@ def sraar_update(w, wp2, cfg):
     """The SRAAR step's new coefficients, wp2 + theta (scale - 1) r, with the
     reflection r = 2 wp2 - w and P1(r) = scale * r, in the step's arithmetic."""
     r = 2.0 * wp2 - w
-    scale = _shrink_scale(r, cfg.c, np.empty_like(r))
+    scale, _ = _shrink_scale(r, cfg.c, np.empty_like(r))
     return wp2 + cfg.theta * ((1.0 if scale is None else scale) - 1.0) * r
 
 
@@ -184,6 +184,34 @@ class TestIterationCost:
         solve(scenario.observed, cfg)
         assert per_step == [0] * cfg.iterations
         assert flips
+
+    @pytest.mark.parametrize("solver, passes", [("er", 1), ("sraar", 2)])
+    def test_moduli_passes_per_step(self, monkeypatch, solver, passes):
+        # the moduli of n x n coefficients, summed for the trace's l1 or
+        # taken by a shrink: ER's l1 of W(P2 output) is the sum its shrink of
+        # that array takes, and SRAAR shrinks its reflection instead, so it
+        # sums W(P2 output) on its own; ER's start also shrinks once
+        calls, per_step = [], []
+        for name in ("_l1", "_shrink_scale"):
+            def counted(*args, fn=getattr(solvers, name)):
+                calls.append(fn)
+                return fn(*args)
+
+            monkeypatch.setattr(solvers, name, counted)
+        run = solvers._steps
+
+        def measured(work, cfg):
+            for record in run(work, cfg):
+                per_step.append(len(calls))
+                yield record
+
+        monkeypatch.setattr(solvers, "_steps", measured)
+        scenario = make_scenario(16, 6, 1.0, solver_bound=2.0)
+        cfg = ReconConfig(solver=solver, bounds=MotionBounds(2.0, 2.0), iterations=4,
+                          c=0.5 * budget_of(naive_reconstruct(scenario.observed)))
+        SOLVES[solver](scenario.observed, cfg)
+        assert per_step[0] == passes + (solver == "er")
+        assert np.diff(per_step).tolist() == [passes] * (cfg.iterations - 1)
 
     def test_peak_memory_of_one_sraar_solve(self):
         # measured 5.11 n x n complex arrays at 256^2 (4.80 at 512^2): the
@@ -443,9 +471,9 @@ class TestSharedDriver:
 
         def recorded(work, w, wp2, cfg):
             before = (w.copy(), wp2.copy())
-            misfit = update(work, w, wp2, cfg)
+            result = update(work, w, wp2, cfg)
             updates.append((work, w, wp2, *before, w.copy()))
-            return misfit
+            return result
 
         monkeypatch.setattr(solvers, "_estimate_motion", p2_entry)
         monkeypatch.setattr(solvers, f"_{solver}_update", recorded)
