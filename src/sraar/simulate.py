@@ -16,7 +16,7 @@ from .core import (MotionBounds, MotionTrajectory, _real, normalized_line_weight
                    require_square_image, require_type)
 from .fileio import load_array
 from .motion import apply_translation
-from .transforms import _centered
+from .transforms import dft2
 
 __all__ = [
     "SHEPP_LOGAN_ELLIPSES",
@@ -172,7 +172,7 @@ def corrupt(gt, traj, noise_snr_db=None, seed=None):
     gt = require_square_image(gt, "ground truth")
     if seed is not None:
         seed = require_count(seed, "seed", 0)
-    ksp = apply_translation(_centered(np.fft.fftn, gt, "ground truth"), traj)
+    ksp = apply_translation(dft2(gt), traj)
     return ksp if noise_snr_db is None else _add_noise(ksp, noise_snr_db, seed)
 
 

@@ -20,9 +20,6 @@ from .core import _peak, _pow2_scaled, require_count, require_finite, require_nu
 __all__ = ["WaveletCoeffs", "dft2", "idft2", "haar_forward", "haar_inverse", "l1_norm"]
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
-# a DFT pass sums n terms and a Haar level doubles the approximation, so no
-# value or partial sum of either exceeds 4 n^2 times the input's peak component
-_DIRECT_LIMIT = np.finfo(np.float64).max / 4
 
 
 def _flip_checkerboard(a):
@@ -38,31 +35,33 @@ def _unitary(fft, a):
     return fft(a, norm="ortho", out=a)
 
 
-def _in_float_range(fn, a, name):
-    """fn(a) for a contiguous complex128 array ``a`` that fn transforms in
-    place and returns, where fn(2^k a) = 2^k fn(a) and no value or partial
-    sum of fn exceeds 4 a.size times a's peak component.  While that bound
-    lies below the largest float fn runs on ``a`` as it is, with its bits;
-    else on 2^-e a (:func:`sraar.core._pow2_scaled`), and the result is
-    scaled back, exactly where it stays normal.  NaN or Inf in ``a``, or an
-    answer beyond the largest float, is a ValueError naming ``name``.
+def _in_float_range(fn, a, src, name):
+    """fn(a), where ``a`` is a contiguous complex128 copy of the array
+    ``src`` that fn transforms in place and returns, and fn(2^k x) =
+    2^k fn(x).  fn runs on ``a`` as it is, so an answer that comes out
+    finite keeps its bits; an overflow leaves Inf or NaN in it.  Then fn
+    reruns on 2^-e src (:func:`sraar.core._pow2_scaled`) in ``a`` and the
+    result is scaled back.  NaN or Inf in ``src``, or an answer beyond the
+    largest float, is a ValueError naming ``name``.
     """
-    peak = _peak(a)
-    if peak < _DIRECT_LIMIT / a.size:
-        return fn(a)
-    require_finite(a, name)
-    e = int(np.frexp(peak)[1])
-    _pow2_scaled(fn(_pow2_scaled(a, e, out=a)[0]), -e, out=a)
-    if not np.isfinite(_peak(a)):
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = fn(a)
+    if np.isfinite(_peak(out)):
+        return out
+    require_finite(src, name)
+    a[...] = src
+    e = _pow2_scaled(a, out=a)[1]
+    out = _pow2_scaled(fn(a), -e, out=a)[0]
+    if not np.isfinite(_peak(out)):
         raise ValueError(f"{name} is too large: its transform has values beyond the largest float")
-    return a
+    return out
 
 
 def _centered(fft, arr, name):
     """Centered unitary transform of a copy of ``arr``, computed in that
     copy; ``name`` names ``arr`` in a refusal (:func:`_in_float_range`)."""
     return _in_float_range(lambda a: _flip_checkerboard(_unitary(fft, _flip_checkerboard(a))),
-                           arr.astype(np.complex128, copy=True), name)
+                           arr.astype(np.complex128, copy=True), arr, name)
 
 
 def dft2(img):
@@ -182,8 +181,9 @@ def haar_forward(img, levels=None):
     side.  ``levels=None`` applies the full depth log2(N).  Both directions
     run the same self-inverse 2x2 butterfly on every level.
     """
-    coeffs = WaveletCoeffs(require_square_image(img, "image"), levels)
-    _in_float_range(lambda a: _forward_levels(a, coeffs.levels), coeffs.data, "image")
+    img = require_square_image(img, "image")
+    coeffs = WaveletCoeffs(img, levels)
+    _in_float_range(lambda a: _forward_levels(a, coeffs.levels), coeffs.data, img, "image")
     return coeffs
 
 
@@ -191,7 +191,8 @@ def haar_inverse(coeffs):
     """Invert :func:`haar_forward`; round trips are exact to float precision."""
     if not isinstance(coeffs, WaveletCoeffs):
         raise ValueError("haar_inverse expects WaveletCoeffs")
-    return _in_float_range(lambda a: _inverse_levels(a, coeffs.levels), coeffs.data.copy(), "coefficients")
+    return _in_float_range(lambda a: _inverse_levels(a, coeffs.levels), coeffs.data.copy(), coeffs.data,
+                           "coefficients")
 
 
 def _float_halves(buf):

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_impls import loop_haar_forward
 
 from sraar import (
     FrequencyGrid,
@@ -147,7 +148,7 @@ _CASES = [
     ("naive_reconstruct-1.7e308", "k-space is too large", lambda path: naive_reconstruct(_HUGE)),
     ("haar_forward-1.7e308", "image is too large", lambda path: haar_forward(_HUGE)),
     ("l1_norm-1.7e308", "x is too large", lambda path: l1_norm(_HUGE)),
-    ("corrupt-1.7e308", "ground truth is too large", lambda path: corrupt(_HUGE, MotionTrajectory.zero(8))),
+    ("corrupt-1.7e308", "image is too large", lambda path: corrupt(_HUGE, MotionTrajectory.zero(8))),
 ]
 
 
@@ -168,6 +169,13 @@ _PEAKED[0, 0] = 1.0
 _PAIR = np.zeros((8, 8))
 _PAIR[2:4, 2:4] = 1e308
 _SPECTRUM = dft2(_BLOCK)
+# 1e308 and 1e-20 on opposite corners: the Haar transforms keep the small
+# corner's cell, which scaling both by the large corner's power of two flushes
+_CORNERS = np.zeros((8, 8))
+_CORNERS[0, 0], _CORNERS[7, 7] = 1e308, 1e-20
+_CORNER_CELLS = np.zeros((8, 8))
+_CORNER_CELLS[:2, :2] = 0.5e308
+_CORNER_CELLS[6:, 6:] = 0.5e-20 * np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 def _scales(fn, a):
@@ -180,10 +188,11 @@ def _spectrum(got):
     return np.abs(got - _SPECTRUM).max() <= 1e-12 * np.abs(_SPECTRUM).max()
 
 
-# (id, call, the answer it must give); each but the last gave NaN or Inf, or
-# refused, unscaled, and the last loses its small axis to a scale shared by both
-# (trajectory_error-axes-1e100-1e-100); the shifts 1e17 and 1e308 are
-# multiples of 8 px, so they leave an 8 x 8 spectrum as it is
+# (id, call, the answer it must give); each gave NaN or Inf, or refused,
+# unscaled, but trajectory_error-axes-1e100-1e-100 and the two _CORNERS cases,
+# which lose their small values to a scale shared with the large ones; the
+# shifts 1e17 and 1e308 are multiples of 8 px, so they leave an 8 x 8
+# spectrum as it is
 _ANSWERS = [
     ("image_metrics-2^1000", lambda: image_metrics(np.where(_PEAKED == 1.0, 1.0 + 2.0**-40, _PEAKED), _PEAKED),
      lambda got: got == (pytest.approx(2.0**-1040 / 3, rel=1e-9), pytest.approx(20860.0 * np.log10(2.0), rel=1e-14))),
@@ -212,6 +221,10 @@ _ANSWERS = [
     ("haar_forward-2x2-1e308", lambda: haar_forward(_PAIR).data, _scales(lambda a: haar_forward(a).data, _PAIR)),
     ("haar_inverse-1.7e308", lambda: haar_inverse(WaveletCoeffs(_HUGE, None)),
      _scales(lambda a: haar_inverse(WaveletCoeffs(a, None)), _HUGE)),
+    ("haar_forward-1e308-1e-20", lambda: haar_forward(_CORNERS).data,
+     lambda got: np.allclose(got, loop_haar_forward(_CORNERS, 3), rtol=1e-12, atol=0.0)),
+    ("haar_inverse-1e308-1e-20", lambda: haar_inverse(WaveletCoeffs(_CORNERS, 1)),
+     lambda got: np.allclose(got, _CORNER_CELLS, rtol=1e-12, atol=0.0)),
     ("apply_translation-1e17", lambda: apply_translation(_SPECTRUM, MotionTrajectory(np.full((8, 2), 1e17))),
      _spectrum),
     ("apply_translation-1e308", lambda: apply_translation(_SPECTRUM, MotionTrajectory(np.full((8, 2), 1e308))),
