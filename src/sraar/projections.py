@@ -260,10 +260,12 @@ class MotionEstimate:
 
 # an observation's peak modulus lies in [2^-this, 2^this / n] (see _Workspace)
 _PEAK_EXPONENT = 480
+# spare complex entries at the end of each row of the workspace's FFT view
+_FFT_PAD = 4
 
 
 class _Workspace:
-    """What P2 derives from one observation, plus the n x n buffers that a
+    """What P2 derives from one observation, plus the buffers that a
     solve's phases share; :func:`sraar.solvers._solve` builds the one
     workspace of each solve, whatever its number of budgets.  The iterate's
     Haar coefficients are the driver's (:func:`sraar.solvers._steps`).
@@ -280,6 +282,19 @@ class _Workspace:
     pair sums, the shrink's moduli and scale, and the moduli of the l1 norm
     and the squared difference of the misfit; it also serves as two n x n
     float arrays (:func:`_float_halves`).
+
+    ``scratch`` and ``fft`` are two views of one allocation of n rows of
+    n + 4 complex entries: ``scratch`` is the contiguous n x n view on its
+    first n^2 entries, ``fft`` the first n entries of each row.  Every FFT
+    of a solve runs in ``fft``: the matched filter's, the compensation's and
+    :meth:`naive_image`'s.  An FFT's column pass steps through memory by
+    the row stride, and a power-of-two stride (8 KB at 512^2) maps a
+    column's entries to the same few cache sets, so that a 512^2 FFT takes
+    about twice as long in place in a contiguous array as in ``fft``, whose
+    stride is (n + 4) * 16 bytes; the bits are the same.  ``fft`` overlaps
+    ``scratch``, so it is free wherever ``scratch`` is: each of the three
+    runs its FFT first and moves the result out of ``fft`` before it uses
+    ``scratch`` or returns.
 
     The peak modulus p of a nonzero observation must lie in [2^-480,
     2^480 / n]: a solve squares moduli in q = |obs|^2 e^(i phase), in the
@@ -302,11 +317,14 @@ class _Workspace:
         self.limits = np.array([bounds.max_abs_x, bounds.max_abs_y])
         self.levels = int(np.log2(n))
         self.spec = np.empty((n, n), np.complex128)
-        self.scratch = np.empty_like(self.spec)
+        rows = np.empty((n, n + _FFT_PAD), np.complex128)
+        self.scratch = rows.reshape(-1)[: n * n].reshape(n, n)
+        self.fft = rows[:, :n]
 
     def naive_image(self):
-        """D * idft2 of the observation, in a new array."""
-        return _unitary(np.fft.ifftn, self.obs_d.copy())
+        """D * idft2 of the observation, transformed in the FFT view and
+        returned as a new contiguous array."""
+        return _unitary(np.fft.ifftn, self.obs_d, out=self.fft).copy()
 
 
 def _matched_filter_input(work):
@@ -318,10 +336,11 @@ def _matched_filter_input(work):
     spectrum has the observed moduli and only its phase is unknown: the
     model supplies that phase (amplitude replacement, as in Fienup, Appl.
     Opt. 21 (1982)).  Frequencies where the model vanishes have no phase
-    and give q = 0.
+    and give q = 0.  The FFT of spec goes into work.fft, and its conjugate
+    back into spec.
     """
     spec = work.spec
-    np.conjugate(_unitary(np.fft.fftn, spec), out=spec)
+    np.conjugate(_unitary(np.fft.fftn, spec, out=work.fft), out=spec)
     ratio, rest = _float_halves(work.scratch)
     np.abs(spec, out=ratio)
     # the "model != 0" mask takes the bytes of the float half the ratio leaves free
@@ -348,11 +367,14 @@ def _estimate_motion(work):
 
 def _compensate(work, traj, out):
     """D times the observation of ``work`` with the motion ``traj`` undone,
-    in image space, written to ``out``; the same trajectory gives the same bits."""
+    in image space, written to ``out``; the same trajectory gives the same
+    bits.  The ramps go into ``out``, their product with the observation
+    into work.fft, where the inverse FFT runs, and the image back into ``out``."""
     # invert_translation's ramps: the negated trajectory, negated again
-    corrected = _shift_ramps(traj.dx, traj.dy, work.k_y, out.shape[0], out=out)
-    np.multiply(work.obs_d, corrected, out=corrected)
-    return _unitary(np.fft.ifftn, corrected)
+    ramps = _shift_ramps(traj.dx, traj.dy, work.k_y, out.shape[0], out=out)
+    corrected = np.multiply(work.obs_d, ramps, out=work.fft)
+    np.copyto(out, _unitary(np.fft.ifftn, corrected))
+    return out
 
 
 def project_fourier(m, observed, cfg):

@@ -29,10 +29,11 @@ def _flip_checkerboard(a):
     return a
 
 
-def _unitary(fft, a):
-    """Unitary ``fft`` (np.fft.fftn or ifftn) of the writable complex array ``a``, in place."""
+def _unitary(fft, a, out=None):
+    """Unitary ``fft`` (np.fft.fftn or ifftn) of the complex array ``a``,
+    into the complex array ``out``, or in place in ``a`` when it is None."""
     # fftn and ifftn honour out=; numpy's ifft2 drops it
-    return fft(a, norm="ortho", out=a)
+    return fft(a, norm="ortho", out=a if out is None else out)
 
 
 def _in_float_range(fn, a, src, name):
@@ -205,8 +206,12 @@ def _float_halves(buf):
 def l1_norm(x):
     """Sum of complex moduli of an array or of WaveletCoeffs.  The moduli are
     non-negative, so the sum overflows only where the answer lies beyond the
-    largest float; that, or NaN or Inf in ``x``, is a ValueError naming x."""
+    largest float; that, or NaN or Inf in ``x``, is a ValueError naming x.
+    Integer and bool arrays are summed as float64, where neither the
+    modulus of the smallest integer nor the sum wraps."""
     arr = x.data if isinstance(x, WaveletCoeffs) else require_numeric(x, "x")
+    if arr.dtype.kind in "biu":
+        arr = arr.astype(np.float64)
     with np.errstate(over="ignore"):
         total = float(np.abs(arr).sum())
     if not np.isfinite(total):

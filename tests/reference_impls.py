@@ -62,9 +62,15 @@ def direct_translation(ksp, traj):
 
 
 def dft2_form_project_fourier(m, observed, bounds):
-    """P2 through the public dft2, idft2 and invert_translation, each on a
-    fresh array; the line estimator is the package's.  Returns (image,
-    trajectory, scores)."""
+    """P2 through the public dft2 and idft2, each on a fresh array, with
+    the observation multiplied by invert_translation's ramps; the line
+    estimator is the package's.  Returns (image, trajectory, scores).
+
+    The ramps are taken as invert_translation of ones, which is exact, and
+    multiplied in the order observed * ramps: from 256 KiB up numpy
+    evaluates invert_translation's ``ksp * ramps`` in place in the
+    temporary ramps, as ramps * ksp, and with fused multiply-adds the two
+    orders round the imaginary parts apart."""
     observed = np.asarray(observed, dtype=complex)
     abs_observed = np.abs(observed)
     model = S.dft2(m)
@@ -77,7 +83,8 @@ def dft2_form_project_fourier(m, observed, bounds):
         shifts -= (energy @ shifts) / energy.sum()
     limits = np.array([bounds.max_abs_x, bounds.max_abs_y])
     traj = S.MotionTrajectory(np.clip(shifts, -limits, limits))
-    return S.idft2(S.invert_translation(observed, traj)), traj, scores
+    ramps = S.invert_translation(np.ones_like(observed), traj)
+    return S.idft2(observed * ramps), traj, scores
 
 
 def loop_haar_forward(img, levels):

@@ -8,7 +8,8 @@ numpy's TypeError, also where a complex value sat in an object array of
 real values, a complex value lost its imaginary part with only a
 ComplexWarning, NaN or Inf gave NaN metrics or an all-zero image, finite
 values whose squares or sums overflow or underflow gave NaN, Inf or a false
-refusal, and shifts of many grid periods lost their phase.
+refusal, shifts of many grid periods lost their phase, and integer sums
+wrapped to 0.
 """
 
 import math
@@ -59,6 +60,10 @@ _BLOCK = np.zeros((8, 8))
 _BLOCK[2:5, 2:5] = 1.0
 # at 1.7e308 the block's DFT and Haar sums exceed the largest float
 _HUGE = 1.7e308 * _BLOCK
+# a 2 x 2 block at 1e308, whose DFT and Haar coefficients fit in a float,
+# though their unscaled sums do not
+_PAIR = np.zeros((8, 8))
+_PAIR[2:4, 2:4] = 1e308
 
 _CASES = [
     # counts: an integer, not a bool, at least a minimum
@@ -149,6 +154,9 @@ _CASES = [
     ("haar_forward-1.7e308", "image is too large", lambda path: haar_forward(_HUGE)),
     ("l1_norm-1.7e308", "x is too large", lambda path: l1_norm(_HUGE)),
     ("corrupt-1.7e308", "image is too large", lambda path: corrupt(_HUGE, MotionTrajectory.zero(8))),
+    # a finite noise level whose noise, added to the k-space, exceeds the largest float
+    ("corrupt-2x2-1e308--15dB", "k-space is too large",
+     lambda path: corrupt(_PAIR, MotionTrajectory.zero(8), noise_snr_db=-15.0, seed=0)),
 ]
 
 
@@ -164,10 +172,6 @@ def test_malformed_argument_rejected_naming_it(tmp_path, message, call):
 _PEAKED = np.where(_BLOCK > 0, 2.0**1000, 0.0)
 _PEAKED[0, 0] = 1.0
 
-# a 2 x 2 block at 1e308, whose DFT and Haar coefficients fit in a float,
-# though their unscaled sums do not
-_PAIR = np.zeros((8, 8))
-_PAIR[2:4, 2:4] = 1e308
 _SPECTRUM = dft2(_BLOCK)
 # 1e308 and 1e-20 on opposite corners: the Haar transforms keep the small
 # corner's cell, which scaling both by the large corner's power of two flushes
@@ -190,9 +194,9 @@ def _spectrum(got):
 
 # (id, call, the answer it must give); each gave NaN or Inf, or refused,
 # unscaled, but trajectory_error-axes-1e100-1e-100 and the two _CORNERS cases,
-# which lose their small values to a scale shared with the large ones; the
-# shifts 1e17 and 1e308 are multiples of 8 px, so they leave an 8 x 8
-# spectrum as it is
+# which lose their small values to a scale shared with the large ones, and
+# the two int64 l1 norms, whose moduli and sum wrapped to 0; the shifts 1e17
+# and 1e308 are multiples of 8 px, so they leave an 8 x 8 spectrum as it is
 _ANSWERS = [
     ("image_metrics-2^1000", lambda: image_metrics(np.where(_PEAKED == 1.0, 1.0 + 2.0**-40, _PEAKED), _PEAKED),
      lambda got: got == (pytest.approx(2.0**-1040 / 3, rel=1e-9), pytest.approx(20860.0 * np.log10(2.0), rel=1e-14))),
@@ -218,6 +222,9 @@ _ANSWERS = [
     ("naive_reconstruct-2x2-1e308", lambda: naive_reconstruct(_PAIR), _scales(naive_reconstruct, _PAIR)),
     ("corrupt-2x2-1e308", lambda: corrupt(_PAIR, MotionTrajectory.zero(8)),
      _scales(lambda a: corrupt(a, MotionTrajectory.zero(8)), _PAIR)),
+    ("corrupt-2x2-1e308-20dB", lambda: corrupt(_PAIR, MotionTrajectory.zero(8), noise_snr_db=20.0, seed=0),
+     lambda got: np.all(np.isfinite(got))
+     and _scales(lambda a: corrupt(a, MotionTrajectory.zero(8), noise_snr_db=20.0, seed=0), _PAIR)(got)),
     ("haar_forward-2x2-1e308", lambda: haar_forward(_PAIR).data, _scales(lambda a: haar_forward(a).data, _PAIR)),
     ("haar_inverse-1.7e308", lambda: haar_inverse(WaveletCoeffs(_HUGE, None)),
      _scales(lambda a: haar_inverse(WaveletCoeffs(a, None)), _HUGE)),
@@ -229,6 +236,8 @@ _ANSWERS = [
      _spectrum),
     ("apply_translation-1e308", lambda: apply_translation(_SPECTRUM, MotionTrajectory(np.full((8, 2), 1e308))),
      lambda got: np.all(np.isfinite(got)) and _spectrum(got)),
+    ("l1_norm-int64-2^62", lambda: l1_norm(np.full((4, 4), 2**62, dtype=np.int64)), lambda got: got == 2.0**66),
+    ("l1_norm-int64-min", lambda: l1_norm(np.full((4, 4), -2**63, dtype=np.int64)), lambda got: got == 2.0**67),
 ]
 
 

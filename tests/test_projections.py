@@ -386,13 +386,18 @@ class TestMotionEstimate:
     bound_y=st.floats(0.0, 6.0),
     image=st.sampled_from(["complex", "real", "constant", "zero"]),
 )
+@example(log2_size=8, seed=1, bound_x=5.0, bound_y=5.0, image="complex")
+@example(log2_size=9, seed=2, bound_x=1.0, bound_y=1.0, image="real")
 def test_workspace_p2_is_bit_identical_to_the_dft2_form(log2_size, seed, bound_x, bound_y, image):
-    """P2 on a workspace whose scratch holds NaN leftovers, whose bytes also
-    read as an all-True mask, equals, bit for bit, P2 through dft2, idft2
-    and invert_translation on fresh arrays, and so does the public
-    project_fourier: the flipped observation and the workspace's D * m in
-    and D * P2 out only move exact sign flips.  A constant image's spectrum
-    vanishes off DC and a zero image's everywhere, where q must be 0."""
+    """P2 on a workspace whose scratch and FFT view hold NaN leftovers,
+    whose bytes also read as an all-True mask, equals, bit for bit, P2
+    through dft2 and idft2 on fresh arrays, with the observation multiplied
+    by invert_translation's ramps, and so does the public project_fourier:
+    the flipped observation and the workspace's D * m in and D * P2 out
+    only move exact sign flips.  A constant image's spectrum vanishes off
+    DC and a zero image's everywhere, where q must be 0.  The examples at
+    256^2 and 512^2 run the FFTs at sizes where the FFT view's padded rows
+    change their speed."""
     n = 2**log2_size
     rng = np.random.default_rng(seed)
     observed = random_complex(rng, (n, n))
@@ -402,6 +407,7 @@ def test_workspace_p2_is_bit_identical_to_the_dft2_form(log2_size, seed, bound_x
     work, out = _Workspace(observed, bounds), np.full((n, n), np.nan + 0j)
     # all-ones bytes: every float a NaN, every bool True
     work.scratch.view(np.uint8).fill(0xFF)
+    work.fft.view(np.uint8).fill(0xFF)
     np.copyto(work.spec, _flip_checkerboard(np.array(m, np.complex128)))
     estimate = _estimate_motion(work)
     got = _flip_checkerboard(_compensate(work, estimate.traj, out))
@@ -411,6 +417,16 @@ def test_workspace_p2_is_bit_identical_to_the_dft2_form(log2_size, seed, bound_x
         assert np.array_equal(image_, want)
         assert np.array_equal(estimate_.traj.shifts, traj.shifts)
         assert np.array_equal(estimate_.scores, scores)
+
+
+def test_workspace_naive_image_is_bit_identical_to_idft2():
+    """The naive image, transformed in the workspace's FFT view, is D times
+    idft2 of the observation bit for bit, at a side where the view's padded
+    rows change the FFT's speed, and comes back as a contiguous array."""
+    observed = random_complex(np.random.default_rng(5), (512, 512))
+    got = _Workspace(observed, MotionBounds(1.0, 1.0)).naive_image()
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, _flip_checkerboard(idft2(observed)))
 
 
 class TestProjectFourier:

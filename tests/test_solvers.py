@@ -185,6 +185,33 @@ class TestIterationCost:
         assert per_step == [0] * cfg.iterations
         assert flips
 
+    @pytest.mark.parametrize("solver", ["er", "sraar"])
+    def test_every_fft_runs_in_the_padded_view(self, monkeypatch, solver):
+        # a row stride of a power of two maps an FFT's columns to a few
+        # cache sets; the workspace's FFT view, inside its scratch, has
+        # padded rows, and every FFT of a solve writes into it: the naive
+        # image's inverse FFT, and each step's matched filter and compensation
+        outs = {"fftn": [], "ifftn": []}
+        for name, calls in outs.items():
+            def counted(a, *args, fn=getattr(np.fft, name), calls=calls, **kwargs):
+                calls.append(kwargs.get("out"))
+                return fn(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        scenario = make_scenario(16, 6, 1.0, solver_bound=2.0)
+        cfg = ReconConfig(solver=solver, bounds=MotionBounds(2.0, 2.0), iterations=4,
+                          c=0.5 * budget_of(naive_reconstruct(scenario.observed)))
+        work = _Workspace(scenario.observed, cfg.bounds)
+        for calls in outs.values():  # the scenario's and naive_reconstruct's
+            calls.clear()
+        assert len(list(solvers._steps(work, cfg))) == cfg.iterations
+        assert np.shares_memory(work.fft, work.scratch)
+        stride = work.fft.strides[0]
+        assert stride & (stride - 1)
+        assert len(outs["fftn"]) == cfg.iterations
+        assert len(outs["ifftn"]) == cfg.iterations + 1
+        assert all(out is work.fft for calls in outs.values() for out in calls)
+
     @pytest.mark.parametrize("solver, passes", [("er", 1), ("sraar", 2)])
     def test_moduli_passes_per_step(self, monkeypatch, solver, passes):
         # the moduli of n x n coefficients, summed for the trace's l1 or
