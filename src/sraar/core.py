@@ -22,6 +22,7 @@ __all__ = [
     "require_count",
     "require_finite",
     "require_grid_size",
+    "require_in_range",
     "require_numeric",
     "require_square_image",
     "require_type",
@@ -108,26 +109,44 @@ def _real_array(values, name):
 
 
 def _peak(a):
-    """The largest component modulus of the contiguous float64 or complex128
-    array ``a`` (0 when it has none), NaN when it holds NaN; one pass each
-    for the largest and the smallest component."""
-    parts = a.reshape(-1).view(np.float64)
+    """The largest modulus of a real or imaginary component of the float or
+    complex array ``a`` (0 when it has none), NaN when it holds NaN; one
+    pass each for the largest and the smallest component."""
+    parts = np.ravel(a, order="K").view(a.real.dtype)
     return np.maximum(parts.max(initial=0.0), -parts.min(initial=0.0))
 
 
-def _pow2_scaled(a, e=None, out=None):
-    """(a * 2^-e, e) for a finite numeric array ``a``, as float64 or complex128,
-    with e by default the exponent that puts its largest component modulus
-    in [0.5, 1) (0 when it has none), written to ``out`` (which may be
-    ``a``) when given.  Each component is scaled by ldexp, exactly unless it
-    leaves the normal range, so arithmetic that scales with ``a`` keeps its
-    bits on the result and neither overflows nor underflows at the peak; an
-    overflow gives inf."""
-    a = np.ascontiguousarray(a, np.complex128 if np.iscomplexobj(a) else np.float64)
-    if e is None:
-        e = int(np.frexp(_peak(a))[1])
-    with np.errstate(over="ignore"):
-        return np.ldexp(a.view(np.float64), -e, out=None if out is None else out.view(np.float64)).view(a.dtype), e
+# a nonzero peak modulus lies in [2^-this, 2^this / n] (see require_in_range)
+_PEAK_EXPONENT = 480
+
+
+def require_in_range(arr, name, transformed=False):
+    """Refuse a numeric array that holds NaN or Inf, or whose nonzero peak
+    modulus p (:func:`_peak`) lies outside [2^-480, 2^480 / n], with n its
+    longest axis (an image's side, a line's length); return it as float64
+    or complex128.  There a sum of n^2 squared moduli is at most
+    2 (n p)^2 <= 2^961, about 2^60 below the largest float, and the squares
+    of values down to 2^-31 p stay normal.  ``transformed`` widens the range
+    to [2^-481 / n, 2^481] for k-space and coefficients that are only
+    transformed, translated or summed: the DFT and the Haar transform are
+    orthonormal, so they keep the peak of an array in range within a factor
+    sqrt(2) n, inside the wider range.  Every float32 value, and so every
+    ``.srr`` array, lies in both ranges.
+    """
+    a = require_numeric(arr, name)
+    a = a.astype(np.complex128 if a.dtype.kind == "c" else np.float64, copy=False)
+    peak = _peak(a)
+    if not np.isfinite(peak):
+        raise ValueError(f"{name} contains non-finite values (NaN or Inf)")
+    if peak:
+        n = max(a.shape, default=1)
+        low, high = 2.0**-_PEAK_EXPONENT, 2.0**_PEAK_EXPONENT / n
+        if transformed:
+            low, high = low / (2 * n), high * (2 * n)
+        if not low <= peak <= high:
+            raise ValueError(f"{name} has peak modulus {peak:.3g}, outside [{low:.3g}, {high:.3g}] for n = {n}, "
+                             f"where its sums neither overflow nor underflow; rescale it")
+    return a
 
 
 def require_budget(c):
@@ -189,9 +208,23 @@ class FrequencyGrid:
         return self.size // 2
 
 
+# the largest shift a trajectory holds, in pixels: differences of two
+# shifts and their squares stay far inside the float range
+_MAX_SHIFT = 2.0**30
+
+
+def _bounded_shifts(shifts, what):
+    """``shifts`` if none exceeds _MAX_SHIFT px in magnitude, else a ValueError naming ``what``."""
+    peak = np.abs(shifts).max()
+    if peak > _MAX_SHIFT:
+        raise ValueError(f"{what} must not exceed {_MAX_SHIFT:.0f} px in magnitude, got {peak:g} px")
+    return shifts
+
+
 @dataclass(frozen=True)
 class MotionBounds:
-    """Symmetric per-axis search bounds, in pixels: |beta_x| <= max_abs_x."""
+    """Symmetric per-axis search bounds, in pixels: |beta_x| <= max_abs_x,
+    each bound at most 2^30 px, the largest shift a trajectory holds."""
 
     max_abs_x: float
     max_abs_y: float
@@ -201,7 +234,7 @@ class MotionBounds:
             v = _real(getattr(self, name), name)
             if not np.isfinite(v) or v < 0:
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, _bounded_shifts(v, name))
 
 
 @dataclass(frozen=True)
@@ -209,7 +242,8 @@ class MotionTrajectory:
     """Per-readout-line translations, one (beta_x, beta_y) pair per line.
 
     ``shifts`` has shape (n_lines, 2) with column 0 the readout-axis shift
-    beta_x and column 1 the phase-encode shift beta_y, both in pixels.
+    beta_x and column 1 the phase-encode shift beta_y, both in pixels, each
+    at most 2^30 px in magnitude.
     """
 
     shifts: np.ndarray
@@ -222,6 +256,7 @@ class MotionTrajectory:
             raise ValueError("trajectory needs at least one line")
         if not np.all(np.isfinite(arr)):
             raise ValueError("trajectory entries must be finite")
+        _bounded_shifts(arr, "trajectory shifts")
         arr.setflags(write=False)
         object.__setattr__(self, "shifts", arr)
 
@@ -250,7 +285,7 @@ class MotionTrajectory:
     def __add__(self, other):
         if len(other) != len(self):
             raise ValueError("trajectory lengths differ")
-        return MotionTrajectory(self.shifts + other.shifts)
+        return MotionTrajectory(_bounded_shifts(self.shifts + other.shifts, "the sum of the trajectories' shifts"))
 
 
 @dataclass(frozen=True)

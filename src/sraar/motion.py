@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (FrequencyGrid, MotionTrajectory, _peak, normalized_line_weights, require_finite,
+from .core import (FrequencyGrid, MotionTrajectory, _bounded_shifts, normalized_line_weights, require_in_range,
                    require_square_image, require_type)
 from .transforms import idft2
 
@@ -61,21 +61,20 @@ def _shift_ramps(dx, dy, k_y, n, out=None):
 def apply_translation(ksp, traj):
     """Apply per-line phase ramps encoding the trajectory's translations.
 
-    The frequency grid is the centered grid of the k-space's side.  NaN or
-    Inf in the k-space, or a result beyond the largest float, is a
-    ValueError naming it.
+    The frequency grid is the centered grid of the k-space's side.  The
+    k-space lies in the ``transformed`` range of
+    :func:`sraar.core.require_in_range`, which holds the DFT of every image
+    :func:`sraar.transforms.dft2` takes.
     """
-    ksp = require_square_image(ksp, "k-space").astype(np.complex128, copy=False)
+    ksp = require_in_range(require_square_image(ksp, "k-space"), "k-space", True)
     require_type(traj, MotionTrajectory, "traj")
-    if len(traj) != ksp.shape[0]:
-        raise ValueError(f"trajectory has {len(traj)} lines, k-space has {ksp.shape[0]} rows")
     n = ksp.shape[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = ksp * _shift_ramps(-traj.dx, -traj.dy, FrequencyGrid(n).coords, n)
-    if not np.isfinite(_peak(out)):
-        require_finite(ksp, "k-space")
-        raise ValueError("k-space is too large: its translation has values beyond the largest float")
-    return out
+    if len(traj) != n:
+        raise ValueError(f"trajectory has {len(traj)} lines, k-space has {n} rows")
+    ramps = _shift_ramps(-traj.dx, -traj.dy, FrequencyGrid(n).coords, n)
+    # ramps first at every size: with fused multiply-adds the imaginary
+    # parts of the two operand orders can round apart
+    return np.multiply(ramps, ksp, out=ramps)
 
 
 def invert_translation(ksp, traj):
@@ -128,7 +127,8 @@ def gauge_aligned(traj, grid, weights=None):
     require_type(grid, FrequencyGrid, "grid")
     max_rounds = int(grid.size * np.abs(grid.coords).sum()) + 2
     w = normalized_line_weights(weights, len(traj))
-    aligned = fold_trajectory(MotionTrajectory.from_components(traj.dx - w @ traj.dx, traj.dy), grid)
+    dx = _bounded_shifts(traj.dx - w @ traj.dx, "the de-meaned readout shifts")
+    aligned = fold_trajectory(MotionTrajectory.from_components(dx, traj.dy), grid)
     # folding pins the DC line's beta_y to 0, so only the other lines' weight
     # can absorb a shift of the mean
     free = w[grid.coords != 0.0].sum()

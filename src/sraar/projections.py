@@ -20,8 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (FrequencyGrid, MotionBounds, MotionTrajectory, ReconConfig, _pow2_scaled, _real, _real_array,
-                   require_budget, require_finite, require_grid_size, require_square_image, require_type)
+from .core import (FrequencyGrid, MotionBounds, MotionTrajectory, ReconConfig, _real, _real_array, require_budget,
+                   require_grid_size, require_in_range, require_square_image, require_type)
 from .motion import _line_ramps, _ramp_tables, _shift_ramps
 from .transforms import _flip_checkerboard, _float_halves, _forward_levels, _inverse_levels, _unitary
 
@@ -94,27 +94,19 @@ def _shrink_scale(coeffs, c, scratch):
 
 
 def project_sparse(m, c):
-    """Project an image onto {m : ||haar(m)||_1 <= c} (full-depth Haar), preserving phases."""
-    m = require_finite(require_square_image(m, "image"), "image").astype(np.complex128, copy=False)
+    """Project an image onto {m : ||haar(m)||_1 <= c} (full-depth Haar), preserving phases.
+
+    The image lies in the range of :func:`sraar.core.require_in_range`."""
+    m = require_in_range(require_square_image(m, "image"), "image").astype(np.complex128, copy=False)
     c = require_budget(c)
     levels = int(np.log2(m.shape[0]))
-    # P1 at c of 2^e m is 2^e P1 at c / 2^e of m, and 2^-e m has a peak below
-    # 1, so that no Haar sum or l1 overflows; a c / 2^e beyond the largest
-    # float is inf, above every l1
-    coeffs, exp = _pow2_scaled(m)
-    with np.errstate(over="ignore"):
-        budget = np.ldexp(c, -exp)
     scratch = np.empty_like(m)
-    _forward_levels(coeffs, levels, scratch)
-    scale, _ = _shrink_scale(coeffs, budget, scratch)
+    coeffs = _forward_levels(m.copy(), levels, scratch)
+    scale, _ = _shrink_scale(coeffs, c, scratch)
     if scale is None:
         return m.copy()
     coeffs *= scale
-    out = _inverse_levels(coeffs, levels, scratch)
-    _pow2_scaled(out, -exp, out=out)
-    if not np.all(np.isfinite(out)):
-        raise ValueError(f"the projection of image at c={c:g} has moduli beyond the largest float")
-    return out
+    return _inverse_levels(coeffs, levels, scratch)
 
 
 # coarse readout-shift search step in pixels; quadratic refinement goes below it
@@ -133,9 +125,6 @@ def _axis_points(bound, step):
     The pad points sit outside the bound and are only ever used as parabola
     neighbours, so refinement works at the edge of the search range.
     """
-    # beyond this (inf included) the point count has no array index
-    if not bound / step < np.iinfo(np.intp).max / 4:
-        raise ValueError(f"max_abs_x={bound:g} px is too large for a {step:g} px readout-shift search grid")
     n = int(np.ceil(bound / step - 1e-12)) if bound > 0 else 0
     pts = step * np.arange(-(n + 1), n + 2)
     inner = np.abs(pts) <= bound + 1e-12
@@ -220,10 +209,11 @@ def estimate_line_shift(observed_line, reference_line, k_y, bounds):
     The two lines must be 1-D of equal length n; the readout frequencies
     are those of ``FrequencyGrid(n)``.  beta_x is searched on the same
     quarter-pixel grid as :func:`project_fourier` uses.  Zero-energy lines
-    return (0, 0) with score 0.
+    return (0, 0) with score 0.  Each line lies in the range of
+    :func:`sraar.core.require_in_range`.
     """
-    obs = require_finite(np.asarray(observed_line, dtype=np.complex128), "observed line")
-    ref = require_finite(np.asarray(reference_line, dtype=np.complex128), "reference line")
+    obs = require_in_range(observed_line, "observed line").astype(np.complex128, copy=False)
+    ref = require_in_range(reference_line, "reference line").astype(np.complex128, copy=False)
     for name, line in (("observed line", obs), ("reference line", ref)):
         if line.ndim != 1:
             raise ValueError(f"{name} must be 1-D, got shape {line.shape}")
@@ -234,9 +224,7 @@ def estimate_line_shift(observed_line, reference_line, k_y, bounds):
     if not np.isfinite(k_y):
         raise ValueError(f"k_y must be finite, got {k_y}")
     require_type(bounds, MotionBounds, "bounds")
-    # shifts and score do not change with the scale of either line: scaled
-    # by powers of two, q's moduli stay below 2 and its sums cannot overflow
-    q = _pow2_scaled(obs)[0] * np.conj(_pow2_scaled(ref)[0])
+    q = obs * np.conj(ref)
     shifts, scores = _estimate_lines(q[None, :], np.array([k_y]), bounds, _GRID_STEP)
     return LineShiftEstimate(float(shifts[0, 0]), float(shifts[0, 1]), float(scores[0]))
 
@@ -258,8 +246,6 @@ class MotionEstimate:
         object.__setattr__(self, "scores", scores)
 
 
-# an observation's peak modulus lies in [2^-this, 2^this / n] (see _Workspace)
-_PEAK_EXPONENT = 480
 # spare complex entries at the end of each row of the workspace's FFT view
 _FFT_PAD = 4
 
@@ -296,21 +282,17 @@ class _Workspace:
     runs its FFT first and moves the result out of ``fft`` before it uses
     ``scratch`` or returns.
 
-    The peak modulus p of a nonzero observation must lie in [2^-480,
-    2^480 / n]: a solve squares moduli in q = |obs|^2 e^(i phase), in the
-    line energies and in the misfit, and sums up to 2 n^2 such squares.
-    The sums are at most a few (n p)^2 <= 2^962, about 2^60 below overflow,
-    and the squares of samples down to 2^-31 p stay normal floats.
+    The observation lies in the range of :func:`sraar.core.require_in_range`:
+    a solve squares moduli in q = |obs|^2 e^(i phase), in the line energies
+    and in the misfit, and sums up to 2 n^2 such squares, so its sums stay
+    about 2^60 below overflow and its squares normal.
     """
 
     def __init__(self, observed, bounds):
         n = observed.shape[0]
+        observed = require_in_range(observed, "observed k-space")
         self.obs_d = _flip_checkerboard(observed.astype(np.complex128, copy=True))
         self.abs_obs = np.abs(self.obs_d)
-        peak, low, high = self.abs_obs.max(), 2.0**-_PEAK_EXPONENT, 2.0**_PEAK_EXPONENT / n
-        if peak and not low <= peak <= high:
-            raise ValueError(f"observed k-space has peak modulus {peak:.3g}, outside [{low:.3g}, {high:.3g}] "
-                             f"for side {n}, where its squares neither overflow nor underflow; rescale it")
         self.energy = np.sum(self.abs_obs**2, axis=1)
         self.k_y = FrequencyGrid(n).coords
         self.bounds = bounds
@@ -386,10 +368,11 @@ def project_fourier(m, observed, cfg):
     mean displacement (the unidentifiable global-shift gauge), clamps into
     bounds, and returns the observation with the estimated motion undone,
     back in image space, together with the motion estimate.  Frequencies
-    come from the centered grid of the data's side.
+    come from the centered grid of the data's side.  The image and the
+    observation lie in the range of :func:`sraar.core.require_in_range`.
     """
-    m = require_finite(require_square_image(m, "image"), "image")
-    observed = require_finite(require_square_image(observed, "observed k-space"), "observed k-space")
+    m = require_in_range(require_square_image(m, "image"), "image")
+    observed = require_square_image(observed, "observed k-space")
     require_type(cfg, ReconConfig, "cfg")
     if m.shape != observed.shape:
         raise ValueError(f"image shape {m.shape} does not match observation {observed.shape}")

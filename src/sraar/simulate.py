@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (MotionBounds, MotionTrajectory, _peak, _pow2_scaled, _real, normalized_line_weights, require_count,
-                   require_grid_size, require_square_image, require_type)
+from .core import (MotionBounds, MotionTrajectory, _real, normalized_line_weights, require_count, require_grid_size,
+                   require_square_image, require_type)
 from .fileio import load_array
 from .motion import apply_translation
 from .transforms import dft2
@@ -165,9 +165,12 @@ def corrupt(gt, traj, noise_snr_db=None, seed=None):
 
     Returns apply_translation(dft2(gt), traj), optionally plus complex white
     Gaussian noise whose expected power matches the requested SNR in dB.
-    An SNR of +inf adds no noise; one whose noise level is not finite
-    (NaN, -inf, or so low that the power overflows) raises ValueError.
-    ``seed`` is None or an integer >= 0.
+    The image lies in the range of :func:`sraar.core.require_in_range`, so
+    its k-space lies in the ``transformed`` one; a solve takes the result
+    only where it also lies in the first.  An SNR of
+    +inf adds no noise; one whose noise level is not finite (NaN, -inf, or
+    so low that the power overflows) raises ValueError.  ``seed`` is None
+    or an integer >= 0.
     """
     gt = require_square_image(gt, "ground truth")
     if seed is not None:
@@ -182,30 +185,20 @@ def _add_noise(ksp, noise_snr_db, seed):
     ``default_rng(seed)`` and the imaginary parts the second, each scaled by
     sigma; adding each part on its own rounds as the complex sum does.
 
-    A signal power beyond the largest float is taken again on the spectrum
-    scaled by 2^-e (:func:`sraar.core._pow2_scaled`), and sigma scaled back
-    by 2^e; a finite power keeps its bits.  A noisy sum beyond the largest
-    float is a ValueError naming the k-space."""
-    with np.errstate(over="ignore"):
-        signal_power, exp = float(np.sum(np.abs(ksp) ** 2)), 0
-    if not np.isfinite(signal_power):
-        scaled, exp = _pow2_scaled(ksp)
-        signal_power = float(np.sum(np.abs(scaled) ** 2))
+    ``ksp`` is the spectrum of an image in range, so its power is finite;
+    a finite sigma is below 2^512, far below the largest float."""
     try:
-        sigma = np.sqrt(signal_power * 10.0 ** (-_real(noise_snr_db, "noise_snr_db") / 10.0) / (2.0 * ksp.size))
-        sigma = math.ldexp(sigma, exp)
+        sigma = np.sqrt(float(np.sum(np.abs(ksp) ** 2)) * 10.0 ** (-_real(noise_snr_db, "noise_snr_db") / 10.0)
+                        / (2.0 * ksp.size))
     except OverflowError:
         sigma = np.inf
     if not np.isfinite(sigma):
         raise ValueError(f"SNR of {noise_snr_db} dB gives a non-finite noise level")
     rng = np.random.default_rng(seed)
     draw = rng.standard_normal(ksp.shape)
-    with np.errstate(over="ignore"):
-        draw *= sigma
-        ksp.real += draw
-        rng.standard_normal(out=draw)
-        draw *= sigma
-        ksp.imag += draw
-    if not np.isfinite(_peak(ksp)):
-        raise ValueError("k-space is too large: its noisy sum has values beyond the largest float")
+    draw *= sigma
+    ksp.real += draw
+    rng.standard_normal(out=draw)
+    draw *= sigma
+    ksp.imag += draw
     return ksp

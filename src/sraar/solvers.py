@@ -57,7 +57,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import SOLVER_ER, SOLVER_SRAAR, ReconConfig, require_finite, require_square_image, require_type
+from .core import SOLVER_ER, SOLVER_SRAAR, ReconConfig, require_square_image, require_type
 from .projections import _Workspace, _compensate, _estimate_motion, _shrink_scale
 from .transforms import _flip_checkerboard, _float_halves, _forward_levels, _inverse_levels
 
@@ -225,8 +225,7 @@ def _solve(observed, cfg):
     """Run cfg.solver on one workspace at each of :func:`_budgets` and keep
     the run :func:`_choose` picks; returns its (c, image, estimate, trace).
     """
-    name = "observed k-space"
-    work = _Workspace(require_finite(require_square_image(observed, name), name), cfg.bounds)
+    work = _Workspace(require_square_image(observed, "observed k-space"), cfg.bounds)
     # the workspace holds D * observed; on CPython >= 3.11 a caller that
     # passes its only reference lets this free the observation: the CLI
     # passes a temporary, and each entry point gives up its own reference

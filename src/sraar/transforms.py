@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _peak, _pow2_scaled, require_count, require_finite, require_numeric, require_square_image
+from .core import require_count, require_in_range, require_square_image
 
 __all__ = ["WaveletCoeffs", "dft2", "idft2", "haar_forward", "haar_inverse", "l1_norm"]
 
@@ -36,43 +36,23 @@ def _unitary(fft, a, out=None):
     return fft(a, norm="ortho", out=a if out is None else out)
 
 
-def _in_float_range(fn, a, src, name):
-    """fn(a), where ``a`` is a contiguous complex128 copy of the array
-    ``src`` that fn transforms in place and returns, and fn(2^k x) =
-    2^k fn(x).  fn runs on ``a`` as it is, so an answer that comes out
-    finite keeps its bits; an overflow leaves Inf or NaN in it.  Then fn
-    reruns on 2^-e src (:func:`sraar.core._pow2_scaled`) in ``a`` and the
-    result is scaled back.  NaN or Inf in ``src``, or an answer beyond the
-    largest float, is a ValueError naming ``name``.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = fn(a)
-    if np.isfinite(_peak(out)):
-        return out
-    require_finite(src, name)
-    a[...] = src
-    e = _pow2_scaled(a, out=a)[1]
-    out = _pow2_scaled(fn(a), -e, out=a)[0]
-    if not np.isfinite(_peak(out)):
-        raise ValueError(f"{name} is too large: its transform has values beyond the largest float")
-    return out
-
-
-def _centered(fft, arr, name):
-    """Centered unitary transform of a copy of ``arr``, computed in that
-    copy; ``name`` names ``arr`` in a refusal (:func:`_in_float_range`)."""
-    return _in_float_range(lambda a: _flip_checkerboard(_unitary(fft, _flip_checkerboard(a))),
-                           arr.astype(np.complex128, copy=True), arr, name)
+def _centered(fft, a):
+    """Centered unitary transform of the array ``a``, computed in a
+    complex128 copy of it."""
+    return _flip_checkerboard(_unitary(fft, _flip_checkerboard(a.astype(np.complex128))))
 
 
 def dft2(img):
-    """Centered unitary 2-D DFT of a square power-of-two image."""
-    return _centered(np.fft.fftn, require_square_image(img, "image"), "image")
+    """Centered unitary 2-D DFT of a square power-of-two image, in the range
+    of :func:`sraar.core.require_in_range`."""
+    return _centered(np.fft.fftn, require_in_range(require_square_image(img, "image"), "image"))
 
 
 def idft2(ksp):
-    """Inverse of :func:`dft2`."""
-    return _centered(np.fft.ifftn, require_square_image(ksp, "k-space"), "k-space")
+    """Inverse of :func:`dft2`, of k-space in the ``transformed`` range of
+    :func:`sraar.core.require_in_range`, which holds the DFT of every image
+    :func:`dft2` takes."""
+    return _centered(np.fft.ifftn, require_in_range(require_square_image(ksp, "k-space"), "k-space", True))
 
 
 def _check_levels(n, levels):
@@ -180,20 +160,22 @@ def haar_forward(img, levels=None):
     Each level applies the pairwise (a+b)/sqrt(2), (a-b)/sqrt(2) transform
     along rows then columns of the current approximation block, halving its
     side.  ``levels=None`` applies the full depth log2(N).  Both directions
-    run the same self-inverse 2x2 butterfly on every level.
+    run the same self-inverse 2x2 butterfly on every level.  The image
+    lies in the range of :func:`sraar.core.require_in_range`.
     """
-    img = require_square_image(img, "image")
-    coeffs = WaveletCoeffs(img, levels)
-    _in_float_range(lambda a: _forward_levels(a, coeffs.levels), coeffs.data, img, "image")
+    coeffs = WaveletCoeffs(require_in_range(require_square_image(img, "image"), "image"), levels)
+    _forward_levels(coeffs.data, coeffs.levels)
     return coeffs
 
 
 def haar_inverse(coeffs):
-    """Invert :func:`haar_forward`; round trips are exact to float precision."""
+    """Invert :func:`haar_forward`; round trips are exact to float precision.
+    The coefficients lie in the ``transformed`` range of
+    :func:`sraar.core.require_in_range`, which holds those of every image
+    :func:`haar_forward` takes."""
     if not isinstance(coeffs, WaveletCoeffs):
         raise ValueError("haar_inverse expects WaveletCoeffs")
-    return _in_float_range(lambda a: _inverse_levels(a, coeffs.levels), coeffs.data.copy(), coeffs.data,
-                           "coefficients")
+    return _inverse_levels(require_in_range(coeffs.data, "coefficients", True).copy(), coeffs.levels)
 
 
 def _float_halves(buf):
@@ -204,17 +186,9 @@ def _float_halves(buf):
 
 
 def l1_norm(x):
-    """Sum of complex moduli of an array or of WaveletCoeffs.  The moduli are
-    non-negative, so the sum overflows only where the answer lies beyond the
-    largest float; that, or NaN or Inf in ``x``, is a ValueError naming x.
-    Integer and bool arrays are summed as float64, where neither the
-    modulus of the smallest integer nor the sum wraps."""
-    arr = x.data if isinstance(x, WaveletCoeffs) else require_numeric(x, "x")
-    if arr.dtype.kind in "biu":
-        arr = arr.astype(np.float64)
-    with np.errstate(over="ignore"):
-        total = float(np.abs(arr).sum())
-    if not np.isfinite(total):
-        require_finite(arr, "x")
-        raise ValueError("x is too large: its l1 norm exceeds the largest float")
-    return total
+    """Sum of complex moduli of an array or of WaveletCoeffs, in the
+    ``transformed`` range of :func:`sraar.core.require_in_range` (which
+    holds the other), named x.  Integer and bool arrays are summed as
+    float64, where neither the modulus of the smallest integer nor the sum
+    wraps."""
+    return float(np.abs(require_in_range(x.data if isinstance(x, WaveletCoeffs) else x, "x", True)).sum())

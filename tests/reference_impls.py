@@ -67,10 +67,9 @@ def dft2_form_project_fourier(m, observed, bounds):
     estimator is the package's.  Returns (image, trajectory, scores).
 
     The ramps are taken as invert_translation of ones, which is exact, and
-    multiplied in the order observed * ramps: from 256 KiB up numpy
-    evaluates invert_translation's ``ksp * ramps`` in place in the
-    temporary ramps, as ramps * ksp, and with fused multiply-adds the two
-    orders round the imaginary parts apart."""
+    multiplied in P2's order, observed * ramps: invert_translation
+    multiplies ramps * ksp, and with fused multiply-adds the two orders
+    round the imaginary parts apart."""
     observed = np.asarray(observed, dtype=complex)
     abs_observed = np.abs(observed)
     model = S.dft2(m)

@@ -375,7 +375,8 @@ class TestReconstruct:
         assert err.startswith("sraar reconstruct:") and err.count("\n") == 1
 
     def test_infinite_search_grid_exits_2(self, tmp_path, capsys):
-        # 1e308 / 0.25 px overflows to inf, which has no integer point count
+        # 1e308 / 0.25 px would overflow to inf, which has no integer point
+        # count; the bound is refused first, beyond the largest shift
         assert main(["simulate", "--phantom", "shepp-logan", "--size", "32", "--out-dir", str(tmp_path)]) == 0
         capsys.readouterr()
         rc = main(["reconstruct", "--kspace", str(tmp_path / "kspace.srr"), "--iters", "3",
@@ -383,7 +384,7 @@ class TestReconstruct:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("sraar reconstruct:") and err.count("\n") == 1
-        assert "max_abs_x=1e+308" in err
+        assert "max_abs_x must not exceed 1073741824 px in magnitude, got 1e+308 px" in err
 
     def test_missing_kspace_exits_1(self, tmp_path, capsys):
         rc = main(["reconstruct", "--kspace", str(tmp_path / "nope.srr"),
@@ -503,6 +504,14 @@ class TestExportPgm:
         rc = main(["export-pgm", "--input", str(tmp_path / "empty.srr"), "--out", str(tmp_path / "e.pgm")])
         assert rc == 2
         assert "empty array of shape (0, 5)" in capsys.readouterr().err
+        assert not (tmp_path / "e.pgm").exists()
+
+    def test_array_with_no_longest_axis_exits_2(self, tmp_path, capsys):
+        # no entry, so no peak to check against a range of the longest axis
+        save_array(tmp_path / "empty.srr", np.zeros((0, 0)))
+        rc = main(["export-pgm", "--input", str(tmp_path / "empty.srr"), "--out", str(tmp_path / "e.pgm")])
+        assert rc == 2
+        assert "empty array of shape (0, 0)" in capsys.readouterr().err
         assert not (tmp_path / "e.pgm").exists()
 
 
